@@ -13,6 +13,18 @@ Conventions, fixed once for the whole package:
 * max-pool ties break toward the first index in scan order;
 * calling ``backward`` twice on the same root is an error -- rebuild the
   graph (re-run the forward pass) instead.
+
+``conv2d`` picks one of two paths from the input's shape and the stride:
+
+* stride 1 on a multi-channel input (every dense-block and transition
+  convolution, 1x1 included): kh*kw shifted matrix products over the
+  flattened, zero-padded input. No im2col buffer is built; backward keeps
+  only the padded input, about 1/(kh*kw) of what im2col columns take.
+* stride > 1, or a single input channel (the stem): im2col, one product
+  over windowed columns. With one channel each shifted product has an
+  inner extent of 1; on a 256 x 192 page the 3x3 stem took about three
+  times as long that way as one im2col product with an inner extent of
+  9, and its columns are small.
 """
 
 from __future__ import annotations
@@ -462,6 +474,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate an H x W x Cin input with a kh x kw x Cin x Cout kernel.
 
     Output extents follow floor((extent + 2*padding - k) / stride) + 1.
+    Stride-1 multi-channel input runs ``_conv2d_shifted``; strided or
+    single-channel input runs im2col (see the module docstring).
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -481,13 +495,12 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
                              f"{(hp, wp, cin)} (from {x.shape}, padding {padding})")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    if stride == 1 and cin > 1:
+        return _conv2d_shifted(x, kernel, padding, ho, wo)
 
     kmat = kernel.data.reshape(kh * kw * cin, cout)
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        cols = x.data.reshape(h * w, cin)
-    else:
-        padded = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
-        cols = _im2col(padded, kh, kw, stride)
+    padded = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
+    cols = _im2col(padded, kh, kw, stride)
     data = (cols @ kmat).reshape(ho, wo, cout)
 
     def backward_fn(g):
@@ -503,6 +516,50 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
             if padding:
                 dpad = dpad[padding:padding + h, padding:padding + w]
             _accumulate(x, dpad)
+
+    return _record(data, (x, kernel), backward_fn)
+
+
+def _conv2d_shifted(x: Tensor, kernel: Tensor, padding: int, ho: int, wo: int) -> Tensor:
+    """Stride-1 convolution as kh*kw shifted products over the flattened padded input.
+
+    Row r of ``flat`` is padded pixel (r // wp, r % wp). Output pixel
+    (u, v) reads ``flat[u*wp + v + i*wp + j]`` at kernel offset (i, j), so
+    the products over rows ``o:o + ho*wp`` with ``o = i*wp + j`` build the
+    output at full padded width; columns ``wo..wp-1`` wrap into the next
+    row and are dropped. ``kw - 1`` trailing zero rows keep the last
+    offset's rows in range. Backward keeps only ``flat``.
+    """
+    h, w, cin = x.data.shape
+    kh, kw, _, cout = kernel.data.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    n = ho * wp
+    offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    if padding == 0 and kw == 1:
+        flat = x.data.reshape(h * w, cin)
+    else:
+        flat = np.zeros((hp * wp + kw - 1, cin))
+        flat[:hp * wp].reshape(hp, wp, cin)[padding:padding + h, padding:padding + w] = x.data
+    wide = flat[:n] @ kernel.data[0, 0]
+    for i, j, o in offsets[1:]:
+        wide += flat[o:o + n] @ kernel.data[i, j]
+    data = wide.reshape(ho, wp, cout)[:, :wo]
+
+    def backward_fn(g):
+        gw = (g if wo == wp else np.pad(g, ((0, 0), (0, wp - wo), (0, 0)))).reshape(n, cout)
+        if kernel.requires_grad:
+            dk = np.empty_like(kernel.data)
+            for i, j, o in offsets:
+                dk[i, j] = flat[o:o + n].T @ gw
+            _accumulate(kernel, dk)
+        if x.requires_grad:
+            dflat = np.empty_like(flat)
+            np.matmul(gw, kernel.data[0, 0].T, out=dflat[:n])
+            dflat[n:] = 0.0
+            for i, j, o in offsets[1:]:
+                dflat[o:o + n] += gw @ kernel.data[i, j].T
+            dpad = dflat[:hp * wp].reshape(hp, wp, cin)
+            _accumulate(x, dpad[padding:padding + h, padding:padding + w])
 
     return _record(data, (x, kernel), backward_fn)
 

@@ -70,6 +70,8 @@ def read_pgm(path) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
+        if pos == len(raw):
+            raise DatasetError(f"{path}: truncated header")
         if raw[pos:pos + 1] == b"#":
             while pos < len(raw) and raw[pos] != 0x0A:
                 pos += 1
@@ -81,6 +83,8 @@ def read_pgm(path) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
         raise DatasetError(f"{path}: not a binary P5 graymap")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise DatasetError(f"{path}: non-numeric header fields {fields[1:]}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise DatasetError(f"{path}: unsupported maxval {maxval}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import DimensionError, Tensor, no_grad
 from .decoder import AttentionDecoder, DecoderConfig, GreedyResult
 from .encoder import DenseEncoder, EncoderConfig, FeatureGrid
 from .vocab import Vocabulary
@@ -34,8 +34,9 @@ class Recognizer:
         return self.encoder.encode(image)
 
     def recognize(self, image: Tensor | np.ndarray) -> GreedyResult:
-        """Greedy transcription of one pre-padded image."""
-        return self.decoder.decode_greedy(self.encode(image))
+        """Greedy transcription of one pre-padded image; records no graph."""
+        with no_grad():
+            return self.decoder.decode_greedy(self.encode(image))
 
     def load_parameter_values(self, values: dict[str, np.ndarray]) -> None:
         params = self.parameters()
@@ -47,7 +48,7 @@ class Recognizer:
         for name, p in params.items():
             value = np.asarray(values[name], dtype=np.float64)
             if value.shape != p.data.shape:
-                raise ValueError(f"parameter {name}: shape {value.shape} != {p.data.shape}")
+                raise DimensionError(f"parameter {name}: shape {value.shape} != {p.data.shape}")
             p.data = np.ascontiguousarray(value)
 
 

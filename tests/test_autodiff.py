@@ -63,6 +63,22 @@ def conv_oracle(x, kernel, stride, padding):
     return out
 
 
+# (input shape, kernel shape, stride, padding). Stride-1 multi-channel cases run
+# the shifted-product path; strided or single-channel ones run im2col.
+CONV_CASES = [
+    ((5, 5, 2), (3, 3, 2, 1), 1, 0),   # output narrower than the padded input
+    ((5, 4, 2), (3, 3, 2, 2), 1, 1),
+    ((4, 5, 3), (1, 1, 3, 4), 1, 0),   # 1x1 on a view of the input
+    ((3, 4, 2), (1, 1, 2, 3), 1, 1),   # 1x1 with padding
+    ((6, 4, 2), (3, 1, 2, 3), 1, 0),   # kw == 1, unpadded: view with row offsets
+    ((4, 6, 3), (1, 3, 3, 2), 1, 1),
+    ((5, 6, 2), (2, 3, 2, 2), 1, 0),
+    ((5, 4, 1), (3, 3, 1, 2), 1, 1),   # single channel: im2col
+    ((5, 5, 2), (3, 3, 2, 1), 2, 1),   # strided: im2col
+    ((6, 5, 3), (1, 1, 3, 2), 2, 0),
+]
+
+
 def fd_gradient(loss_fn, param, epsilon=1e-6):
     """Central finite differences of a scalar loss w.r.t. one tensor."""
     grad = np.zeros_like(param.data)
@@ -127,9 +143,9 @@ class TestConv2d:
 
     def test_against_direct_summation_oracle(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 5, 2))
-        k = rng.normal(size=(3, 3, 2, 1))
-        for stride, padding in [(1, 0), (1, 1), (2, 1)]:
+        for x_shape, k_shape, stride, padding in CONV_CASES:
+            x = rng.normal(size=x_shape)
+            k = rng.normal(size=k_shape)
             out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
             expected = conv_oracle(x, k, stride, padding)
             assert out.shape == expected.shape
@@ -142,17 +158,19 @@ class TestConv2d:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(5, 4, 2)), requires_grad=True)
-        k = Tensor(rng.normal(size=(3, 3, 2, 2)), requires_grad=True)
+        for x_shape, k_shape, stride, padding in CONV_CASES:
+            x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+            k = Tensor(rng.normal(size=k_shape), requires_grad=True)
 
-        def loss():
-            return sum_all(tanh(conv2d(x, k, stride=1, padding=1)))
+            def loss():
+                return sum_all(tanh(conv2d(x, k, stride=stride, padding=padding)))
 
-        backward(loss())
-        for p in (x, k):
-            numeric = fd_gradient(loss, p)
-            rel = np.abs(p.grad - numeric) / np.maximum(np.abs(numeric), 1.0)
-            assert rel.max() < 1e-5
+            backward(loss())
+            for p in (x, k):
+                numeric = fd_gradient(loss, p)
+                rel = np.abs(p.grad - numeric) / np.maximum(np.abs(numeric), 1.0)
+                assert rel.max() < 1e-5
+            assert grad_check(loss, [x, k]) < 1e-6
 
 
 class TestPool2d:

@@ -47,6 +47,16 @@ class TestPgm:
         with pytest.raises(DatasetError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n4", "truncated header"),
+        (b"P5\nfour 1\n255\n\x00\x00\x00\x00", "non-numeric"),
+    ], ids=["truncated", "non-numeric-width"])
+    def test_malformed_header_raises_dataset_error(self, tmp_path, raw, message):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(DatasetError, match=message):
+            read_pgm(path)
+
 
 class TestGlyphs:
     def test_deterministic_and_distinct(self):
