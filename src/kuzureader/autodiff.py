@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every operation that consumes a tensor requiring gradients records itself
-onto an implicit graph (parent links plus a global execution counter).
-``backward`` replays the reachable part of that graph exactly once, in
-reverse execution order, accumulating gradients into ``Tensor.grad``.
+onto an implicit graph of parent links, unless the current thread is inside
+``no_grad``. ``backward`` replays the reachable part of that graph exactly
+once, children before parents, accumulating gradients into ``Tensor.grad``.
 
 Conventions, fixed once for the whole package:
 
@@ -12,7 +12,10 @@ Conventions, fixed once for the whole package:
 * convolution is cross-correlation (no kernel flip);
 * max-pool ties break toward the first index in scan order;
 * calling ``backward`` twice on the same root is an error -- rebuild the
-  graph (re-run the forward pass) instead.
+  graph (re-run the forward pass) instead;
+* once an array has been passed to ``_accumulate``, nothing writes into
+  it: a first gradient is adopted without a copy, so a ``grad`` may be a
+  view of another tensor's gradient (a ``concat`` slice, say).
 
 ``conv2d`` picks one of two paths from the input's shape and the stride:
 
@@ -30,7 +33,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import contextlib
-import itertools
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,27 +48,24 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-_execution_counter = itertools.count()
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the ``with`` block (pure inference)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled.reset(token)
 
 
 class Tensor:
     """An n-dimensional float64 array, optionally tracked by the graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_order", "_backward_ran")
+                 "_backward_ran")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -73,7 +73,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
-        self._order = next(_execution_counter)
         self._backward_ran = False
 
     @property
@@ -135,7 +134,7 @@ def _record(data: np.ndarray, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result; attach graph links only when gradients are live."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -143,8 +142,9 @@ def _record(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``; nothing writes into ``g`` after this call."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g
     else:
         t.grad = t.grad + g
 
@@ -160,26 +160,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def execution_order(root: Tensor) -> list[Tensor]:
-    """Recorded operations reachable from ``root``, in execution order."""
-    seen: set[int] = set()
+    """Each node reachable from ``root`` once, parents first (iterative post-order DFS)."""
+    seen = {id(root)}
     nodes: list[Tensor] = []
-    stack = [root]
+    stack = [(root, iter(root._parents))]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._parents)
-    nodes.sort(key=lambda n: n._order)
+        node, parents = stack[-1]
+        for parent in parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append((parent, iter(parent._parents)))
+                break
+        else:
+            stack.pop()
+            nodes.append(node)
     return nodes
 
 
 def backward(root: Tensor) -> None:
     """Reverse-mode sweep from a scalar root.
 
-    Visits every recorded operation exactly once, in reverse execution
-    order. Running backward twice on the same root raises RuntimeError;
+    Visits every recorded operation exactly once, children before
+    parents. Running backward twice on the same root raises RuntimeError;
     gradients accumulate across graphs until ``zero_grads`` is called.
     """
     if root.data.size != 1:

@@ -36,7 +36,7 @@ from .autodiff import (
     softmax_flat,
     tanh,
 )
-from .encoder import FeatureGrid
+from .encoder import FeatureGrid, _uniform
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ class GreedyResult:
 
 class SequenceTooLongError(RuntimeError):
     """Raised when a teacher-forced sequence exceeds the decode limit."""
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
 
 
 class AttentionDecoder:
@@ -201,16 +196,14 @@ class AttentionDecoder:
             state = self.initial_state(grid)
             prev = vb.START
             tokens: list[int] = []
-            trace: list[np.ndarray] = []
             truncated = True
             for _ in range(self.config.max_decode_len):
                 logits, state = self.step(grid, state, prev)
                 choice = int(np.argmax(logits.data))  # first max wins ties
-                trace.append(state.attention_trace[-1].data)
                 if choice == vb.END:
                     truncated = False
                     break
                 if choice != vb.START:
                     tokens.append(choice)
                 prev = choice
-        return GreedyResult(tokens=tuple(tokens), trace=trace, truncated=truncated)
+        return GreedyResult(tuple(tokens), [a.data for a in state.attention_trace], truncated)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, conv2d, pool2d, relu
+from .autodiff import DimensionError, NumericError, Tensor, conv2d, pool2d, relu
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,8 @@ class DenseEncoder:
     def encode(self, image: Tensor | np.ndarray) -> FeatureGrid:
         """Extract the feature grid from one H x W x 1 image.
 
-        Image extents must be divisible by the downsample factor; pad
-        with the background value beforehand.
+        Image extents must be divisible by the downsample factor (pad with
+        the background value beforehand) and every pixel must be finite.
         """
         if not isinstance(image, Tensor):
             image = Tensor(image)
@@ -178,6 +178,8 @@ class DenseEncoder:
                 f"image extents {(h, w)} not divisible by downsample factor {factor}")
         if h // factor < 1 or w // factor < 1:
             raise DimensionError(f"image {(h, w)} too small for downsample factor {factor}")
+        if not np.isfinite(image.data).all():
+            raise NumericError("image has non-finite pixels")
 
         c = self.config
         x = relu(conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,

@@ -43,8 +43,8 @@ class Recognizer:
         missing = set(params) - set(values)
         extra = set(values) - set(params)
         if missing or extra:
-            raise ValueError(f"parameter name mismatch: missing={sorted(missing)}, "
-                             f"unexpected={sorted(extra)}")
+            raise DimensionError(f"parameter name mismatch: missing={sorted(missing)}, "
+                                 f"unexpected={sorted(extra)}")
         for name, p in params.items():
             value = np.asarray(values[name], dtype=np.float64)
             if value.shape != p.data.shape:

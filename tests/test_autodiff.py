@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,8 +318,16 @@ class TestGraph:
         a = Tensor(np.ones(2), requires_grad=True)
         b = tanh(a)
         c = sigmoid(b)
-        d = sum_all(c + b)
+        shared = b * c  # reached from both sides of the diamond below
+        left = tanh(shared)
+        mixed = shared + b
+        right = sigmoid(mixed)
+        total = left + right
+        d = sum_all(total)
         order = ad.execution_order(d)
+        nodes = (a, b, c, shared, left, mixed, right, total, d)
+        assert len(order) == len(nodes)
+        assert {id(t) for t in order} == {id(t) for t in nodes}
         positions = {id(t): i for i, t in enumerate(order)}
         for node in order:
             for parent in node._parents:
@@ -346,6 +356,37 @@ class TestGraph:
             y = tanh(x)
         assert not y.requires_grad
         assert y._parents == ()
+
+    def test_no_grad_in_one_thread_does_not_stop_another_from_recording(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        inside, recorded = threading.Event(), threading.Event()
+        held = []
+
+        def hold_no_grad():
+            with no_grad():
+                inside.set()
+                recorded.wait(timeout=10)
+                held.append(tanh(x))
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        try:
+            assert inside.wait(timeout=10)
+            y = tanh(x)
+        finally:
+            recorded.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert y.requires_grad
+        assert not held[0].requires_grad
+
+    def test_captured_grad_survives_a_second_accumulating_backward(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        backward(sum_all(w * 3.0))
+        captured = w.grad
+        backward(sum_all(ad.concat([w, w], axis=0) * 5.0))
+        assert np.array_equal(captured, [3.0, 3.0])
+        assert np.array_equal(w.grad, [13.0, 13.0])
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(9)

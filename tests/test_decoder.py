@@ -228,6 +228,27 @@ class TestGreedy:
         result = dec.decode_greedy(grid)
         assert result.tokens[0] == 3
 
+    def test_trace_has_one_map_per_step_including_start_and_stop(self, monkeypatch):
+        dec = make_decoder(vocab_size=5)
+        grid = make_grid(2, 2, 6, seed=14)
+        script = iter([vb.START, 3, vb.END])  # an anomalous start marker, a token, the end
+        alphas = []
+        original = AttentionDecoder.step
+
+        def scripted(decoder, feature_grid, state, prev_token):
+            logits, new_state = original(decoder, feature_grid, state, prev_token)
+            alphas.append(new_state.attention_trace[-1].data)
+            forced = np.zeros(decoder.vocab_size)
+            forced[next(script)] = 1.0
+            return Tensor(forced), new_state
+
+        monkeypatch.setattr(AttentionDecoder, "step", scripted)
+        result = dec.decode_greedy(grid)
+        assert result.tokens == (3,)
+        assert not result.truncated
+        assert len(result.trace) == 3
+        assert all(np.array_equal(x, y) for x, y in zip(result.trace, alphas))
+
     def test_deterministic(self):
         dec = make_decoder(seed=13)
         grid = make_grid(3, 3, 6, seed=13)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kuzureader.autodiff import DimensionError
+from kuzureader.autodiff import DimensionError, NumericError
 from kuzureader.decoder import AttentionDecoder, DecoderConfig
 from kuzureader.encoder import EncoderConfig
 from kuzureader.model import Recognizer
@@ -49,7 +49,7 @@ class TestParameters:
         model = make_model()
         values = random_values(model, seed=2)
         edit(values)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(DimensionError, match=message):
             model.load_parameter_values(values)
 
     def test_wrong_shape_raises_dimension_error(self):
@@ -78,3 +78,12 @@ class TestRecognize:
         assert seen[0].features.requires_grad is False
         assert len(result.trace) >= 1
         assert model.encode(image).features.requires_grad
+
+    @pytest.mark.parametrize("where, bad", [(np.s_[:], np.nan), ((3, 5, 0), np.inf)],
+                             ids=["all-nan", "one-inf"])
+    def test_non_finite_image_raises_numeric_error(self, where, bad):
+        model = make_model()
+        image = np.zeros((8, 8, 1))
+        image[where] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            model.recognize(image)
