@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -278,13 +279,13 @@ def tanh(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
     a = _as_tensor(a)
     x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    with np.errstate(under="ignore"):  # exp(-|x|) below the subnormals is 0, the limit
+        e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    y = np.where(x >= 0, 1.0 / d, e / d)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -359,7 +360,7 @@ def pick(a, flat_index: int) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
 
     def backward_fn(g):

@@ -9,10 +9,17 @@ cell features. The LSTM cell then consumes [context; previous-token
 embedding], and the output distribution is a linear read-out of
 embedding + projected hidden + projected context.
 
+The cell features and their projection (the attention keys) do not
+change from step to step, so ``initial_state`` computes them once per
+image and the state carries them; under teacher forcing the keys gather
+their gradient from every step and take one backward product. The LSTM
+gate pre-activations are laid out in/forget/out/candidate and go through
+one sigmoid over the first three blocks and one tanh over the last.
+
 Coverage starts at zero and accumulates one attention map per step, so
 the decoder can remember which regions it has already read. Decoding is
 greedy: argmax per step (ties to the lowest token index) until the end
-marker or the step limit.
+marker, the step limit, or a step whose logits are not finite.
 """
 
 from __future__ import annotations
@@ -54,7 +61,15 @@ class DecoderConfig:
 
 @dataclass
 class DecoderState:
-    """Mutable per-run decoding state; step numbering starts at 1."""
+    """Mutable per-run decoding state; step numbering starts at 1.
+
+    ``features`` is the grid the state was built from, ``flat`` its cells
+    as rows (cells x C) and ``keys`` their projection through
+    ``att.feature_proj`` (cells x att); every step passes them on as they are.
+    """
+    features: Tensor
+    flat: Tensor
+    keys: Tensor
     h: Tensor
     cell: Tensor
     coverage: Tensor
@@ -64,9 +79,20 @@ class DecoderState:
 
 @dataclass
 class GreedyResult:
+    """A greedy decode and why it stopped.
+
+    ``stop_reason`` is ``"end"`` (the end marker was emitted), ``"limit"``
+    (``max_decode_len`` steps ran without it) or ``"non-finite"`` (a step's
+    logits held a NaN or an infinity; that step emitted nothing, and its
+    map is the last one in the trace). ``truncated`` is derived from it.
+    """
     tokens: tuple[int, ...]
     trace: list[np.ndarray]
-    truncated: bool
+    stop_reason: str
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop_reason == "limit"
 
 
 class SequenceTooLongError(RuntimeError):
@@ -111,35 +137,40 @@ class AttentionDecoder:
         }
 
     def initial_state(self, grid: FeatureGrid) -> DecoderState:
-        """Zero hidden/cell state and zero coverage for one decoding run."""
-        hidden = self.config.hidden_size
-        h, w = grid.features.shape[:2]
-        return DecoderState(
-            h=Tensor(np.zeros((1, hidden))),
-            cell=Tensor(np.zeros((1, hidden))),
-            coverage=Tensor(np.zeros((h, w))),
-        )
-
-    def attend(self, grid: FeatureGrid, h_prev: Tensor, coverage: Tensor):
-        """One attention read: (alpha over cells, context vector).
-
-        alpha has the grid's spatial shape, is non-negative, and sums
-        to 1; context is the alpha-weighted sum of cell features as a
-        1 x C row.
-        """
+        """Per-image attention memory, zero hidden/cell state and zero coverage."""
         feats = grid.features
         gh, gw, gc = feats.shape
         if gc != self.feature_channels:
             raise DimensionError(f"feature grid has {gc} channels, decoder expects "
                                  f"{self.feature_channels}")
+        flat = reshape(feats, (gh * gw, gc))
+        hidden = self.config.hidden_size
+        return DecoderState(
+            features=feats,
+            flat=flat,
+            keys=matmul(flat, self.params["att.feature_proj"]),
+            h=Tensor(np.zeros((1, hidden))),
+            cell=Tensor(np.zeros((1, hidden))),
+            coverage=Tensor(np.zeros((gh, gw))),
+        )
+
+    def attend(self, state: DecoderState):
+        """One attention read from ``state``: (alpha over cells, context vector).
+
+        alpha has the grid's spatial shape, is non-negative, and sums
+        to 1; context is the alpha-weighted sum of cell features as a
+        1 x C row.
+        """
+        gh, gw = state.coverage.shape
         cells = gh * gw
-        flat = reshape(feats, (cells, gc))
-        energy_in = (matmul(flat, self.params["att.feature_proj"])
-                     + matmul(h_prev, self.params["att.hidden_proj"])
-                     + matmul(reshape(coverage, (cells, 1)), self.params["att.coverage_proj"]))
+        # coverage term as a broadcast (cells x 1) * (1 x att): one product per entry,
+        # the same values as the k=1 matmul
+        energy_in = (state.keys
+                     + matmul(state.h, self.params["att.hidden_proj"])
+                     + mul(reshape(state.coverage, (cells, 1)), self.params["att.coverage_proj"]))
         energies = matmul(tanh(energy_in), self.params["att.energy"])
         alpha_flat = softmax_flat(energies)
-        context = matmul(reshape(alpha_flat, (1, cells)), flat)
+        context = matmul(reshape(alpha_flat, (1, cells)), state.flat)
         return reshape(alpha_flat, (gh, gw)), context
 
     def step(self, grid: FeatureGrid, state: DecoderState, prev_token: int):
@@ -147,8 +178,12 @@ class AttentionDecoder:
 
         Returns (logits over the vocabulary, new state). The new state's
         coverage is the old coverage plus this step's alpha, and the
-        alpha is appended to the attention trace.
+        alpha is appended to the attention trace. ``grid`` must be the
+        grid ``state`` was built from.
         """
+        if grid.features is not state.features:
+            raise DimensionError("step got a feature grid other than the one "
+                                 "its state was built from")
         if prev_token < 0 or prev_token >= self.vocab_size:
             raise DimensionError(f"token index {prev_token} out of range "
                                  f"for vocabulary of {self.vocab_size}")
@@ -157,15 +192,15 @@ class AttentionDecoder:
                 f"decode step {state.t} exceeds max_decode_len={self.config.max_decode_len}")
         hidden = self.config.hidden_size
 
-        alpha, context = self.attend(grid, state.h, state.coverage)
+        alpha, context = self.attend(state)
         embedded = embedding_lookup(self.params["embed.table"], prev_token)
 
         gates = (matmul(concat([context, embedded], axis=1), self.params["lstm.input_w"])
                  + matmul(state.h, self.params["lstm.hidden_w"])
                  + self.params["lstm.bias"])
-        in_gate = sigmoid(narrow(gates, 1, 0, hidden))
-        forget_gate = sigmoid(narrow(gates, 1, hidden, hidden))
-        out_gate = sigmoid(narrow(gates, 1, 2 * hidden, hidden))
+        in_forget_out = sigmoid(narrow(gates, 1, 0, 3 * hidden))
+        in_gate, forget_gate, out_gate = (narrow(in_forget_out, 1, k * hidden, hidden)
+                                          for k in range(3))
         candidate = tanh(narrow(gates, 1, 3 * hidden, hidden))
         cell = mul(forget_gate, state.cell) + mul(in_gate, candidate)
         h = mul(out_gate, tanh(cell))
@@ -176,6 +211,9 @@ class AttentionDecoder:
         logits = reshape(matmul(readout, self.params["out.vocab_proj"]), (self.vocab_size,))
 
         new_state = DecoderState(
+            features=state.features,
+            flat=state.flat,
+            keys=state.keys,
             h=h,
             cell=cell,
             coverage=state.coverage + alpha,
@@ -185,7 +223,7 @@ class AttentionDecoder:
         return logits, new_state
 
     def decode_greedy(self, grid: FeatureGrid) -> GreedyResult:
-        """Greedy decode: argmax per step until the end marker or the limit.
+        """Greedy decode: argmax per step until the end marker, the limit or non-finite logits.
 
         The returned token sequence contains neither marker index; an
         anomalously emitted start marker is dropped from the sequence
@@ -196,14 +234,17 @@ class AttentionDecoder:
             state = self.initial_state(grid)
             prev = vb.START
             tokens: list[int] = []
-            truncated = True
+            stop_reason = "limit"
             for _ in range(self.config.max_decode_len):
                 logits, state = self.step(grid, state, prev)
+                if not np.isfinite(logits.data).all():
+                    stop_reason = "non-finite"
+                    break
                 choice = int(np.argmax(logits.data))  # first max wins ties
                 if choice == vb.END:
-                    truncated = False
+                    stop_reason = "end"
                     break
                 if choice != vb.START:
                     tokens.append(choice)
                 prev = choice
-        return GreedyResult(tuple(tokens), [a.data for a in state.attention_trace], truncated)
+        return GreedyResult(tuple(tokens), [a.data for a in state.attention_trace], stop_reason)

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -263,6 +264,21 @@ class TestElementwise:
         backward(sum_all(y))
         expected = y.data * (1 - y.data)
         assert np.allclose(x.grad, expected)
+
+    def test_sigmoid_extremes_raise_no_floating_point_error(self):
+        def oracle(v):
+            if v >= 0:
+                return 1.0 / (1.0 + math.exp(-v))
+            return math.exp(v) / (1.0 + math.exp(v))
+
+        finite = [1000.0, -1000.0, 745.0, -745.0, 1e-300, -1e-300, 0.0, -0.0]
+        x = np.array([np.inf, -np.inf, *finite, np.nan])
+        with np.errstate(all="raise"):
+            y = sigmoid(Tensor(x)).data
+        assert y[0] == 1.0 and y[1] == 0.0
+        assert [float(v) for v in y[2:-1]] == [oracle(v) for v in finite]
+        assert y[5] > 0.0  # sigmoid(-745) is the smallest subnormal, not 0
+        assert np.isnan(y[-1])
 
     def test_logsumexp_and_pick_cross_entropy(self):
         rng = np.random.default_rng(8)

@@ -1,10 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kuzureader import vocab as vb
-from kuzureader.autodiff import Tensor, backward, grad_check, sum_all
+from kuzureader.autodiff import (
+    DimensionError,
+    Tensor,
+    backward,
+    grad_check,
+    logsumexp,
+    pick,
+    sum_all,
+)
 from kuzureader.decoder import (
     AttentionDecoder,
     DecoderConfig,
@@ -17,6 +26,12 @@ from kuzureader.vocab import Vocabulary
 def make_grid(h, w, c, seed=0):
     rng = np.random.default_rng(seed)
     return FeatureGrid(features=Tensor(rng.normal(size=(h, w, c))), downsample_factor=8)
+
+
+def attend_with(dec, grid, h_prev, coverage):
+    """attend() on a fresh state for ``grid`` with the given hidden state and coverage."""
+    state = dataclasses.replace(dec.initial_state(grid), h=Tensor(h_prev), coverage=Tensor(coverage))
+    return dec.attend(state)
 
 
 def make_decoder(channels=6, vocab_size=5, hidden=8, embed=8, att=4, seed=0,
@@ -64,14 +79,14 @@ class TestAttend:
         for name in ("att.feature_proj", "att.hidden_proj", "att.coverage_proj"):
             dec.params[name].data[:] = 0.0
         grid = make_grid(2, 3, 3, seed=1)
-        alpha, context = dec.attend(grid, Tensor(np.zeros((1, 8))), Tensor(np.zeros((2, 3))))
+        alpha, context = attend_with(dec, grid, np.zeros((1, 8)), np.zeros((2, 3)))
         assert np.allclose(alpha.data, 1.0 / 6.0)
         assert np.allclose(context.data[0], grid.features.data.mean(axis=(0, 1)))
 
     def test_single_cell_grid(self):
         dec = make_decoder(channels=4)
         grid = make_grid(1, 1, 4, seed=2)
-        alpha, context = dec.attend(grid, Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 1))))
+        alpha, context = attend_with(dec, grid, np.zeros((1, 8)), np.zeros((1, 1)))
         assert alpha.data.shape == (1, 1)
         assert alpha.data[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(context.data[0], grid.features.data[0, 0])
@@ -105,7 +120,7 @@ class TestAttend:
                 expected_context += expected_alpha[u, v] * feats[u, v]
 
         grid = FeatureGrid(features=Tensor(feats), downsample_factor=8)
-        alpha, context = dec.attend(grid, Tensor(h_prev), Tensor(coverage))
+        alpha, context = attend_with(dec, grid, h_prev, coverage)
         assert np.max(np.abs(alpha.data - expected_alpha)) < 1e-9
         assert np.max(np.abs(context.data[0] - expected_context)) < 1e-9
 
@@ -170,6 +185,54 @@ class TestStep:
         with pytest.raises(SequenceTooLongError):
             dec.step(grid, state, 2)
 
+    def test_attention_memory_is_computed_once_and_carried(self):
+        dec = make_decoder()
+        grid = make_grid(3, 2, 6, seed=15)
+        state = dec.initial_state(grid)
+        assert np.array_equal(state.keys.data,
+                              grid.features.data.reshape(6, 6) @ dec.params["att.feature_proj"].data)
+        _, state1 = dec.step(grid, state, vb.START)
+        _, state2 = dec.step(grid, state1, 2)
+        assert state2.flat is state.flat and state2.keys is state.keys
+        assert state2.features is grid.features
+
+    def test_step_rejects_a_grid_other_than_the_states(self):
+        dec = make_decoder()
+        grid = make_grid(2, 2, 6, seed=16)
+        other = make_grid(2, 2, 6, seed=16)  # equal values, another tensor
+        state = dec.initial_state(grid)
+        with pytest.raises(DimensionError, match="other than"):
+            dec.step(other, state, vb.START)
+        _, state = dec.step(grid, state, vb.START)
+        with pytest.raises(DimensionError, match="other than"):
+            dec.step(other, state, 2)
+
+    def test_initial_state_rejects_a_channel_mismatch(self):
+        dec = make_decoder(channels=6)
+        with pytest.raises(DimensionError, match="channels"):
+            dec.initial_state(make_grid(2, 2, 5))
+
+    def test_teacher_forced_gradients_of_every_parameter_and_the_grid(self):
+        dec = make_decoder(channels=3, vocab_size=5, hidden=3, embed=3, att=2, seed=17)
+        grid = FeatureGrid(features=Tensor(np.random.default_rng(17).normal(size=(2, 2, 3)),
+                                           requires_grad=True), downsample_factor=8)
+        target = (2, 4, vb.END)
+
+        def loss():
+            state = dec.initial_state(grid)
+            prev, total = vb.START, None
+            for token in target:
+                logits, state = dec.step(grid, state, prev)
+                term = logsumexp(logits) - pick(logits, token)
+                total = term if total is None else total + term
+                prev = token
+            return total
+
+        params = [*dec.params.values(), grid.features]
+        assert len(params) == 12
+        assert grad_check(loss, params) < 1e-6
+        assert all(p.grad is not None and np.any(p.grad != 0) for p in params)
+
     def test_gradient_flows_into_coverage_weights(self):
         dec = make_decoder(channels=3, vocab_size=4, hidden=4, embed=4, att=3, seed=9)
         grid_data = np.random.default_rng(9).normal(size=(2, 2, 3))
@@ -200,6 +263,7 @@ class TestGreedy:
         result = dec.decode_greedy(grid)
         assert result.tokens == ()
         assert len(result.trace) == 1
+        assert result.stop_reason == "end"
         assert not result.truncated
 
     def test_truncation_flagged_at_limit(self):
@@ -210,9 +274,50 @@ class TestGreedy:
         dec.params["out.vocab_proj"].data[0, 3] = 1.0  # always emits token 3
         grid = make_grid(2, 2, 6, seed=11)
         result = dec.decode_greedy(grid)
+        assert result.stop_reason == "limit"
         assert result.truncated
         assert result.tokens == (3, 3, 3, 3)
         assert len(result.trace) == 4
+
+    def test_truncated_is_read_only_and_follows_stop_reason(self):
+        result = make_decoder(max_len=3).decode_greedy(make_grid(2, 2, 6, seed=18))
+        with pytest.raises(AttributeError):
+            result.truncated = not result.truncated
+        for reason, truncated in (("end", False), ("limit", True), ("non-finite", False)):
+            result.stop_reason = reason
+            assert result.truncated is truncated
+
+    def test_nan_weight_stops_decoding_as_non_finite(self):
+        dec = make_decoder(vocab_size=5)
+        dec.params["out.vocab_proj"].data[0, 2] = np.nan
+        result = dec.decode_greedy(make_grid(2, 2, 6, seed=19))
+        assert result.stop_reason == "non-finite"
+        assert not result.truncated
+        assert result.tokens == ()
+        assert len(result.trace) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_stop_after_the_tokens_before_them(self, monkeypatch, bad):
+        dec = make_decoder(vocab_size=5)
+        script = iter([3, 4, None])  # two tokens, then a step with one non-finite logit
+        original = AttentionDecoder.step
+
+        def scripted(decoder, feature_grid, state, prev_token):
+            _, new_state = original(decoder, feature_grid, state, prev_token)
+            forced = np.zeros(decoder.vocab_size)
+            token = next(script)
+            if token is None:
+                forced[vb.END] = 1.0
+                forced[0] = bad
+            else:
+                forced[token] = 1.0
+            return Tensor(forced), new_state
+
+        monkeypatch.setattr(AttentionDecoder, "step", scripted)
+        result = dec.decode_greedy(make_grid(2, 2, 6, seed=20))
+        assert result.stop_reason == "non-finite"
+        assert result.tokens == (3, 4)
+        assert len(result.trace) == 3
 
     def test_argmax_tie_takes_lowest_index(self):
         dec = make_decoder(vocab_size=6)
@@ -245,7 +350,7 @@ class TestGreedy:
         monkeypatch.setattr(AttentionDecoder, "step", scripted)
         result = dec.decode_greedy(grid)
         assert result.tokens == (3,)
-        assert not result.truncated
+        assert result.stop_reason == "end"
         assert len(result.trace) == 3
         assert all(np.array_equal(x, y) for x, y in zip(result.trace, alphas))
 
