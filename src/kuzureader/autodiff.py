@@ -1,9 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation that consumes a tensor requiring gradients records itself
-onto an implicit graph of parent links, unless the current thread is inside
-``no_grad``. ``backward`` replays the reachable part of that graph exactly
-once, children before parents, accumulating gradients into ``Tensor.grad``.
+Every operation hands ``_record`` its result and one edge per
+differentiable input: the input tensor and a vector-Jacobian product
+(vjp) that maps the result's gradient to that input's gradient.
+``_record`` keeps only the edges whose input requires a gradient, and none
+inside ``no_grad`` (per thread), so a constant input is never
+differentiated. ``backward`` replays the reachable part of the graph
+exactly once, children before parents, and is the only place that
+accumulates gradients into ``Tensor.grad``.
 
 Conventions, fixed once for the whole package:
 
@@ -13,9 +17,11 @@ Conventions, fixed once for the whole package:
 * max-pool ties break toward the first index in scan order;
 * calling ``backward`` twice on the same root is an error -- rebuild the
   graph (re-run the forward pass) instead;
-* once an array has been passed to ``_accumulate``, nothing writes into
-  it: a first gradient is adopted without a copy, so a ``grad`` may be a
-  view of another tensor's gradient (a ``concat`` slice, say).
+* every ``grad`` array is read-only: a first gradient is adopted without
+  a copy, so two tensors may share one array (after
+  ``backward(sum_all(x + y))``, ``x.grad is y.grad``), and writing into
+  one raises ``ValueError`` instead of changing the other. Update a
+  gradient out of place or on a copy.
 
 ``conv2d`` picks one of two paths from the input's shape and the stride:
 
@@ -46,10 +52,16 @@ class DimensionError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced a non-finite value."""
+    """A value is non-finite or outside its valid range.
+
+    Raised when a computation produces a non-finite value and when an input
+    image has a non-finite pixel or one outside [0, 1].
+    """
 
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+Vjp = Callable[[np.ndarray], np.ndarray]
 
 
 @contextlib.contextmanager
@@ -65,15 +77,13 @@ def no_grad():
 class Tensor:
     """An n-dimensional float64 array, optionally tracked by the graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_backward_ran")
+    __slots__ = ("data", "grad", "requires_grad", "_edges", "_backward_ran")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._edges: tuple[tuple[Tensor, Vjp], ...] = ()
         self._backward_ran = False
 
     @property
@@ -131,23 +141,22 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _record(data: np.ndarray, parents: Sequence[Tensor],
-            backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap an op result; attach graph links only when gradients are live."""
+def _record(data: np.ndarray, *edges: tuple[Tensor, Vjp]) -> Tensor:
+    """Wrap an op result, keeping the ``(input, vjp)`` edges whose input needs a gradient."""
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    if _grad_enabled.get():
+        kept = tuple([edge for edge in edges if edge[0].requires_grad])
+        if kept:
+            out.requires_grad = True
+            out._edges = kept
     return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``; nothing writes into ``g`` after this call."""
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad = t.grad + g
+    """Add ``g`` to ``t.grad`` and make the stored array read-only."""
+    g = g if t.grad is None else t.grad + g
+    g.flags.writeable = False
+    t.grad = g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -164,13 +173,13 @@ def execution_order(root: Tensor) -> list[Tensor]:
     """Each node reachable from ``root`` once, parents first (iterative post-order DFS)."""
     seen = {id(root)}
     nodes: list[Tensor] = []
-    stack = [(root, iter(root._parents))]
+    stack = [(root, iter(root._edges))]
     while stack:
-        node, parents = stack[-1]
-        for parent in parents:
+        node, edges = stack[-1]
+        for parent, _ in edges:
             if id(parent) not in seen:
                 seen.add(id(parent))
-                stack.append((parent, iter(parent._parents)))
+                stack.append((parent, iter(parent._edges)))
                 break
         else:
             stack.pop()
@@ -194,9 +203,10 @@ def backward(root: Tensor) -> None:
         return
     nodes = execution_order(root)
     root.grad = np.ones_like(root.data)
-    for node in reversed(nodes):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+    root.grad.flags.writeable = False
+    for node in reversed(nodes):  # every child has accumulated into node.grad
+        for parent, vjp in node._edges:
+            _accumulate(parent, vjp(node.grad))
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -210,72 +220,39 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _record(data, (a, b), backward_fn)
+    return _record(a.data + b.data,
+                   (a, lambda g: _unbroadcast(g, a.data.shape)),
+                   (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
-
-    return _record(-a.data, (a,), backward_fn)
+    return _record(-a.data, (a, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _record(data, (a, b), backward_fn)
+    return _record(a.data * b.data,
+                   (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                   (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _record(data, (a, b), backward_fn)
+    return _record(a.data / b.data,
+                   (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+                   (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, g.reshape(())))
-
-    return _record(np.asarray(a.data.sum()), (a,), backward_fn)
+    return _record(np.asarray(a.data.sum()), (a, lambda g: np.full_like(a.data, g.reshape(()))))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - y * y))
-
-    return _record(y, (a,), backward_fn)
+    return _record(y, (a, lambda g: g * (1.0 - y * y)))
 
 
 def sigmoid(a) -> Tensor:
@@ -286,23 +263,12 @@ def sigmoid(a) -> Tensor:
         e = np.exp(-np.abs(x))
     d = 1.0 + e
     y = np.where(x >= 0, 1.0 / d, e / d)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * y * (1.0 - y))
-
-    return _record(y, (a,), backward_fn)
+    return _record(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    y = np.maximum(a.data, 0.0)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0.0))
-
-    return _record(y, (a,), backward_fn)
+    return _record(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def softmax_flat(a) -> Tensor:
@@ -315,12 +281,7 @@ def softmax_flat(a) -> Tensor:
     shifted = a.data - a.data.max()
     e = np.exp(shifted)
     y = e / e.sum()
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, y * (g - (g * y).sum()))
-
-    return _record(y, (a,), backward_fn)
+    return _record(y, (a, lambda g: y * (g - (g * y).sum())))
 
 
 def logsumexp(a) -> Tensor:
@@ -329,12 +290,14 @@ def logsumexp(a) -> Tensor:
     m = a.data.max()
     e = np.exp(a.data - m)
     s = e.sum()
+    return _record(np.asarray(m + np.log(s)), (a, lambda g: (e / s) * g.reshape(())))
 
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, (e / s) * g.reshape(()))
 
-    return _record(np.asarray(m + np.log(s)), (a,), backward_fn)
+def _scattered(like: np.ndarray, index, g: np.ndarray) -> np.ndarray:
+    """Zeros shaped like ``like`` with ``g`` written at ``index``."""
+    z = np.zeros_like(like)
+    z[index] = g
+    return z
 
 
 def pick(a, flat_index: int) -> Tensor:
@@ -343,14 +306,8 @@ def pick(a, flat_index: int) -> Tensor:
     flat_index = int(flat_index)
     if not 0 <= flat_index < a.data.size:
         raise DimensionError(f"pick index {flat_index} out of range for shape {a.shape}")
-
-    def backward_fn(g):
-        if a.requires_grad:
-            z = np.zeros_like(a.data)
-            z.reshape(-1)[flat_index] = g.reshape(())
-            _accumulate(a, z)
-
-    return _record(np.asarray(a.data.reshape(-1)[flat_index]), (a,), backward_fn)
+    index = np.unravel_index(flat_index, a.data.shape)
+    return _record(np.asarray(a.data[index]), (a, lambda g: _scattered(a.data, index, g.reshape(()))))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +319,7 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != a.data.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
-
-    return _record(a.data.reshape(shape), (a,), backward_fn)
+    return _record(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -381,17 +333,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 o != b for d, (o, b) in enumerate(zip(other, base)) if d != axis % len(base)):
             raise DimensionError(f"concat: shape {other} incompatible with {base} on axis {axis}")
     data = np.concatenate([t.data for t in ts], axis=axis)
-    extents = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + extents)
-
-    def backward_fn(g):
-        for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                _accumulate(t, g[tuple(index)])
-
-    return _record(data, ts, backward_fn)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
+    lead = (slice(None),) * (axis % data.ndim)
+    return _record(data, *[(t, lambda g, index=lead + (slice(start, stop),): g[index])
+                           for t, start, stop in zip(ts, offsets[:-1], offsets[1:])])
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -415,14 +360,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            z = np.zeros_like(a.data)
-            z[index] = g
-            _accumulate(a, z)
-
-    return _record(a.data[index].copy(), (a,), backward_fn)
+    return _record(a.data[index].copy(), (a, lambda g: _scattered(a.data, index, g)))
 
 
 def embedding_lookup(table, index: int) -> Tensor:
@@ -433,14 +371,8 @@ def embedding_lookup(table, index: int) -> Tensor:
     index = int(index)
     if not 0 <= index < table.data.shape[0]:
         raise DimensionError(f"embedding index {index} out of range for table {table.shape}")
-
-    def backward_fn(g):
-        if table.requires_grad:
-            z = np.zeros_like(table.data)
-            z[index] = g.reshape(-1)
-            _accumulate(table, z)
-
-    return _record(table.data[index:index + 1].copy(), (table,), backward_fn)
+    rows = slice(index, index + 1)
+    return _record(table.data[rows].copy(), (table, lambda g: _scattered(table.data, rows, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +385,9 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
-    data = a.data @ b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _record(data, (a, b), backward_fn)
+    return _record(a.data @ b.data,
+                   (a, lambda g: g @ b.data.T),
+                   (b, lambda g: a.data.T @ g))
 
 
 def _im2col(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -506,21 +432,16 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     cols = _im2col(padded, kh, kw, stride)
     data = (cols @ kmat).reshape(ho, wo, cout)
 
-    def backward_fn(g):
-        gmat = g.reshape(ho * wo, cout)
-        if kernel.requires_grad:
-            _accumulate(kernel, (cols.T @ gmat).reshape(kernel.data.shape))
-        if x.requires_grad:
-            dcols = (gmat @ kmat.T).reshape(ho, wo, kh, kw, cin)
-            dpad = np.zeros((hp, wp, cin))
-            for i in range(kh):
-                for j in range(kw):
-                    dpad[i:i + ho * stride:stride, j:j + wo * stride:stride] += dcols[:, :, i, j]
-            if padding:
-                dpad = dpad[padding:padding + h, padding:padding + w]
-            _accumulate(x, dpad)
+    def dx(g):
+        dcols = (g.reshape(ho * wo, cout) @ kmat.T).reshape(ho, wo, kh, kw, cin)
+        dpad = np.zeros((hp, wp, cin))
+        for i in range(kh):
+            for j in range(kw):
+                dpad[i:i + ho * stride:stride, j:j + wo * stride:stride] += dcols[:, :, i, j]
+        return dpad[padding:padding + h, padding:padding + w]
 
-    return _record(data, (x, kernel), backward_fn)
+    return _record(data, (x, dx),
+                   (kernel, lambda g: (cols.T @ g.reshape(ho * wo, cout)).reshape(kernel.data.shape)))
 
 
 def _conv2d_shifted(x: Tensor, kernel: Tensor, padding: int, ho: int, wo: int) -> Tensor:
@@ -548,23 +469,27 @@ def _conv2d_shifted(x: Tensor, kernel: Tensor, padding: int, ho: int, wo: int) -
         wide += flat[o:o + n] @ kernel.data[i, j]
     data = wide.reshape(ho, wp, cout)[:, :wo]
 
-    def backward_fn(g):
-        gw = (g if wo == wp else np.pad(g, ((0, 0), (0, wp - wo), (0, 0)))).reshape(n, cout)
-        if kernel.requires_grad:
-            dk = np.empty_like(kernel.data)
-            for i, j, o in offsets:
-                dk[i, j] = flat[o:o + n].T @ gw
-            _accumulate(kernel, dk)
-        if x.requires_grad:
-            dflat = np.empty_like(flat)
-            np.matmul(gw, kernel.data[0, 0].T, out=dflat[:n])
-            dflat[n:] = 0.0
-            for i, j, o in offsets[1:]:
-                dflat[o:o + n] += gw @ kernel.data[i, j].T
-            dpad = dflat[:hp * wp].reshape(hp, wp, cin)
-            _accumulate(x, dpad[padding:padding + h, padding:padding + w])
+    def widened(g):
+        """``g`` at full padded width (zero columns ``wo..wp-1``) as n x Cout rows."""
+        return (g if wo == wp else np.pad(g, ((0, 0), (0, wp - wo), (0, 0)))).reshape(n, cout)
 
-    return _record(data, (x, kernel), backward_fn)
+    def dx(g):
+        gw = widened(g)
+        dflat = np.empty_like(flat)
+        np.matmul(gw, kernel.data[0, 0].T, out=dflat[:n])
+        dflat[n:] = 0.0
+        for i, j, o in offsets[1:]:
+            dflat[o:o + n] += gw @ kernel.data[i, j].T
+        return dflat[:hp * wp].reshape(hp, wp, cin)[padding:padding + h, padding:padding + w]
+
+    def dkernel(g):
+        gw = widened(g)
+        dk = np.empty_like(kernel.data)
+        for i, j, o in offsets:
+            dk[i, j] = flat[o:o + n].T @ gw
+        return dk
+
+    return _record(data, (x, dx), (kernel, dkernel))
 
 
 def pool2d(x, kind: str, window: int, stride: int) -> Tensor:
@@ -593,29 +518,25 @@ def pool2d(x, kind: str, window: int, stride: int) -> Tensor:
         flat_arg = patches.argmax(axis=2)  # first occurrence on ties
         data = np.take_along_axis(patches, flat_arg[:, :, None, :], axis=2)[:, :, 0, :]
 
-        def backward_fn(g):
-            if not x.requires_grad:
-                return
+        def vjp(g):
             ys = (np.arange(ho) * stride)[:, None, None] + flat_arg // window
             xs = (np.arange(wo) * stride)[None, :, None] + flat_arg % window
             cs = np.broadcast_to(np.arange(c), flat_arg.shape)
             dx = np.zeros_like(x.data)
             np.add.at(dx, (ys, xs, cs), g)
-            _accumulate(x, dx)
+            return dx
     else:
         data = patches.mean(axis=2)
 
-        def backward_fn(g):
-            if not x.requires_grad:
-                return
+        def vjp(g):
             dx = np.zeros_like(x.data)
             share = g / (window * window)
             for i in range(window):
                 for j in range(window):
                     dx[i:i + ho * stride:stride, j:j + wo * stride:stride] += share
-            _accumulate(x, dx)
+            return dx
 
-    return _record(np.ascontiguousarray(data), (x,), backward_fn)
+    return _record(np.ascontiguousarray(data), (x, vjp))
 
 
 # ---------------------------------------------------------------------------

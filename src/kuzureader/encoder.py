@@ -164,7 +164,8 @@ class DenseEncoder:
         """Extract the feature grid from one H x W x 1 image.
 
         Image extents must be divisible by the downsample factor (pad with
-        the background value beforehand) and every pixel must be finite.
+        the background value beforehand) and every pixel must be a finite
+        value in [0, 1].
         """
         if not isinstance(image, Tensor):
             image = Tensor(image)
@@ -180,6 +181,8 @@ class DenseEncoder:
             raise DimensionError(f"image {(h, w)} too small for downsample factor {factor}")
         if not np.isfinite(image.data).all():
             raise NumericError("image has non-finite pixels")
+        if image.data.min() < 0.0 or image.data.max() > 1.0:
+            raise NumericError("image has pixels outside [0, 1]")
 
         c = self.config
         x = relu(conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,

@@ -346,7 +346,7 @@ class TestGraph:
         assert {id(t) for t in order} == {id(t) for t in nodes}
         positions = {id(t): i for i, t in enumerate(order)}
         for node in order:
-            for parent in node._parents:
+            for parent, _ in node._edges:
                 assert positions[id(parent)] < positions[id(node)]
 
     def test_reused_tensor_accumulates_once_per_consumer(self):
@@ -371,7 +371,7 @@ class TestGraph:
         with no_grad():
             y = tanh(x)
         assert not y.requires_grad
-        assert y._parents == ()
+        assert y._edges == ()
 
     def test_no_grad_in_one_thread_does_not_stop_another_from_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -403,6 +403,43 @@ class TestGraph:
         backward(sum_all(ad.concat([w, w], axis=0) * 5.0))
         assert np.array_equal(captured, [3.0, 3.0])
         assert np.array_equal(w.grad, [13.0, 13.0])
+
+    def test_shared_grad_is_read_only(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        backward(sum_all(x + y))
+        assert x.grad is y.grad
+        with pytest.raises(ValueError, match="read-only"):
+            x.grad += 1
+        assert np.array_equal(y.grad, [1.0, 1.0])
+        backward(sum_all(x * 2.0))  # a second gradient is added out of place
+        assert np.array_equal(x.grad, [3.0, 3.0])
+        with pytest.raises(ValueError, match="read-only"):
+            x.grad[0] = 0.0
+
+    @pytest.mark.parametrize("live", [0, 1], ids=["first-live", "second-live"])
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.add, [(2, 3), (3,)]),
+        (ad.mul, [(2, 3), (2, 1)]),
+        (ad.div, [(2, 3), (3,)]),
+        (matmul, [(2, 3), (3, 4)]),
+        (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+        (lambda x, k: conv2d(x, k, stride=1, padding=1), [(4, 5, 2), (3, 3, 2, 3)]),
+        (lambda x, k: conv2d(x, k, stride=1, padding=1), [(4, 5, 1), (3, 3, 1, 2)]),
+    ], ids=["add", "mul", "div", "matmul", "concat", "conv2d-shifted", "conv2d-im2col"])
+    def test_only_the_live_operand_is_linked_and_differentiated(self, op, shapes, live):
+        rng = np.random.default_rng(12)
+        operands = [Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=i == live)
+                    for i, shape in enumerate(shapes)]
+        out = op(*operands)
+        weights = rng.normal(size=out.shape)
+
+        def loss():
+            return sum_all(op(*operands) * weights)
+
+        assert len(out._edges) == 1 and out._edges[0][0] is operands[live]
+        assert grad_check(loss, [operands[live]]) < 1e-6
+        assert operands[1 - live].grad is None
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(9)

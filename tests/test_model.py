@@ -79,11 +79,15 @@ class TestRecognize:
         assert len(result.trace) >= 1
         assert model.encode(image).features.requires_grad
 
-    @pytest.mark.parametrize("where, bad", [(np.s_[:], np.nan), ((3, 5, 0), np.inf)],
-                             ids=["all-nan", "one-inf"])
-    def test_non_finite_image_raises_numeric_error(self, where, bad):
+    @pytest.mark.parametrize("where, bad, message", [
+        (np.s_[:], np.nan, "non-finite"),
+        ((3, 5, 0), np.inf, "non-finite"),
+        (np.s_[:], 255.0, r"outside \[0, 1\]"),
+        ((3, 5, 0), -0.5, r"outside \[0, 1\]"),
+    ], ids=["all-nan", "one-inf", "0-255-scale", "one-negative"])
+    def test_non_finite_or_out_of_range_image_raises_numeric_error(self, where, bad, message):
         model = make_model()
         image = np.zeros((8, 8, 1))
         image[where] = bad
-        with pytest.raises(NumericError, match="non-finite"):
+        with pytest.raises(NumericError, match=message):
             model.recognize(image)

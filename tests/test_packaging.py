@@ -1,9 +1,14 @@
+import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "kuzureader"
 
 
 def test_every_declared_script_target_imports():
@@ -13,3 +18,27 @@ def test_every_declared_script_target_imports():
     for name, target in scripts.items():
         module, _, attribute = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attribute)), name
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in allowed, f"{path.name} imports {module}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in dependencies]
+    assert names == ["numpy"]
