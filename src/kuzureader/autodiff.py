@@ -7,7 +7,9 @@ differentiable input: the input tensor and a vector-Jacobian product
 inside ``no_grad`` (per thread), so a constant input is never
 differentiated. ``backward`` replays the reachable part of the graph
 exactly once, children before parents, and is the only place that
-accumulates gradients into ``Tensor.grad``.
+accumulates gradients into ``Tensor.grad``. It frees the graph as it
+sweeps: each interior node gives up its gradient and its edges (with the
+forward buffers their vjps hold) as soon as the sweep reaches it.
 
 Conventions, fixed once for the whole package:
 
@@ -15,8 +17,11 @@ Conventions, fixed once for the whole package:
 * images and feature grids are laid out height x width x channels;
 * convolution is cross-correlation (no kernel flip);
 * max-pool ties break toward the first index in scan order;
-* calling ``backward`` twice on the same root is an error -- rebuild the
-  graph (re-run the forward pass) instead;
+* ``backward`` frees the graph it sweeps. Leaves keep their ``grad``
+  (accumulated across sweeps until ``zero_grads``); an interior node's
+  ``grad`` is not readable afterwards. A later sweep that reaches a freed
+  node -- the same root again, or another root built on part of the
+  swept graph -- raises ``RuntimeError``: re-run the forward pass instead;
 * every ``grad`` array is read-only: a first gradient is adopted without
   a copy, so two tensors may share one array (after
   ``backward(sum_all(x + y))``, ``x.grad is y.grad``), and writing into
@@ -77,14 +82,14 @@ def no_grad():
 class Tensor:
     """An n-dimensional float64 array, optionally tracked by the graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges", "_backward_ran")
+    __slots__ = ("data", "grad", "requires_grad", "_edges", "_freed")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._edges: tuple[tuple[Tensor, Vjp], ...] = ()
-        self._backward_ran = False
+        self._freed = False  # a backward sweep dropped this node's grad and edges
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -159,6 +164,23 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g
 
 
+def _per_gradient(fn: Vjp) -> Vjp:
+    """``fn`` with a one-slot cache keyed on the gradient array's identity.
+
+    A node's vjps all receive the same gradient array, so work they share
+    (a mask, a padded copy) runs once per sweep. The slot holds the array
+    itself, not its id, so the key cannot be recycled; it goes with the
+    node's edges.
+    """
+    slot: list = [None, None]
+
+    def cached(g: np.ndarray) -> np.ndarray:
+        if slot[0] is not g:
+            slot[:] = g, fn(g)
+        return slot[1]
+    return cached
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     while g.ndim > len(shape):
@@ -188,25 +210,33 @@ def execution_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Reverse-mode sweep from a scalar root.
+    """Reverse-mode sweep from a scalar root that frees the graph behind it.
 
     Visits every recorded operation exactly once, children before
-    parents. Running backward twice on the same root raises RuntimeError;
-    gradients accumulate across graphs until ``zero_grads`` is called.
+    parents. A node comes off the execution order as the sweep reaches it,
+    and an interior node drops its ``grad`` and edges before its vjps run,
+    so each gradient and forward buffer goes as soon as nothing later
+    needs it. Leaves keep their gradients, which accumulate across graphs
+    until ``zero_grads`` is called. A sweep that would reach a node an
+    earlier sweep freed raises RuntimeError before touching any gradient.
     """
     if root.data.size != 1:
         raise DimensionError(f"backward needs a scalar root, got shape {root.shape}")
-    if root._backward_ran:
-        raise RuntimeError("backward already ran on this graph; re-run the forward pass first")
-    root._backward_ran = True
     if not root.requires_grad:
         return
     nodes = execution_order(root)
-    root.grad = np.ones_like(root.data)
-    root.grad.flags.writeable = False
-    for node in reversed(nodes):  # every child has accumulated into node.grad
-        for parent, vjp in node._edges:
-            _accumulate(parent, vjp(node.grad))
+    if any(node._freed for node in nodes):
+        raise RuntimeError("backward already ran on (part of) this graph; "
+                           "re-run the forward pass first")
+    _accumulate(root, np.ones_like(root.data))
+    while nodes:
+        node = nodes.pop()  # every child has accumulated into node.grad
+        if not node._edges:
+            continue  # a leaf keeps its gradient
+        g, edges = node.grad, node._edges
+        node.grad, node._edges, node._freed = None, (), True
+        for parent, vjp in edges:
+            _accumulate(parent, vjp(g))
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -266,9 +296,18 @@ def sigmoid(a) -> Tensor:
     return _record(y, (a, lambda g: g * y * (1.0 - y)))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    return _record(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
+def bias_relu(x, b) -> Tensor:
+    """``relu(x + b)`` as one node, with ``b`` broadcast against ``x``.
+
+    The sum is rectified in place, so no unrectified copy is kept.
+    """
+    x, b = _as_tensor(x), _as_tensor(b)
+    y = x.data + b.data
+    np.maximum(y, 0.0, out=y)
+    masked = _per_gradient(lambda g: g * (y > 0.0))
+    return _record(y,
+                   (x, lambda g: _unbroadcast(masked(g), x.data.shape)),
+                   (b, lambda g: _unbroadcast(masked(g), b.data.shape)))
 
 
 def softmax_flat(a) -> Tensor:
@@ -469,9 +508,14 @@ def _conv2d_shifted(x: Tensor, kernel: Tensor, padding: int, ho: int, wo: int) -
         wide += flat[o:o + n] @ kernel.data[i, j]
     data = wide.reshape(ho, wp, cout)[:, :wo]
 
+    @_per_gradient
     def widened(g):
         """``g`` at full padded width (zero columns ``wo..wp-1``) as n x Cout rows."""
-        return (g if wo == wp else np.pad(g, ((0, 0), (0, wp - wo), (0, 0)))).reshape(n, cout)
+        if wo == wp:
+            return g.reshape(n, cout)
+        gw = np.zeros((ho, wp, cout))
+        gw[:, :wo] = g
+        return gw.reshape(n, cout)
 
     def dx(g):
         gw = widened(g)

@@ -10,8 +10,9 @@ and 2x2 average pooling.
 
 Channel bookkeeping from an initial 48: a block adds depth * growth_rate
 channels, a transition keeps floor(channels * compression). Every
-convolution is followed by a rectifier; there is no batch normalization,
-which keeps runs bit-deterministic.
+convolution's bias and rectifier are applied by ``bias_relu`` as one graph
+node, so the unrectified sum is never kept; there is no batch
+normalization, which keeps runs bit-deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, NumericError, Tensor, conv2d, pool2d, relu
+from .autodiff import DimensionError, NumericError, Tensor, bias_relu, conv2d, pool2d
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 def dense_block(x: Tensor, layers: list[dict[str, Tensor]]) -> Tensor:
     """Apply a dense block; ``layers`` holds per-layer bottleneck/conv weights.
 
-    Each layer runs 1x1 reduce -> relu -> 3x3 conv (pad 1) -> relu and
+    Each layer runs 1x1 reduce -> bias_relu -> 3x3 conv (pad 1) -> bias_relu and
     concatenates its output onto the running input, so spatial extents
     are unchanged and channels grow by the growth rate per layer. An
     empty layer list returns the input unchanged.
@@ -107,8 +108,9 @@ def dense_block(x: Tensor, layers: list[dict[str, Tensor]]) -> Tensor:
     from .autodiff import concat_channels
 
     for layer in layers:
-        reduced = relu(conv2d(x, layer["reduce.kernel"]) + layer["reduce.bias"])
-        grown = relu(conv2d(reduced, layer["conv.kernel"], stride=1, padding=1) + layer["conv.bias"])
+        reduced = bias_relu(conv2d(x, layer["reduce.kernel"]), layer["reduce.bias"])
+        grown = bias_relu(conv2d(reduced, layer["conv.kernel"], stride=1, padding=1),
+                          layer["conv.bias"])
         x = concat_channels([x, grown])
     return x
 
@@ -118,7 +120,7 @@ def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     h, w = x.shape[:2]
     if h < 2 or w < 2:
         raise DimensionError(f"transition needs spatial extents >= 2, got {(h, w)}")
-    return pool2d(relu(conv2d(x, kernel) + bias), "average", window=2, stride=2)
+    return pool2d(bias_relu(conv2d(x, kernel), bias), "average", window=2, stride=2)
 
 
 class DenseEncoder:
@@ -185,8 +187,8 @@ class DenseEncoder:
             raise NumericError("image has pixels outside [0, 1]")
 
         c = self.config
-        x = relu(conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,
-                        padding=c.stem_kernel // 2) + self.params["stem.bias"])
+        x = bias_relu(conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,
+                             padding=c.stem_kernel // 2), self.params["stem.bias"])
         x = pool2d(x, "max", window=2, stride=2)
         for block in range(c.num_blocks):
             x = dense_block(x, self._block_layers(block))

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kuzureader.autodiff import (
     NumericError,
     Tensor,
     backward,
+    bias_relu,
     concat_channels,
     conv2d,
     embedding_lookup,
@@ -308,6 +310,29 @@ class TestElementwise:
         expected[2] = [1.0, 2.0, 3.0]
         assert np.array_equal(table.grad, expected)
 
+    def test_bias_relu_gradient_with_bias_broadcast_over_the_grid(self):
+        rng = np.random.default_rng(13)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        # keep every pre-activation at least 0.1 from the kink at zero
+        target = rng.choice([-1.0, 1.0], size=(3, 5, 4)) * rng.uniform(0.1, 1.0, size=(3, 5, 4))
+        x = Tensor(target - b.data, requires_grad=True)
+        weights = rng.normal(size=(3, 5, 4))
+
+        def loss():
+            return sum_all(bias_relu(x, b) * weights)
+
+        assert grad_check(loss, [x, b]) < 1e-6
+
+    def test_bias_relu_is_relu_of_the_sum_bitwise(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        assert np.array_equal(bias_relu(x, b).data, np.maximum(x.data + b.data, 0))
+        with no_grad():
+            y = bias_relu(x, b)
+        assert not y.requires_grad
+        assert y._edges == ()
+
     def test_concat_channels_mismatch(self):
         with pytest.raises(DimensionError, match="spatial"):
             concat_channels([Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros((3, 2, 1)))])
@@ -360,6 +385,33 @@ class TestGraph:
         backward(out)
         with pytest.raises(RuntimeError, match="already ran"):
             backward(out)
+
+    def test_second_root_through_a_freed_node_raises_and_keeps_leaf_grads(self):
+        x = Tensor(np.array([-0.5, 0.25, 1.5]), requires_grad=True)
+        y = tanh(x)
+        backward(sum_all(y))
+        first = 1.0 - np.tanh(x.data) ** 2
+        assert np.array_equal(x.grad, first)
+        assert y.grad is None  # an interior gradient goes with the swept graph
+        with pytest.raises(RuntimeError, match="already ran"):
+            backward(sum_all(y * 2.0))
+        assert np.array_equal(x.grad, first)
+
+    def test_backward_holds_few_gradients_at_once(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 100_000), requires_grad=True)
+        y = x
+        for _ in range(20):
+            y = tanh(y)
+        loss = sum_all(y)
+        del y
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / x.data.nbytes <= 4
 
     def test_backward_requires_scalar_root(self):
         x = Tensor(np.ones(3), requires_grad=True)

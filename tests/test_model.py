@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kuzureader.autodiff import DimensionError, NumericError
+from kuzureader import data, vocab
+from kuzureader.autodiff import DimensionError, NumericError, backward, logsumexp, pick
 from kuzureader.decoder import AttentionDecoder, DecoderConfig
 from kuzureader.encoder import EncoderConfig
 from kuzureader.model import Recognizer
@@ -91,3 +94,33 @@ class TestRecognize:
         image[where] = bad
         with pytest.raises(NumericError, match=message):
             model.recognize(image)
+
+
+class TestTrainingStep:
+    def test_backward_leaves_only_parameter_gradients_held(self):
+        """One teacher-forced step on a 96 x 64 page, the caller holding loss, logits and grid."""
+        spec = data.build_spec(num_classes=10, canvas=(96, 64))
+        model = Recognizer(EncoderConfig(growth_rate=12, block_depth=4),
+                           DecoderConfig(hidden_size=256, embed_size=256, attention_size=128,
+                                         max_decode_len=128),
+                           spec.vocabulary(), seed=0)
+        sample = data.generate_document(spec, 0)
+        param_bytes = sum(p.data.nbytes for p in model.parameters().values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grid = model.encode(sample.image)
+            state = model.decoder.initial_state(grid)
+            loss, logits, prev = None, [], vocab.START
+            for token in (*sample.target, vocab.END):
+                step_logits, state = model.decoder.step(grid, state, prev)
+                term = logsumexp(step_logits) - pick(step_logits, token)
+                loss = term if loss is None else loss + term
+                logits.append(step_logits)
+                prev = token
+            backward(loss)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in model.parameters().values())
+        assert held <= param_bytes + 1_000_000, (held, param_bytes)
