@@ -30,15 +30,24 @@ Conventions, fixed once for the whole package:
 
 ``conv2d`` picks one of two paths from the input's shape and the stride:
 
-* stride 1 on a multi-channel input (every dense-block and transition
-  convolution, 1x1 included): kh*kw shifted matrix products over the
-  flattened, zero-padded input. No im2col buffer is built; backward keeps
-  only the padded input, about 1/(kh*kw) of what im2col columns take.
+* stride 1 on a multi-channel input (the transition convolutions, 1x1
+  included): kh*kw shifted matrix products over the flattened,
+  zero-padded input. No im2col buffer is built; backward keeps only the
+  padded input, about 1/(kh*kw) of what im2col columns take.
 * stride > 1, or a single input channel (the stem): im2col, one product
   over windowed columns. With one channel each shifted product has an
   inner extent of 1; on a 256 x 192 page the 3x3 stem took about three
   times as long that way as one im2col product with an inner extent of
   9, and its columns are small.
+
+``dense_block`` records a whole DenseNet block as one node. Its layers
+write into one preallocated H x W x C_total buffer, and each reads its
+channel prefix as a strided view, so no layer copies the running feature
+map. Its 3x3 convolutions run the same shifted-product helpers as
+``conv2d``. For backward the node holds only that buffer and each layer's
+zero-padded bottleneck activation, which grows linearly with depth where a
+graph of per-layer concatenations grows quadratically; under ``no_grad`` it
+holds nothing per layer and reuses one scratch pad.
 """
 
 from __future__ import annotations
@@ -53,7 +62,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DimensionError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
+    """Operand shapes are incompatible, or a size or setting is out of range.
+
+    Raised by the ops on mismatched shapes and by the encoder and decoder
+    configurations on invalid sizes.
+    """
 
 
 class NumericError(ArithmeticError):
@@ -483,57 +496,172 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
                    (kernel, lambda g: (cols.T @ g.reshape(ho * wo, cout)).reshape(kernel.data.shape)))
 
 
+def _padded_rows(h: int, w: int, c: int, padding: int, kw: int) -> np.ndarray:
+    """Zeros for an h x w x c grid padded by ``padding``, flattened to rows.
+
+    Row r is padded pixel (r // wp, r % wp); ``kw - 1`` trailing zero rows
+    keep the last shifted product's rows in range.
+    """
+    return np.zeros(((h + 2 * padding) * (w + 2 * padding) + kw - 1, c))
+
+
+def _interior(rows: np.ndarray, h: int, w: int, padding: int) -> np.ndarray:
+    """The h x w x c view of the unpadded pixels inside padded ``rows``."""
+    hp, wp = h + 2 * padding, w + 2 * padding
+    return rows[:hp * wp].reshape(hp, wp, -1)[padding:padding + h, padding:padding + w]
+
+
+def _offsets(kernel_shape: tuple[int, ...], wp: int) -> list[tuple[int, int, int]]:
+    return [(i, j, i * wp + j) for i in range(kernel_shape[0]) for j in range(kernel_shape[1])]
+
+
+def _shifted_products(rows: np.ndarray, kernel: np.ndarray, wp: int, n: int) -> np.ndarray:
+    """Stride-1 convolution at full padded width ``wp``: n x Cout.
+
+    Output pixel (u, v) reads ``rows[u*wp + v + i*wp + j]`` at kernel
+    offset (i, j), so each offset is one product over rows ``o:o + n``
+    with ``o = i*wp + j``. Columns ``wo..wp-1`` of the result wrap into
+    the next row; callers drop them.
+    """
+    wide = rows[:n] @ kernel[0, 0]
+    for i, j, o in _offsets(kernel.shape, wp)[1:]:
+        wide += rows[o:o + n] @ kernel[i, j]
+    return wide
+
+
+def _widen(g: np.ndarray, wp: int) -> np.ndarray:
+    """An ho x wo x C gradient at full padded width (zero columns ``wo..wp-1``) as rows."""
+    ho, wo, c = g.shape
+    if wo == wp:
+        return g.reshape(ho * wp, c)
+    gw = np.zeros((ho, wp, c))
+    gw[:, :wo] = g
+    return gw.reshape(ho * wp, c)
+
+
+def _shifted_drows(gw: np.ndarray, kernel: np.ndarray, wp: int, count: int) -> np.ndarray:
+    """Gradient of ``_shifted_products`` with respect to its ``count`` input rows."""
+    n = gw.shape[0]
+    drows = np.empty((count, kernel.shape[2]))
+    np.matmul(gw, kernel[0, 0].T, out=drows[:n])
+    drows[n:] = 0.0
+    for i, j, o in _offsets(kernel.shape, wp)[1:]:
+        drows[o:o + n] += gw @ kernel[i, j].T
+    return drows
+
+
+def _shifted_dkernel(rows: np.ndarray, gw: np.ndarray, kernel_shape: tuple[int, ...],
+                     wp: int) -> np.ndarray:
+    """Gradient of ``_shifted_products`` with respect to its kernel."""
+    n = gw.shape[0]
+    dk = np.empty(kernel_shape)
+    for i, j, o in _offsets(kernel_shape, wp):
+        dk[i, j] = rows[o:o + n].T @ gw
+    return dk
+
+
 def _conv2d_shifted(x: Tensor, kernel: Tensor, padding: int, ho: int, wo: int) -> Tensor:
     """Stride-1 convolution as kh*kw shifted products over the flattened padded input.
 
-    Row r of ``flat`` is padded pixel (r // wp, r % wp). Output pixel
-    (u, v) reads ``flat[u*wp + v + i*wp + j]`` at kernel offset (i, j), so
-    the products over rows ``o:o + ho*wp`` with ``o = i*wp + j`` build the
-    output at full padded width; columns ``wo..wp-1`` wrap into the next
-    row and are dropped. ``kw - 1`` trailing zero rows keep the last
-    offset's rows in range. Backward keeps only ``flat``.
+    The padded input is flattened to rows (``_padded_rows``; a view of the
+    input for unpadded kw = 1) and run through ``_shifted_products``.
+    Backward keeps only those rows.
     """
     h, w, cin = x.data.shape
     kh, kw, _, cout = kernel.data.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    n = ho * wp
-    offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    wp = w + 2 * padding
     if padding == 0 and kw == 1:
-        flat = x.data.reshape(h * w, cin)
+        rows = x.data.reshape(h * w, cin)
     else:
-        flat = np.zeros((hp * wp + kw - 1, cin))
-        flat[:hp * wp].reshape(hp, wp, cin)[padding:padding + h, padding:padding + w] = x.data
-    wide = flat[:n] @ kernel.data[0, 0]
-    for i, j, o in offsets[1:]:
-        wide += flat[o:o + n] @ kernel.data[i, j]
-    data = wide.reshape(ho, wp, cout)[:, :wo]
-
-    @_per_gradient
-    def widened(g):
-        """``g`` at full padded width (zero columns ``wo..wp-1``) as n x Cout rows."""
-        if wo == wp:
-            return g.reshape(n, cout)
-        gw = np.zeros((ho, wp, cout))
-        gw[:, :wo] = g
-        return gw.reshape(n, cout)
+        rows = _padded_rows(h, w, cin, padding, kw)
+        _interior(rows, h, w, padding)[...] = x.data
+    data = _shifted_products(rows, kernel.data, wp, ho * wp).reshape(ho, wp, cout)[:, :wo]
+    widened = _per_gradient(lambda g: _widen(g, wp))
 
     def dx(g):
-        gw = widened(g)
-        dflat = np.empty_like(flat)
-        np.matmul(gw, kernel.data[0, 0].T, out=dflat[:n])
-        dflat[n:] = 0.0
-        for i, j, o in offsets[1:]:
-            dflat[o:o + n] += gw @ kernel.data[i, j].T
-        return dflat[:hp * wp].reshape(hp, wp, cin)[padding:padding + h, padding:padding + w]
+        return _interior(_shifted_drows(widened(g), kernel.data, wp, len(rows)), h, w, padding)
 
     def dkernel(g):
-        gw = widened(g)
-        dk = np.empty_like(kernel.data)
-        for i, j, o in offsets:
-            dk[i, j] = flat[o:o + n].T @ gw
-        return dk
+        return _shifted_dkernel(rows, widened(g), kernel.data.shape, wp)
 
     return _record(data, (x, dx), (kernel, dkernel))
+
+
+def dense_block(x, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
+    """A DenseNet block over an H x W x C0 input, recorded as one graph node.
+
+    ``layers`` holds one ``(reduce_kernel, reduce_bias, conv_kernel,
+    conv_bias)`` tuple per layer: a 1 x 1 x C_l x B kernel with B biases,
+    then a 3 x 3 x B x G kernel (pad 1) with G biases, where C_l is the
+    channel count the layer sees. Layer l computes
+    ``relu(conv3x3(relu(conv1x1(prefix) + rb)) + cb)`` from the first C_l
+    channels and appends its G channels, so the output has the input's
+    extents and C0 + sum(G) channels. An empty list returns ``x`` itself.
+
+    Every layer writes into one preallocated output buffer and reads its
+    channel prefix as a view, so nothing is concatenated. The node holds
+    that buffer and, when recording, each layer's padded bottleneck
+    activation; one reverse sweep over a single gradient buffer serves
+    every edge. Without recording, one scratch pad is reused and nothing
+    is kept per layer.
+    """
+    x = _as_tensor(x)
+    if not layers:
+        return x
+    if x.data.ndim != 3:
+        raise DimensionError(f"dense_block expects an H x W x C input, got {x.shape}")
+    h, w, c0 = x.data.shape
+    starts = [c0]
+    for rk, rb, ck, cb in layers:
+        b, g = rb.data.size, cb.data.size
+        if ((rk.data.shape, rb.data.shape, ck.data.shape, cb.data.shape)
+                != ((1, 1, starts[-1], b), (b,), (3, 3, b, g), (g,))):
+            raise DimensionError(
+                f"dense_block layer {len(starts) - 1} on {starts[-1]} channels has kernels "
+                f"{rk.shape}, {ck.shape} and biases {rb.shape}, {cb.shape}")
+        starts.append(starts[-1] + g)
+    params = [p for layer in layers for p in layer]
+    cells, ctot, wp = h * w, starts[-1], w + 2
+    buf = np.empty((h, w, ctot))
+    buf[..., :c0] = x.data
+    rows = buf.reshape(cells, ctot)
+    recording = _grad_enabled.get() and any(t.requires_grad for t in (x, *params))
+    pads: list[np.ndarray] = []
+    for (rk, rb, ck, cb), c, end in zip(layers, starts, starts[1:]):
+        reduced = rows[:, :c] @ rk.data[0, 0]
+        reduced += rb.data
+        np.maximum(reduced, 0.0, out=reduced)
+        if recording or not pads:
+            pads.append(_padded_rows(h, w, reduced.shape[1], 1, 3))
+        _interior(pads[-1], h, w, 1)[...] = reduced.reshape(h, w, -1)
+        del reduced  # the pad holds it now; keeps the no_grad peak at three bottlenecks
+        wide = _shifted_products(pads[-1], ck.data, wp, h * wp)
+        wide += cb.data
+        np.maximum(wide, 0.0, out=wide)
+        buf[..., c:end] = wide.reshape(h, wp, -1)[:, :w]
+    if not recording:
+        return Tensor(buf)
+
+    @_per_gradient
+    def sweep(g):
+        """Input gradient, then each parameter's, in ``params`` order."""
+        grad = np.array(g).reshape(cells, ctot)  # writable; layers add into its prefix
+        dparams = []
+        for (rk, rb, ck, cb), c, end, pad in reversed(list(zip(layers, starts, starts[1:], pads))):
+            dgrown = grad[:, c:end] * (rows[:, c:end] > 0.0)
+            gw = _widen(dgrown.reshape(h, w, -1), wp)
+            dpad = _shifted_drows(gw, ck.data, wp, len(pad))
+            active = _interior(pad, h, w, 1) > 0.0
+            dreduced = (_interior(dpad, h, w, 1) * active).reshape(cells, -1)
+            del dpad, active
+            dparams[:0] = [(rows[:, :c].T @ dreduced).reshape(rk.data.shape),
+                           dreduced.sum(axis=0),
+                           _shifted_dkernel(pad, gw, ck.data.shape, wp),
+                           dgrown.sum(axis=0)]
+            grad[:, :c] += dreduced @ rk.data[0, 0].T
+        return [grad[:, :c0].reshape(h, w, c0), *dparams]
+
+    return _record(buf, *[(t, lambda g, k=k: sweep(g)[k]) for k, t in enumerate((x, *params))])
 
 
 def pool2d(x, kind: str, window: int, stride: int) -> Tensor:

@@ -56,7 +56,7 @@ class DecoderConfig:
     def __post_init__(self):
         for name in ("hidden_size", "embed_size", "attention_size", "max_decode_len"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise DimensionError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -110,7 +110,7 @@ class AttentionDecoder:
     def __init__(self, feature_channels: int, vocab_size: int,
                  config: DecoderConfig = DecoderConfig(), seed: int = 0):
         if vocab_size < 2:
-            raise ValueError("vocabulary must contain at least the start/end markers")
+            raise DimensionError("vocabulary must contain at least the start/end markers")
         self.config = config
         self.feature_channels = feature_channels
         self.vocab_size = vocab_size

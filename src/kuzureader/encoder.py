@@ -9,10 +9,14 @@ Transitions halve the channel count (by default) with a 1x1 convolution
 and 2x2 average pooling.
 
 Channel bookkeeping from an initial 48: a block adds depth * growth_rate
-channels, a transition keeps floor(channels * compression). Every
-convolution's bias and rectifier are applied by ``bias_relu`` as one graph
-node, so the unrectified sum is never kept; there is no batch
-normalization, which keeps runs bit-deterministic.
+channels, a transition keeps floor(channels * compression). Each dense
+block is one graph node (``autodiff.dense_block``): its layers fill one
+preallocated channel buffer, and for backward it holds that buffer plus
+each layer's padded bottleneck activation; under ``no_grad`` it holds
+nothing per layer. The stem and transition convolutions take their bias
+and rectifier from ``bias_relu`` as one graph node, so the unrectified sum
+is never kept. There is no batch normalization, which keeps runs
+bit-deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, NumericError, Tensor, bias_relu, conv2d, pool2d
+from .autodiff import (DimensionError, NumericError, Tensor, bias_relu, conv2d, dense_block,
+                       pool2d)
 
 
 @dataclass(frozen=True)
@@ -37,19 +42,19 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.growth_rate < 1:
-            raise ValueError(f"growth_rate must be >= 1, got {self.growth_rate}")
+            raise DimensionError(f"growth_rate must be >= 1, got {self.growth_rate}")
         if self.block_depth < 0:
-            raise ValueError(f"block_depth must be >= 0, got {self.block_depth}")
+            raise DimensionError(f"block_depth must be >= 0, got {self.block_depth}")
         if not 0 < self.compression <= 1:
-            raise ValueError(f"compression must be in (0, 1], got {self.compression}")
+            raise DimensionError(f"compression must be in (0, 1], got {self.compression}")
         if self.num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
+            raise DimensionError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.initial_channels < 1 or self.input_channels < 1:
-            raise ValueError("channel counts must be >= 1")
+            raise DimensionError("channel counts must be >= 1")
         if self.stem_kernel < 1 or self.stem_kernel % 2 == 0:
-            raise ValueError(f"stem_kernel must be odd and >= 1, got {self.stem_kernel}")
+            raise DimensionError(f"stem_kernel must be odd and >= 1, got {self.stem_kernel}")
         if self.stem_stride < 1:
-            raise ValueError(f"stem_stride must be >= 1, got {self.stem_stride}")
+            raise DimensionError(f"stem_stride must be >= 1, got {self.stem_stride}")
 
     @property
     def downsample_factor(self) -> int:
@@ -97,24 +102,6 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def dense_block(x: Tensor, layers: list[dict[str, Tensor]]) -> Tensor:
-    """Apply a dense block; ``layers`` holds per-layer bottleneck/conv weights.
-
-    Each layer runs 1x1 reduce -> bias_relu -> 3x3 conv (pad 1) -> bias_relu and
-    concatenates its output onto the running input, so spatial extents
-    are unchanged and channels grow by the growth rate per layer. An
-    empty layer list returns the input unchanged.
-    """
-    from .autodiff import concat_channels
-
-    for layer in layers:
-        reduced = bias_relu(conv2d(x, layer["reduce.kernel"]), layer["reduce.bias"])
-        grown = bias_relu(conv2d(reduced, layer["conv.kernel"], stride=1, padding=1),
-                          layer["conv.bias"])
-        x = concat_channels([x, grown])
-    return x
-
-
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Compress channels with a 1x1 convolution, then 2x2 average pool."""
     h, w = x.shape[:2]
@@ -151,14 +138,11 @@ class DenseEncoder:
                 channels = compressed
         self.output_channels = channels
 
-    def _block_layers(self, block: int) -> list[dict[str, Tensor]]:
+    def _block_layers(self, block: int) -> list[tuple[Tensor, Tensor, Tensor, Tensor]]:
+        """``dense_block``'s per-layer (reduce kernel, reduce bias, conv kernel, conv bias)."""
         return [
-            {
-                "reduce.kernel": self.params[f"block{block}.layer{layer}.reduce.kernel"],
-                "reduce.bias": self.params[f"block{block}.layer{layer}.reduce.bias"],
-                "conv.kernel": self.params[f"block{block}.layer{layer}.conv.kernel"],
-                "conv.bias": self.params[f"block{block}.layer{layer}.conv.bias"],
-            }
+            tuple(self.params[f"block{block}.layer{layer}.{name}"]
+                  for name in ("reduce.kernel", "reduce.bias", "conv.kernel", "conv.bias"))
             for layer in range(self.config.block_depth)
         ]
 

@@ -72,6 +72,18 @@ class TestVocabulary:
             Vocabulary(["<S>", "<E>", "a", "a"])
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field", ["hidden_size", "embed_size", "attention_size",
+                                       "max_decode_len"])
+    def test_non_positive_size_raises_dimension_error(self, field):
+        with pytest.raises(DimensionError, match=f"{field} must be >= 1"):
+            DecoderConfig(**{field: 0})
+
+    def test_vocabulary_without_both_markers_raises_dimension_error(self):
+        with pytest.raises(DimensionError, match="start/end markers"):
+            make_decoder(vocab_size=1)
+
+
 class TestAttend:
     def test_equal_energies_give_uniform_alpha_and_mean_context(self):
         dec = make_decoder(channels=3)

@@ -1,7 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kuzureader.autodiff import DimensionError, Tensor, backward, no_grad, sum_all, zero_grads
+from kuzureader.autodiff import (
+    DimensionError,
+    Tensor,
+    backward,
+    bias_relu,
+    concat_channels,
+    conv2d,
+    execution_order,
+    grad_check,
+    no_grad,
+    sum_all,
+    zero_grads,
+)
 from kuzureader.encoder import DenseEncoder, EncoderConfig, dense_block, transition
 
 
@@ -13,6 +27,36 @@ def channel_oracle(initial, growth, depth, blocks, compression):
         if b < blocks - 1:
             channels = int(np.floor(channels * compression))
     return channels
+
+
+def composed_block(x, layers):
+    """The dense block as the per-layer composition of public ops: the oracle."""
+    for reduce_kernel, reduce_bias, conv_kernel, conv_bias in layers:
+        reduced = bias_relu(conv2d(x, reduce_kernel), reduce_bias)
+        grown = bias_relu(conv2d(reduced, conv_kernel, padding=1), conv_bias)
+        x = concat_channels([x, grown])
+    return x
+
+
+def block_layers(initial, growth, depth, seed, bottleneck=None):
+    """Random (reduce kernel, reduce bias, conv kernel, conv bias) per layer."""
+    rng = np.random.default_rng(seed)
+    bottleneck = bottleneck or 4 * growth
+    layers = []
+    for layer in range(depth):
+        cin = initial + layer * growth
+        layers.append((
+            Tensor(rng.normal(scale=cin ** -0.5, size=(1, 1, cin, bottleneck)), requires_grad=True),
+            Tensor(rng.normal(scale=0.1, size=bottleneck), requires_grad=True),
+            Tensor(rng.normal(scale=(9 * bottleneck) ** -0.5, size=(3, 3, bottleneck, growth)),
+                   requires_grad=True),
+            Tensor(rng.normal(scale=0.1, size=growth), requires_grad=True),
+        ))
+    return layers
+
+
+def max_normalised(a, b):
+    return np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max(), 1e-300)
 
 
 class TestConfig:
@@ -35,14 +79,20 @@ class TestConfig:
         assert EncoderConfig(growth_rate=8, block_depth=4).downsample_factor == 8
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=0, block_depth=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=8, block_depth=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=8, block_depth=4, compression=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=8, block_depth=4, num_blocks=0)
+        with pytest.raises(DimensionError):
+            EncoderConfig(growth_rate=8, block_depth=4, initial_channels=0)
+        with pytest.raises(DimensionError):
+            EncoderConfig(growth_rate=8, block_depth=4, stem_kernel=2)
+        with pytest.raises(DimensionError):
+            EncoderConfig(growth_rate=8, block_depth=4, stem_stride=0)
 
 
 class TestDenseBlock:
@@ -67,6 +117,94 @@ class TestDenseBlock:
             assert out.shape[:2] == (h, w)
 
 
+class TestBlockNode:
+    """``dense_block`` as one graph node against the per-layer composition."""
+
+    @pytest.mark.parametrize("h,w,initial,growth,depth", [
+        (3, 4, 4, 3, 2), (1, 1, 5, 2, 3), (6, 5, 8, 4, 4), (2, 7, 3, 5, 1),
+    ])
+    def test_matches_the_composed_layers(self, h, w, initial, growth, depth):
+        rng = np.random.default_rng(h * w + depth)
+        layers = block_layers(initial, growth, depth, seed=depth)
+        params = [p for layer in layers for p in layer]
+        x = Tensor(rng.normal(size=(h, w, initial)), requires_grad=True)
+        weights = rng.normal(size=(h, w, initial + depth * growth))
+        grads = []
+        for block in (dense_block, composed_block):
+            zero_grads([x, *params])
+            out = block(x, layers)
+            with no_grad():
+                assert np.array_equal(block(x, layers).data, out.data)
+            backward(sum_all(out * weights))
+            grads.append((out.data, [t.grad for t in (x, *params)]))
+        (fused, fused_grads), (composed, composed_grads) = grads
+        assert np.array_equal(fused, composed)
+        for a, b in zip(fused_grads, composed_grads):
+            assert max_normalised(a, b) < 1e-12
+
+    def test_records_one_node_with_an_edge_per_input(self):
+        layers = block_layers(4, 3, 2, seed=1)
+        params = [p for layer in layers for p in layer]
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 4)), requires_grad=True)
+        out = dense_block(x, layers)
+        assert [t for t, _ in out._edges] == [x, *params]
+        assert len(execution_order(out)) == 1 + len(params) + 1
+
+    @pytest.mark.parametrize("input_requires_grad", [True, False])
+    def test_gradients_match_finite_differences(self, input_requires_grad):
+        rng = np.random.default_rng(2)
+        layers = block_layers(4, 3, 2, seed=2)
+        params = [p for layer in layers for p in layer]
+        x = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=input_requires_grad)
+        weights = rng.normal(size=(3, 4, 4 + 2 * 3))
+        checked = [x, *params] if input_requires_grad else params
+        assert grad_check(lambda: sum_all(dense_block(x, layers) * weights), checked) < 1e-6
+        assert (x.grad is not None) == input_requires_grad
+
+    def test_mismatched_layer_shapes_raise(self):
+        layers = block_layers(4, 3, 2, seed=3)
+        with pytest.raises(DimensionError, match="layer 0 on 5 channels"):
+            dense_block(Tensor(np.zeros((3, 4, 5))), layers)
+        with pytest.raises(DimensionError, match="layer 1 on 7 channels"):
+            dense_block(Tensor(np.zeros((3, 4, 4))), [layers[0], layers[0]])
+
+    # 48 input channels, growth 4 (bottleneck 16), depth 6 on a 32 x 32 grid:
+    # one bottleneck-sized array is 128 KiB, the block's output 576 KiB. The
+    # slack covers one numpy ufunc buffer (8192 float64) and small objects.
+    MEMORY_CASE = dict(h=32, w=32, initial=48, growth=4, depth=6)
+    SLACK = 64 * 1024
+
+    def _traced_block(self, record):
+        c = self.MEMORY_CASE
+        layers = block_layers(c["initial"], c["growth"], c["depth"], seed=4)
+        x = Tensor(np.random.default_rng(4).uniform(size=(c["h"], c["w"], c["initial"])),
+                   requires_grad=record)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if record:
+                out = dense_block(x, layers)
+            else:
+                with no_grad():
+                    out = dense_block(x, layers)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bottleneck = c["h"] * c["w"] * 4 * c["growth"] * 8
+        padded = (c["h"] + 2) * (c["w"] + 2) * 4 * c["growth"] * 8
+        return out, held - before, peak - before, bottleneck, padded
+
+    def test_without_recording_peak_is_buffer_plus_three_bottlenecks(self):
+        out, _, peak, bottleneck, _ = self._traced_block(record=False)
+        assert out._edges == ()
+        assert peak <= out.data.nbytes + 3 * bottleneck + self.SLACK
+
+    def test_recorded_block_holds_buffer_and_one_pad_per_layer(self):
+        out, held, _, _, padded = self._traced_block(record=True)
+        depth = self.MEMORY_CASE["depth"]
+        assert held <= out.data.nbytes + depth * padded + self.SLACK
+
+
 class TestTransition:
     def test_channel_compression(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=16, block_depth=16), seed=3)
@@ -88,6 +226,16 @@ class TestTransition:
         x = Tensor(np.full((4, 4, 2), 0.75))
         out = transition(x, kernel, bias)
         assert np.allclose(out.data, 0.75)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(4, 6, 5)), requires_grad=True)
+        kernel = Tensor(rng.normal(size=(1, 1, 5, 3)), requires_grad=True)
+        bias = Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
+        weights = rng.normal(size=(2, 3, 3))
+        error = grad_check(lambda: sum_all(transition(x, kernel, bias) * weights),
+                           [x, kernel, bias])
+        assert error < 1e-6
 
     def test_too_small_input(self):
         kernel = Tensor(np.ones((1, 1, 2, 1)))
@@ -122,6 +270,19 @@ class TestEncode:
             a = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=9).encode(image)
             b = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=9).encode(image)
         assert np.array_equal(a.features.data, b.features.data)
+
+    def test_gradients_match_finite_differences(self):
+        enc = DenseEncoder(EncoderConfig(growth_rate=2, block_depth=1, initial_channels=4),
+                           seed=12)
+        rng = np.random.default_rng(12)
+        for name, p in enc.params.items():
+            if name.endswith(".bias"):
+                p.data[:] = rng.normal(scale=0.1, size=p.shape)
+        image = rng.uniform(size=(16, 16, 1))
+        weights = rng.normal(size=(2, 2, enc.output_channels))
+        error = grad_check(lambda: sum_all(enc.encode(image).features * weights),
+                           list(enc.params.values()))
+        assert error < 1e-6
 
     def test_every_parameter_gets_gradient(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=10)
