@@ -16,7 +16,8 @@ Conventions, fixed once for the whole package:
 * buffers are row-major ``numpy`` float64 arrays;
 * images and feature grids are laid out height x width x channels;
 * convolution is cross-correlation (no kernel flip);
-* max-pool ties break toward the first index in scan order;
+* pooling (``pool2d``) is a fixed 2x2 window at stride 2, and max-pool
+  ties break toward the first corner in row-major scan order;
 * ``backward`` frees the graph it sweeps. Leaves keep their ``grad``
   (accumulated across sweeps until ``zero_grads``); an interior node's
   ``grad`` is not readable afterwards. A later sweep that reaches a freed
@@ -664,51 +665,47 @@ def dense_block(x, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> T
     return _record(buf, *[(t, lambda g, k=k: sweep(g)[k]) for k, t in enumerate((x, *params))])
 
 
-def pool2d(x, kind: str, window: int, stride: int) -> Tensor:
-    """Windowed max or average pooling per channel over an H x W x C input.
+def pool2d(x, kind: str) -> Tensor:
+    """Max or average pooling per channel over 2x2 windows at stride 2.
 
-    Max pooling routes the gradient to the window argmax; ties go to the
-    first index in row-major scan order.
+    The window is fixed: an H x W x C input gives H//2 x W//2 x C, and a
+    trailing odd row or column is dropped. Max pooling routes the gradient
+    to the first window corner, in row-major scan order, that holds the max.
     """
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise DimensionError(f"pool2d expects an H x W x C input, got {x.shape}")
     if kind not in ("max", "average"):
-        raise ValueError(f"pool2d kind must be 'max' or 'average', got {kind!r}")
-    if window < 1 or stride < 1:
-        raise DimensionError(f"pool2d: window and stride must be >= 1, got {window}, {stride}")
-    h, w, c = x.data.shape
-    if window > h or window > w:
-        raise DimensionError(f"pool2d: window {window} exceeds input extents {(h, w)}")
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    windows = sliding_window_view(x.data, (window, window), axis=(0, 1))[::stride, ::stride]
-    # Ho x Wo x C x win x win -> Ho x Wo x win*win x C for row-major argmax
-    patches = windows.transpose(0, 1, 3, 4, 2).reshape(ho, wo, window * window, c)
+        raise DimensionError(f"pool2d kind must be 'max' or 'average', got {kind!r}")
+    ho, wo = x.data.shape[0] // 2, x.data.shape[1] // 2
+    if ho < 1 or wo < 1:
+        raise DimensionError(f"pool2d needs extents >= 2, got {x.shape[:2]}")
+    corners = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
+    c00, c01, c10, c11 = (x.data[corner] for corner in corners)
 
     if kind == "max":
-        flat_arg = patches.argmax(axis=2)  # first occurrence on ties
-        data = np.take_along_axis(patches, flat_arg[:, :, None, :], axis=2)[:, :, 0, :]
+        data = np.maximum(c00, c01)
+        np.maximum(data, np.maximum(c10, c11), out=data)
 
         def vjp(g):
-            ys = (np.arange(ho) * stride)[:, None, None] + flat_arg // window
-            xs = (np.arange(wo) * stride)[None, :, None] + flat_arg % window
-            cs = np.broadcast_to(np.arange(c), flat_arg.shape)
             dx = np.zeros_like(x.data)
-            np.add.at(dx, (ys, xs, cs), g)
+            free = np.ones(data.shape, dtype=bool)  # windows whose max is not yet taken
+            for corner in corners:
+                hit = free & (x.data[corner] == data)
+                np.copyto(dx[corner], g, where=hit)
+                free &= ~hit
             return dx
     else:
-        data = patches.mean(axis=2)
+        data = (c00 + c01 + c10 + c11) / 4
 
         def vjp(g):
             dx = np.zeros_like(x.data)
-            share = g / (window * window)
-            for i in range(window):
-                for j in range(window):
-                    dx[i:i + ho * stride:stride, j:j + wo * stride:stride] += share
+            share = g / 4
+            for corner in corners:
+                dx[corner] = share
             return dx
 
-    return _record(np.ascontiguousarray(data), (x, vjp))
+    return _record(data, (x, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +725,7 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     parameter entry.
     """
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise DimensionError(f"epsilon must be positive, got {epsilon}")
     zero_grads(params)
     loss = loss_fn()
     if not np.isfinite(loss.item()):

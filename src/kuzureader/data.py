@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .autodiff import DimensionError
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -53,7 +54,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim == 3:
         if arr.shape[2] != 1:
-            raise ValueError(f"expected single-channel image, got {arr.shape}")
+            raise DimensionError(f"expected single-channel image, got {arr.shape}")
         arr = arr[:, :, 0]
     gray = np.round((1.0 - arr) * 255.0).astype(np.uint8)  # ink -> dark
     h, w = gray.shape
@@ -132,18 +133,18 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.lines[0] < 1 or self.lines[0] > self.lines[1]:
-            raise ValueError(f"empty lines range {self.lines}")
+            raise DimensionError(f"empty lines range {self.lines}")
         if self.chars[0] < 1 or self.chars[0] > self.chars[1]:
-            raise ValueError(f"empty chars range {self.chars}")
+            raise DimensionError(f"empty chars range {self.chars}")
         if not self.glyphs:
-            raise ValueError("glyph set is empty")
+            raise DimensionError("glyph set is empty")
         if self.jitter < 0 or not 0 <= self.noise <= 1:
-            raise ValueError("jitter must be >= 0 and noise within [0, 1]")
+            raise DimensionError("jitter must be >= 0 and noise within [0, 1]")
         width = self.canvas[1] // self.lines[1]
         for token, glyph in self.glyphs.items():
             if glyph.shape[0] > self.canvas[0] or glyph.shape[1] > width:
-                raise ValueError(f"glyph {token!r} {glyph.shape} does not fit "
-                                 f"a column of width {width}")
+                raise DimensionError(f"glyph {token!r} {glyph.shape} does not fit "
+                                     f"a column of width {width}")
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -176,7 +177,7 @@ def build_spec(num_classes: int = 10, canvas: tuple[int, int] = (96, 64),
                seed: int = 0) -> SynthSpec:
     """Convenience factory: procedural glyphs over the default alphabet."""
     if not 1 <= num_classes <= len(GLYPH_ALPHABET):
-        raise ValueError(f"num_classes must be within 1..{len(GLYPH_ALPHABET)}")
+        raise DimensionError(f"num_classes must be within 1..{len(GLYPH_ALPHABET)}")
     tokens = GLYPH_ALPHABET[:num_classes]
     glyphs = make_glyphs(tokens, glyph_size, seed)
     return SynthSpec(canvas=canvas, glyphs=glyphs, lines=lines, chars=chars,

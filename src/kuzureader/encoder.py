@@ -15,7 +15,11 @@ preallocated channel buffer, and for backward it holds that buffer plus
 each layer's padded bottleneck activation; under ``no_grad`` it holds
 nothing per layer. The stem and transition convolutions take their bias
 and rectifier from ``bias_relu`` as one graph node, so the unrectified sum
-is never kept. There is no batch normalization, which keeps runs
+is never kept. The stem max-pools before that node, which is exact:
+``fl(x + b)`` is monotone in ``x`` and ReLU is monotone, so
+``max(relu(x + b)) == relu(max(x) + b)`` bit for bit; bias and ReLU then
+run on a quarter-size grid instead of copying the largest map in the
+model at full size. There is no batch normalization, which keeps runs
 bit-deterministic.
 """
 
@@ -104,10 +108,7 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Compress channels with a 1x1 convolution, then 2x2 average pool."""
-    h, w = x.shape[:2]
-    if h < 2 or w < 2:
-        raise DimensionError(f"transition needs spatial extents >= 2, got {(h, w)}")
-    return pool2d(bias_relu(conv2d(x, kernel), bias), "average", window=2, stride=2)
+    return pool2d(bias_relu(conv2d(x, kernel), bias), "average")
 
 
 class DenseEncoder:
@@ -171,9 +172,10 @@ class DenseEncoder:
             raise NumericError("image has pixels outside [0, 1]")
 
         c = self.config
-        x = bias_relu(conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,
-                             padding=c.stem_kernel // 2), self.params["stem.bias"])
-        x = pool2d(x, "max", window=2, stride=2)
+        x = conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,
+                   padding=c.stem_kernel // 2)
+        # fl(x + b) and relu are monotone, so pooling first is exact and rectifies 1/4 the cells
+        x = bias_relu(pool2d(x, "max"), self.params["stem.bias"])
         for block in range(c.num_blocks):
             x = dense_block(x, self._block_layers(block))
             if block < c.num_blocks - 1:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,6 @@ from kuzureader.autodiff import (
     no_grad,
     pick,
     pool2d,
-    pool2d as _pool,
     reshape,
     sigmoid,
     softmax_flat,
@@ -178,17 +178,49 @@ class TestConv2d:
             assert grad_check(loss, [x, k]) < 1e-6
 
 
+def sliding_pool2d(x, kind, window=2, stride=2):
+    """The earlier sliding-window pool2d, any window and stride: the oracle."""
+    x = ad._as_tensor(x)
+    h, w, c = x.data.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    windows = sliding_window_view(x.data, (window, window), axis=(0, 1))[::stride, ::stride]
+    patches = windows.transpose(0, 1, 3, 4, 2).reshape(ho, wo, window * window, c)
+    if kind == "max":
+        flat_arg = patches.argmax(axis=2)
+        data = np.take_along_axis(patches, flat_arg[:, :, None, :], axis=2)[:, :, 0, :]
+
+        def vjp(g):
+            ys = (np.arange(ho) * stride)[:, None, None] + flat_arg // window
+            xs = (np.arange(wo) * stride)[None, :, None] + flat_arg % window
+            cs = np.broadcast_to(np.arange(c), flat_arg.shape)
+            dx = np.zeros_like(x.data)
+            np.add.at(dx, (ys, xs, cs), g)
+            return dx
+    else:
+        data = patches.mean(axis=2)
+
+        def vjp(g):
+            dx = np.zeros_like(x.data)
+            share = g / (window * window)
+            for i in range(window):
+                for j in range(window):
+                    dx[i:i + ho * stride:stride, j:j + wo * stride:stride] += share
+            return dx
+    return ad._record(np.ascontiguousarray(data), (x, vjp))
+
+
 class TestPool2d:
     def test_constant_input(self):
         x = Tensor(np.full((4, 4, 2), 3.25))
         for kind in ("max", "average"):
-            out = pool2d(x, kind, window=2, stride=2)
+            out = pool2d(x, kind)
             assert out.shape == (2, 2, 2)
             assert np.all(out.data == 3.25)
 
     def test_average_of_2x2(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
-        out = pool2d(x, "average", window=2, stride=2)
+        out = pool2d(x, "average")
         assert out.data.reshape(()) == 2.5
 
     def test_max_gradient_matches_finite_differences(self):
@@ -196,7 +228,7 @@ class TestPool2d:
         x = Tensor(rng.normal(size=(4, 4, 1)), requires_grad=True)
 
         def loss():
-            return sum_all(pool2d(x, "max", window=2, stride=2))
+            return sum_all(pool2d(x, "max"))
 
         backward(loss())
         numeric = fd_gradient(loss, x)
@@ -205,24 +237,40 @@ class TestPool2d:
 
     def test_max_tie_routes_to_first_in_scan_order(self):
         x = Tensor(np.full((2, 2, 1), 7.0), requires_grad=True)
-        backward(sum_all(pool2d(x, "max", window=2, stride=2)))
+        backward(sum_all(pool2d(x, "max")))
         assert np.array_equal(x.grad[:, :, 0], [[1.0, 0.0], [0.0, 0.0]])
 
-    def test_window_exceeds_input(self):
-        with pytest.raises(DimensionError, match="window"):
-            pool2d(Tensor(np.zeros((2, 2, 1))), "max", window=3, stride=1)
+    @pytest.mark.parametrize("kind", ["max", "average"])
+    @pytest.mark.parametrize("shape", [(6, 8, 3), (5, 7, 3)])
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
+    def test_matches_the_sliding_window_oracle_bitwise(self, kind, shape, ties):
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
+        g = rng.normal(size=(shape[0] // 2, shape[1] // 2, shape[2]))
+        results = []
+        for op in (pool2d, sliding_pool2d):
+            x = Tensor(data.copy(), requires_grad=True)
+            out = op(x, kind)
+            backward(sum_all(out * g))
+            results.append((out.data, x.grad))
+        (values, grad), (want_values, want_grad) = results
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(grad, want_grad)
 
-    def test_average_gradient_overlapping_stride(self):
+    def test_average_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(5, 5, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 7, 3)), requires_grad=True)
+        weights = rng.normal(size=(2, 3, 3))
+        assert grad_check(lambda: sum_all(pool2d(x, "average") * weights), [x]) < 1e-6
 
-        def loss():
-            return sum_all(mul_square(pool2d(x, "average", window=3, stride=1)))
+    @pytest.mark.parametrize("shape", [(1, 4, 2), (4, 1, 2), (1, 1, 1)])
+    def test_input_smaller_than_the_window_raises(self, shape):
+        with pytest.raises(DimensionError, match="extents"):
+            pool2d(Tensor(np.zeros(shape)), "max")
 
-        backward(loss())
-        numeric = fd_gradient(loss, x)
-        rel = np.abs(x.grad - numeric) / np.maximum(np.abs(numeric), 1.0)
-        assert rel.max() < 1e-5
+    def test_unknown_kind_raises(self):
+        with pytest.raises(DimensionError, match="kind"):
+            pool2d(Tensor(np.zeros((2, 2, 1))), "min")
 
 
 def mul_square(t):
@@ -500,7 +548,7 @@ class TestGraph:
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = sum_all(softmax_flat(pool2d(conv2d(t, Tensor(k), 1, 1), "max", 2, 2)))
+            out = sum_all(softmax_flat(pool2d(conv2d(t, Tensor(k), 1, 1), "max")))
             backward(out)
             return out.item(), t.grad.copy()
 
@@ -543,6 +591,11 @@ class TestGradCheck:
 
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
             grad_check(loss, [x])
+
+    def test_nonpositive_epsilon_raises(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(DimensionError, match="epsilon"):
+            grad_check(lambda: sum_all(x), [x], epsilon=0.0)
 
     def test_mixed_ops_within_tolerance(self):
         rng = np.random.default_rng(10)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuzureader.autodiff import DimensionError
 from kuzureader.data import (
     DatasetError,
     GenerationError,
@@ -40,6 +41,10 @@ class TestPgm:
         write_pgm(path, image)
         raw = path.read_bytes()
         assert raw.endswith(bytes([0, 255]))
+
+    def test_write_rejects_multichannel_image(self, tmp_path):
+        with pytest.raises(DimensionError, match="single-channel"):
+            write_pgm(tmp_path / "img.pgm", np.zeros((2, 2, 3)))
 
     def test_rejects_non_p5(self, tmp_path):
         path = tmp_path / "img.pgm"
@@ -128,8 +133,22 @@ class TestGenerate:
 
     def test_oversized_glyph_rejected_at_spec_build(self):
         glyphs = make_glyphs(("a",), 40, seed=11)
-        with pytest.raises(ValueError, match="does not fit"):
+        with pytest.raises(DimensionError, match="does not fit"):
             SynthSpec(canvas=(64, 64), glyphs=glyphs, lines=(2, 2), chars=(1, 1))
+
+    @pytest.mark.parametrize("field, value", [("lines", (0, 1)), ("chars", (3, 2)),
+                                              ("jitter", -1), ("noise", 1.5)])
+    def test_bad_spec_settings_are_dimension_errors(self, field, value):
+        kwargs = dict(canvas=(64, 64), glyphs=make_glyphs(("a",), 10, seed=11),
+                      lines=(1, 1), chars=(1, 1))
+        kwargs[field] = value
+        with pytest.raises(DimensionError):
+            SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize("num_classes", [0, 10_000])
+    def test_class_count_out_of_range(self, num_classes):
+        with pytest.raises(DimensionError, match="num_classes"):
+            build_spec(num_classes=num_classes)
 
 
 class TestSplit:

@@ -13,10 +13,12 @@ from kuzureader.autodiff import (
     execution_order,
     grad_check,
     no_grad,
+    pool2d,
     sum_all,
     zero_grads,
 )
-from kuzureader.encoder import DenseEncoder, EncoderConfig, dense_block, transition
+from kuzureader.encoder import (DenseEncoder, EncoderConfig, FeatureGrid, dense_block,
+                                transition)
 
 
 def channel_oracle(initial, growth, depth, blocks, compression):
@@ -53,6 +55,19 @@ def block_layers(initial, growth, depth, seed, bottleneck=None):
             Tensor(rng.normal(scale=0.1, size=growth), requires_grad=True),
         ))
     return layers
+
+
+def old_order_encode(enc, image):
+    """``encode`` with the stem rectified before it is pooled: the oracle."""
+    c = enc.config
+    x = conv2d(Tensor(image), enc.params["stem.kernel"], stride=c.stem_stride,
+               padding=c.stem_kernel // 2)
+    x = pool2d(bias_relu(x, enc.params["stem.bias"]), "max")
+    for block in range(c.num_blocks):
+        x = dense_block(x, enc._block_layers(block))
+        if block < c.num_blocks - 1:
+            x = transition(x, enc.params[f"trans{block}.kernel"], enc.params[f"trans{block}.bias"])
+    return FeatureGrid(features=x, downsample_factor=c.downsample_factor)
 
 
 def max_normalised(a, b):
@@ -283,6 +298,41 @@ class TestEncode:
         error = grad_check(lambda: sum_all(enc.encode(image).features * weights),
                            list(enc.params.values()))
         assert error < 1e-6
+
+    @pytest.mark.parametrize("stem_kernel, stem_stride", [(3, 1), (7, 2)], ids=["default", "densewap"])
+    def test_stem_matches_the_rectify_then_pool_order(self, stem_kernel, stem_stride):
+        config = EncoderConfig(growth_rate=4, block_depth=2, initial_channels=8,
+                               stem_kernel=stem_kernel, stem_stride=stem_stride)
+        rng = np.random.default_rng(13)
+        image = rng.uniform(size=(32, 48, 1))
+        weights = rng.normal(size=(32 // config.downsample_factor,
+                                   48 // config.downsample_factor, config.output_channels))
+        runs = []
+        for encode in (DenseEncoder.encode, old_order_encode):
+            enc = DenseEncoder(config, seed=13)
+            enc.params["stem.bias"].data[:] = np.random.default_rng(14).normal(
+                scale=0.5, size=config.initial_channels)
+            features = encode(enc, image).features
+            backward(sum_all(features * weights))
+            runs.append((features.data, enc.params))
+        (features, params), (want, want_params) = runs
+        assert np.array_equal(features, want)
+        for name in ("stem.kernel", "stem.bias"):
+            assert max_normalised(params[name].grad, want_params[name].grad) <= 1e-12, name
+
+    def test_unrecorded_encode_peaks_under_two_stem_maps(self):
+        enc = DenseEncoder(EncoderConfig(growth_rate=12, block_depth=4), seed=15)
+        image = np.random.default_rng(15).uniform(size=(96, 64, 1))
+        stem_bytes = 96 * 64 * enc.config.initial_channels * 8  # the stem conv's output
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                enc.encode(image)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stem_bytes
 
     def test_every_parameter_gets_gradient(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=10)

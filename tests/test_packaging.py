@@ -42,3 +42,13 @@ def test_numpy_is_the_only_runtime_dependency():
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in dependencies]
     assert names == ["numpy"]
+
+
+@pytest.mark.parametrize("module", ["autodiff", "encoder", "decoder", "model"])
+def test_model_modules_raise_no_bare_value_error(module):
+    path = PACKAGE / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert not (isinstance(exc, ast.Name) and exc.id == "ValueError"), \
+                f"{path.name}:{node.lineno} raises a bare ValueError; raise a typed error"
