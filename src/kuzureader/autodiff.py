@@ -78,6 +78,15 @@ class NumericError(ArithmeticError):
     """
 
 
+class DatasetError(RuntimeError):
+    """Stored or supplied content is malformed.
+
+    Raised on a malformed dataset directory or graymap, a vocabulary that
+    breaks the file format, sample ids that cannot be split, and an empty
+    evaluation.
+    """
+
+
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 Vjp = Callable[[np.ndarray], np.ndarray]
@@ -113,17 +122,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -414,18 +416,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     return _record(a.data[index].copy(), (a, lambda g: _scattered(a.data, index, g)))
-
-
-def embedding_lookup(table, index: int) -> Tensor:
-    """Row ``index`` of a V x E table as a 1 x E tensor."""
-    table = _as_tensor(table)
-    if table.data.ndim != 2:
-        raise DimensionError(f"embedding_lookup expects a 2-d table, got {table.shape}")
-    index = int(index)
-    if not 0 <= index < table.data.shape[0]:
-        raise DimensionError(f"embedding index {index} out of range for table {table.shape}")
-    rows = slice(index, index + 1)
-    return _record(table.data[rows].copy(), (table, lambda g: _scattered(table.data, rows, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import DimensionError
+from .autodiff import DatasetError, DimensionError
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -39,10 +39,6 @@ GLYPH_ALPHABET = tuple("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJ")
 
 class GenerationError(RuntimeError):
     """Synthetic generation could not satisfy the layout constraints."""
-
-
-class DatasetError(RuntimeError):
-    """A dataset directory is malformed."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +112,6 @@ class Placement:
     left: int
     bottom: int  # exclusive
     right: int   # exclusive
-
-    def contains(self, y: float, x: float) -> bool:
-        return self.top <= y < self.bottom and self.left <= x < self.right
 
 
 @dataclass(frozen=True)
@@ -279,14 +272,15 @@ def make_split(ids: Sequence[str], ratio: tuple[int, int] = (9, 1),
 
     Ids whose first path segment equals ``holdout_tag`` form the test
     set; the remainder is shuffled (seeded) and split train:validation
-    by ``ratio``.
+    by ``ratio``. Empty, duplicate or all-holdout ids raise
+    ``DatasetError``; a negative or all-zero ratio raises ``DimensionError``.
     """
     if not ids:
-        raise ValueError("cannot split an empty id list")
+        raise DatasetError("cannot split an empty id list")
     if len(set(ids)) != len(ids):
-        raise ValueError("sample ids must be unique")
+        raise DatasetError("sample ids must be unique")
     if min(ratio) < 0 or ratio[0] + ratio[1] <= 0:
-        raise ValueError(f"bad ratio {ratio}")
+        raise DimensionError(f"bad ratio {ratio}")
 
     if holdout_tag is None:
         test, rest = [], list(ids)
@@ -294,8 +288,8 @@ def make_split(ids: Sequence[str], ratio: tuple[int, int] = (9, 1),
         test = [i for i in ids if i.split("/")[0] == holdout_tag]
         rest = [i for i in ids if i.split("/")[0] != holdout_tag]
     if not rest:
-        raise ValueError(f"every sample matches holdout tag {holdout_tag!r}; "
-                         "nothing left to train on")
+        raise DatasetError(f"every sample matches holdout tag {holdout_tag!r}; "
+                           "nothing left to train on")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B7]))
     order = rng.permutation(len(rest))

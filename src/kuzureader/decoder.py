@@ -33,7 +33,6 @@ from .autodiff import (
     DimensionError,
     Tensor,
     concat,
-    embedding_lookup,
     matmul,
     mul,
     narrow,
@@ -73,8 +72,12 @@ class DecoderState:
     h: Tensor
     cell: Tensor
     coverage: Tensor
-    t: int = 1
     attention_trace: list[Tensor] = field(default_factory=list)
+
+    @property
+    def t(self) -> int:
+        """The number of the next step: one more than the steps taken."""
+        return len(self.attention_trace) + 1
 
 
 @dataclass
@@ -193,7 +196,7 @@ class AttentionDecoder:
         hidden = self.config.hidden_size
 
         alpha, context = self.attend(state)
-        embedded = embedding_lookup(self.params["embed.table"], prev_token)
+        embedded = narrow(self.params["embed.table"], 0, prev_token, 1)
 
         gates = (matmul(concat([context, embedded], axis=1), self.params["lstm.input_w"])
                  + matmul(state.h, self.params["lstm.hidden_w"])
@@ -217,7 +220,6 @@ class AttentionDecoder:
             h=h,
             cell=cell,
             coverage=state.coverage + alpha,
-            t=state.t + 1,
             attention_trace=state.attention_trace + [alpha],
         )
         return logits, new_state

@@ -2,14 +2,14 @@
 
 A document image (H x W x 1, values in [0, 1], dark ink mapped high) is
 reduced to a coarse feature grid: a stem convolution with max pooling,
-then dense blocks joined by compressing transition layers. Inside a dense
-block every layer sees the channel-concatenation of all previous outputs;
-a 1x1 bottleneck (4x the growth rate) precedes each 3x3 convolution.
-Transitions halve the channel count (by default) with a 1x1 convolution
+then the three dense blocks of DenseWAP joined by two transition layers.
+Inside a dense block every layer sees the channel-concatenation of all
+previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
+convolution. Transitions halve the channel count with a 1x1 convolution
 and 2x2 average pooling.
 
 Channel bookkeeping from an initial 48: a block adds depth * growth_rate
-channels, a transition keeps floor(channels * compression). Each dense
+channels, a transition keeps floor(channels / 2). Each dense
 block is one graph node (``autodiff.dense_block``): its layers fill one
 preallocated channel buffer, and for backward it holds that buffer plus
 each layer's padded bottleneck activation; under ``no_grad`` it holds
@@ -32,15 +32,14 @@ import numpy as np
 from .autodiff import (DimensionError, NumericError, Tensor, bias_relu, conv2d, dense_block,
                        pool2d)
 
+BLOCKS = 3  # dense blocks; a transition follows every block but the last
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
     growth_rate: int
     block_depth: int
     initial_channels: int = 48
-    num_blocks: int = 3
-    compression: float = 0.5
-    input_channels: int = 1
     stem_kernel: int = 3
     stem_stride: int = 1
 
@@ -49,12 +48,8 @@ class EncoderConfig:
             raise DimensionError(f"growth_rate must be >= 1, got {self.growth_rate}")
         if self.block_depth < 0:
             raise DimensionError(f"block_depth must be >= 0, got {self.block_depth}")
-        if not 0 < self.compression <= 1:
-            raise DimensionError(f"compression must be in (0, 1], got {self.compression}")
-        if self.num_blocks < 1:
-            raise DimensionError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.initial_channels < 1 or self.input_channels < 1:
-            raise DimensionError("channel counts must be >= 1")
+        if self.initial_channels < 1:
+            raise DimensionError(f"initial_channels must be >= 1, got {self.initial_channels}")
         if self.stem_kernel < 1 or self.stem_kernel % 2 == 0:
             raise DimensionError(f"stem_kernel must be odd and >= 1, got {self.stem_kernel}")
         if self.stem_stride < 1:
@@ -63,18 +58,15 @@ class EncoderConfig:
     @property
     def downsample_factor(self) -> int:
         """Input pixels per feature cell along each axis."""
-        return self.stem_stride * 2 * 2 ** (self.num_blocks - 1)
+        return self.stem_stride * 2 ** BLOCKS
 
     def channel_plan(self) -> list[int]:
         """Channel counts after the stem and after each block/transition."""
         plan = [self.initial_channels]
-        channels = self.initial_channels
-        for block in range(self.num_blocks):
-            channels += self.block_depth * self.growth_rate
-            plan.append(channels)
-            if block < self.num_blocks - 1:
-                channels = int(channels * self.compression)
-                plan.append(channels)
+        for block in range(BLOCKS):
+            plan.append(plan[-1] + self.block_depth * self.growth_rate)
+            if block < BLOCKS - 1:
+                plan.append(plan[-1] // 2)
         return plan
 
     @property
@@ -86,19 +78,6 @@ class EncoderConfig:
 class FeatureGrid:
     """Encoder output: an H x W grid of feature vectors."""
     features: Tensor
-    downsample_factor: int
-
-    @property
-    def height(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.features.shape[2]
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -125,19 +104,15 @@ class DenseEncoder:
                 _uniform(rng, (kh, kw, cin, cout), kh * kw * cin), requires_grad=True)
             self.params[f"{name}.bias"] = Tensor(np.zeros(cout), requires_grad=True)
 
-        add_conv("stem", c.stem_kernel, c.stem_kernel, c.input_channels, c.initial_channels)
-        channels = c.initial_channels
-        for block in range(c.num_blocks):
+        plan = c.channel_plan()  # block b: plan[2b] -> plan[2b+1]; trans b: -> plan[2b+2]
+        add_conv("stem", c.stem_kernel, c.stem_kernel, 1, plan[0])
+        for block in range(BLOCKS):
             for layer in range(c.block_depth):
-                cin = channels + layer * c.growth_rate
+                cin = plan[2 * block] + layer * c.growth_rate
                 add_conv(f"block{block}.layer{layer}.reduce", 1, 1, cin, 4 * c.growth_rate)
                 add_conv(f"block{block}.layer{layer}.conv", 3, 3, 4 * c.growth_rate, c.growth_rate)
-            channels += c.block_depth * c.growth_rate
-            if block < c.num_blocks - 1:
-                compressed = int(channels * c.compression)
-                add_conv(f"trans{block}", 1, 1, channels, compressed)
-                channels = compressed
-        self.output_channels = channels
+            if block < BLOCKS - 1:
+                add_conv(f"trans{block}", 1, 1, plan[2 * block + 1], plan[2 * block + 2])
 
     def _block_layers(self, block: int) -> list[tuple[Tensor, Tensor, Tensor, Tensor]]:
         """``dense_block``'s per-layer (reduce kernel, reduce bias, conv kernel, conv bias)."""
@@ -156,9 +131,8 @@ class DenseEncoder:
         """
         if not isinstance(image, Tensor):
             image = Tensor(image)
-        if image.ndim != 3 or image.shape[2] != self.config.input_channels:
-            raise DimensionError(
-                f"expected H x W x {self.config.input_channels} image, got {image.shape}")
+        if image.ndim != 3 or image.shape[2] != 1:
+            raise DimensionError(f"expected H x W x 1 image, got {image.shape}")
         factor = self.config.downsample_factor
         h, w = image.shape[:2]
         if h % factor or w % factor:
@@ -176,9 +150,9 @@ class DenseEncoder:
                    padding=c.stem_kernel // 2)
         # fl(x + b) and relu are monotone, so pooling first is exact and rectifies 1/4 the cells
         x = bias_relu(pool2d(x, "max"), self.params["stem.bias"])
-        for block in range(c.num_blocks):
+        for block in range(BLOCKS):
             x = dense_block(x, self._block_layers(block))
-            if block < c.num_blocks - 1:
+            if block < BLOCKS - 1:
                 x = transition(x, self.params[f"trans{block}.kernel"],
                                self.params[f"trans{block}.bias"])
-        return FeatureGrid(features=x, downsample_factor=factor)
+        return FeatureGrid(features=x)

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from .autodiff import DatasetError
+
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimal number of insertions, deletions and substitutions (unit costs)."""
@@ -67,14 +69,14 @@ class EvalReport:
 def evaluate(pairs: Sequence[tuple[Sequence, Sequence]]) -> EvalReport:
     """Score (target, hypothesis) pairs.
 
-    Raises ValueError on an empty pair list or when the targets contain
-    no tokens at all (the character rate would divide by zero).
+    Raises ``DatasetError`` on an empty pair list or when the targets
+    contain no tokens at all (the character rate would divide by zero).
     """
     if not pairs:
-        raise ValueError("evaluate needs at least one (target, hypothesis) pair")
+        raise DatasetError("evaluate needs at least one (target, hypothesis) pair")
     total_chars = sum(len(target) for target, _ in pairs)
     if total_chars == 0:
-        raise ValueError("targets contain no tokens; character error rate undefined")
+        raise DatasetError("targets contain no tokens; character error rate undefined")
     distances = [levenshtein(target, hypothesis) for target, hypothesis in pairs]
     mismatches = sum(1 for target, hypothesis in pairs
                      if list(target) != list(hypothesis))

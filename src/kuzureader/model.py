@@ -13,12 +13,9 @@ from .vocab import Vocabulary
 class Recognizer:
     def __init__(self, encoder_config: EncoderConfig, decoder_config: DecoderConfig,
                  vocabulary: Vocabulary, seed: int = 0):
-        self.encoder_config = encoder_config
-        self.decoder_config = decoder_config
         self.vocabulary = vocabulary
-        self.seed = seed
         self.encoder = DenseEncoder(encoder_config, seed=seed)
-        self.decoder = AttentionDecoder(self.encoder.output_channels, len(vocabulary),
+        self.decoder = AttentionDecoder(encoder_config.output_channels, len(vocabulary),
                                         decoder_config, seed=seed)
 
     def parameters(self) -> dict[str, Tensor]:

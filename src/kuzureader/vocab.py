@@ -11,6 +11,8 @@ import hashlib
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .autodiff import DatasetError
+
 START_TOKEN = "<S>"
 END_TOKEN = "<E>"
 START = 0
@@ -21,11 +23,11 @@ class Vocabulary:
     def __init__(self, tokens: Sequence[str]):
         tokens = tuple(tokens)
         if len(tokens) < 2 or tokens[0] != START_TOKEN or tokens[1] != END_TOKEN:
-            raise ValueError(f"vocabulary must begin with {START_TOKEN!r}, {END_TOKEN!r}")
+            raise DatasetError(f"vocabulary must begin with {START_TOKEN!r}, {END_TOKEN!r}")
         if len(set(tokens)) != len(tokens):
-            raise ValueError("vocabulary tokens must be unique")
+            raise DatasetError("vocabulary tokens must be unique")
         if any("\n" in t or t == "" for t in tokens):
-            raise ValueError("tokens must be non-empty and newline-free")
+            raise DatasetError("tokens must be non-empty and newline-free")
         self.tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}
 
@@ -48,10 +50,6 @@ class Vocabulary:
 
     def token(self, index: int) -> str:
         return self.tokens[index]
-
-    @property
-    def content_tokens(self) -> tuple[str, ...]:
-        return self.tokens[2:]
 
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.index(t) for t in tokens)

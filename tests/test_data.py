@@ -167,12 +167,21 @@ class TestSplit:
         assert "book3" in manifest.holdout_rule
 
     def test_all_holdout_is_an_error(self):
-        with pytest.raises(ValueError, match="holdout"):
+        with pytest.raises(DatasetError, match="holdout"):
             make_split(["b/1", "b/2"], holdout_tag="b", seed=2)
 
     def test_empty_ids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="empty"):
             make_split([], seed=3)
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(DatasetError, match="unique"):
+            make_split(["a", "b", "a"], seed=4)
+
+    @pytest.mark.parametrize("ratio", [(-1, 2), (0, 0)])
+    def test_bad_ratio_is_a_dimension_error(self, ratio):
+        with pytest.raises(DimensionError, match="bad ratio"):
+            make_split(["a", "b"], ratio=ratio, seed=5)
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=50, deadline=None)

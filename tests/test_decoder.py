@@ -6,6 +6,7 @@ import pytest
 
 from kuzureader import vocab as vb
 from kuzureader.autodiff import (
+    DatasetError,
     DimensionError,
     Tensor,
     backward,
@@ -25,7 +26,7 @@ from kuzureader.vocab import Vocabulary
 
 def make_grid(h, w, c, seed=0):
     rng = np.random.default_rng(seed)
-    return FeatureGrid(features=Tensor(rng.normal(size=(h, w, c))), downsample_factor=8)
+    return FeatureGrid(features=Tensor(rng.normal(size=(h, w, c))))
 
 
 def attend_with(dec, grid, h_prev, coverage):
@@ -66,10 +67,15 @@ class TestVocabulary:
         assert loaded.sha256() == v.sha256()
 
     def test_rejects_bad_header_and_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="must begin"):
             Vocabulary(["<E>", "<S>", "a"])
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="unique"):
             Vocabulary(["<S>", "<E>", "a", "a"])
+
+    @pytest.mark.parametrize("token", ["a\nb", ""])
+    def test_rejects_a_token_the_file_cannot_hold(self, token):
+        with pytest.raises(DatasetError, match="newline-free"):
+            Vocabulary(["<S>", "<E>", "a", token])
 
 
 class TestConfig:
@@ -131,7 +137,7 @@ class TestAttend:
             for v in range(2):
                 expected_context += expected_alpha[u, v] * feats[u, v]
 
-        grid = FeatureGrid(features=Tensor(feats), downsample_factor=8)
+        grid = FeatureGrid(features=Tensor(feats))
         alpha, context = attend_with(dec, grid, h_prev, coverage)
         assert np.max(np.abs(alpha.data - expected_alpha)) < 1e-9
         assert np.max(np.abs(context.data[0] - expected_context)) < 1e-9
@@ -144,6 +150,14 @@ class TestStep:
         state = dec.initial_state(grid)
         assert np.array_equal(state.coverage.data, np.zeros((2, 2)))
         assert state.t == 1
+
+    def test_step_number_counts_the_steps_taken(self):
+        dec = make_decoder()
+        grid = make_grid(2, 2, 6, seed=3)
+        state = dec.initial_state(grid)
+        for k, token in enumerate((vb.START, 2, 3), start=1):
+            _, state = dec.step(grid, state, token)
+            assert state.t == k + 1
 
     def test_coverage_increment_equals_alpha(self):
         dec = make_decoder()
@@ -227,7 +241,7 @@ class TestStep:
     def test_teacher_forced_gradients_of_every_parameter_and_the_grid(self):
         dec = make_decoder(channels=3, vocab_size=5, hidden=3, embed=3, att=2, seed=17)
         grid = FeatureGrid(features=Tensor(np.random.default_rng(17).normal(size=(2, 2, 3)),
-                                           requires_grad=True), downsample_factor=8)
+                                           requires_grad=True))
         target = (2, 4, vb.END)
 
         def loss():
@@ -250,7 +264,7 @@ class TestStep:
         grid_data = np.random.default_rng(9).normal(size=(2, 2, 3))
 
         def loss():
-            grid = FeatureGrid(features=Tensor(grid_data), downsample_factor=8)
+            grid = FeatureGrid(features=Tensor(grid_data))
             state = dec.initial_state(grid)
             logits1, state = dec.step(grid, state, vb.START)
             logits2, state = dec.step(grid, state, 2)

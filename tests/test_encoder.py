@@ -17,7 +17,7 @@ from kuzureader.autodiff import (
     sum_all,
     zero_grads,
 )
-from kuzureader.encoder import (DenseEncoder, EncoderConfig, FeatureGrid, dense_block,
+from kuzureader.encoder import (BLOCKS, DenseEncoder, EncoderConfig, FeatureGrid, dense_block,
                                 transition)
 
 
@@ -63,11 +63,11 @@ def old_order_encode(enc, image):
     x = conv2d(Tensor(image), enc.params["stem.kernel"], stride=c.stem_stride,
                padding=c.stem_kernel // 2)
     x = pool2d(bias_relu(x, enc.params["stem.bias"]), "max")
-    for block in range(c.num_blocks):
+    for block in range(BLOCKS):
         x = dense_block(x, enc._block_layers(block))
-        if block < c.num_blocks - 1:
+        if block < BLOCKS - 1:
             x = transition(x, enc.params[f"trans{block}.kernel"], enc.params[f"trans{block}.bias"])
-    return FeatureGrid(features=x, downsample_factor=c.downsample_factor)
+    return FeatureGrid(features=x)
 
 
 def max_normalised(a, b):
@@ -98,10 +98,6 @@ class TestConfig:
             EncoderConfig(growth_rate=0, block_depth=4)
         with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=8, block_depth=-1)
-        with pytest.raises(DimensionError):
-            EncoderConfig(growth_rate=8, block_depth=4, compression=0.0)
-        with pytest.raises(DimensionError):
-            EncoderConfig(growth_rate=8, block_depth=4, num_blocks=0)
         with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=8, block_depth=4, initial_channels=0)
         with pytest.raises(DimensionError):
@@ -265,7 +261,6 @@ class TestEncode:
         with no_grad():
             grid = enc.encode(image)
         assert grid.features.shape == (8, 24, 236)
-        assert grid.downsample_factor == 8
 
     def test_full_config_channel_count(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=16, block_depth=16), seed=6)
@@ -294,7 +289,7 @@ class TestEncode:
             if name.endswith(".bias"):
                 p.data[:] = rng.normal(scale=0.1, size=p.shape)
         image = rng.uniform(size=(16, 16, 1))
-        weights = rng.normal(size=(2, 2, enc.output_channels))
+        weights = rng.normal(size=(2, 2, enc.config.output_channels))
         error = grad_check(lambda: sum_all(enc.encode(image).features * weights),
                            list(enc.params.values()))
         assert error < 1e-6

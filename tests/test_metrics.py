@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuzureader.autodiff import DatasetError
 from kuzureader.metrics import EvalReport, evaluate, levenshtein
 
 
@@ -122,9 +123,9 @@ class TestEvaluate:
         assert sorted(base.distances) == sorted(shuffled.distances)
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="at least one"):
             evaluate([])
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="no tokens"):
             evaluate([((), (1, 2))])
 
     def test_json_roundtrip(self):

@@ -6,7 +6,7 @@ import pytest
 from kuzureader import data, vocab
 from kuzureader.autodiff import DimensionError, NumericError, backward, logsumexp, pick
 from kuzureader.decoder import AttentionDecoder, DecoderConfig
-from kuzureader.encoder import EncoderConfig
+from kuzureader.encoder import BLOCKS, EncoderConfig
 from kuzureader.model import Recognizer
 from kuzureader.vocab import Vocabulary
 
@@ -32,6 +32,36 @@ class TestParameters:
             assert params[f"enc.{name}"] is p
         for name, p in model.decoder.params.items():
             assert params[f"dec.{name}"] is p
+
+    @pytest.mark.parametrize("initial,growth,depth,plan", [
+        (5, 3, 2, [5, 11, 5, 11, 5, 11]),
+        (5, 3, 0, [5, 5, 2, 2, 1, 1]),
+        (4, 2, 1, [4, 6, 3, 5, 2, 4]),
+        (48, 12, 4, [48, 96, 48, 96, 48, 96]),
+    ])
+    def test_every_shape_follows_the_channel_plan(self, initial, growth, depth, plan):
+        config = EncoderConfig(growth_rate=growth, block_depth=depth, initial_channels=initial)
+        assert config.channel_plan() == plan
+        expected = {"stem.kernel": (3, 3, 1, plan[0]), "stem.bias": (plan[0],)}
+        for block in range(BLOCKS):
+            for layer in range(depth):
+                name = f"block{block}.layer{layer}"
+                expected[f"{name}.reduce.kernel"] = (1, 1, plan[2 * block] + layer * growth,
+                                                     4 * growth)
+                expected[f"{name}.reduce.bias"] = (4 * growth,)
+                expected[f"{name}.conv.kernel"] = (3, 3, 4 * growth, growth)
+                expected[f"{name}.conv.bias"] = (growth,)
+            if block < BLOCKS - 1:
+                expected[f"trans{block}.kernel"] = (1, 1, plan[2 * block + 1], plan[2 * block + 2])
+                expected[f"trans{block}.bias"] = (plan[2 * block + 2],)
+        model = Recognizer(config, DecoderConfig(hidden_size=4, embed_size=4, attention_size=2,
+                                                 max_decode_len=2),
+                           Vocabulary.from_characters("ab"))
+        assert [(name, p.shape) for name, p in model.encoder.params.items()] == list(expected.items())
+        assert model.decoder.feature_channels == config.output_channels == plan[-1]
+        assert model.decoder.params["att.feature_proj"].shape[0] == config.output_channels
+        image = np.random.default_rng(depth).random((8, 8, 1))
+        assert model.encode(image).features.shape == (1, 1, config.output_channels)
 
     def test_load_parameter_values_round_trips(self):
         model = make_model()
