@@ -65,16 +65,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 class DimensionError(ValueError):
     """Operand shapes are incompatible, or a size or setting is out of range.
 
-    Raised by the ops on mismatched shapes and by the encoder and decoder
-    configurations on invalid sizes.
+    Raised by the ops on mismatched shapes, by the model and generator
+    settings on invalid sizes, and by a decode step past ``max_decode_len``.
     """
 
 
 class NumericError(ArithmeticError):
     """A value is non-finite or outside its valid range.
 
-    Raised when a computation produces a non-finite value and when an input
-    image has a non-finite pixel or one outside [0, 1].
+    Raised when a computation, an input image or a loaded parameter holds a
+    non-finite value, and when an image has a pixel outside [0, 1].
     """
 
 
@@ -82,8 +82,8 @@ class DatasetError(RuntimeError):
     """Stored or supplied content is malformed.
 
     Raised on a malformed dataset directory or graymap, a vocabulary that
-    breaks the file format, sample ids that cannot be split, and an empty
-    evaluation.
+    breaks the file format, a token missing from the vocabulary, sample ids
+    that cannot be split, and an empty evaluation.
     """
 
 
@@ -701,21 +701,20 @@ def pool2d(x, kind: str) -> Tensor:
 # ---------------------------------------------------------------------------
 # verification
 
+GRAD_CHECK_EPSILON = 1e-5  # relative finite-difference step of grad_check
 
-def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-               epsilon: float = 1e-5) -> float:
+
+def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     """Compare reverse-mode gradients against central finite differences.
 
     ``loss_fn`` must rebuild the graph and return a deterministic scalar.
-    Each parameter entry is perturbed by eps_i = epsilon * max(1, |x_i|);
+    Each parameter entry is perturbed by eps_i = GRAD_CHECK_EPSILON * max(1, |x_i|);
     the relative error is |analytic - numeric| / max(|analytic|, |numeric|,
     1e-4) -- the floor keeps finite-difference roundoff on near-zero
     gradients from dominating the ratio. Returns the maximum over all
     entries. Intended for small models; cost is two forward passes per
     parameter entry.
     """
-    if epsilon <= 0:
-        raise DimensionError(f"epsilon must be positive, got {epsilon}")
     zero_grads(params)
     loss = loss_fn()
     if not np.isfinite(loss.item()):
@@ -730,7 +729,7 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
         aflat = a.reshape(-1)
         for i in range(flat.size):
             original = flat[i]
-            eps = epsilon * max(1.0, abs(original))
+            eps = GRAD_CHECK_EPSILON * max(1.0, abs(original))
             with no_grad():
                 flat[i] = original + eps
                 f_plus = loss_fn().item()

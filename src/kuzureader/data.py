@@ -37,10 +37,6 @@ logger = logging.getLogger(__name__)
 GLYPH_ALPHABET = tuple("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJ")
 
 
-class GenerationError(RuntimeError):
-    """Synthetic generation could not satisfy the layout constraints."""
-
-
 # ---------------------------------------------------------------------------
 # portable graymap IO (binary P5), bit-exact round trip
 
@@ -116,6 +112,11 @@ class Placement:
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Layout ranges whose every document fits, proved at build (else ``DimensionError``).
+
+    Each glyph must fit the smallest cell, ``canvas[0] // chars[1]`` by
+    ``canvas[1] // lines[1]``, with ``(cell - glyph) // 2 >= jitter`` on both axes.
+    """
     canvas: tuple[int, int]                  # (height, width) pixels
     glyphs: dict[str, np.ndarray]            # token -> binary glyph bitmap
     lines: tuple[int, int]                   # columns per document, inclusive
@@ -133,11 +134,11 @@ class SynthSpec:
             raise DimensionError("glyph set is empty")
         if self.jitter < 0 or not 0 <= self.noise <= 1:
             raise DimensionError("jitter must be >= 0 and noise within [0, 1]")
-        width = self.canvas[1] // self.lines[1]
+        cell = (self.canvas[0] // self.chars[1], self.canvas[1] // self.lines[1])
         for token, glyph in self.glyphs.items():
-            if glyph.shape[0] > self.canvas[0] or glyph.shape[1] > width:
-                raise DimensionError(f"glyph {token!r} {glyph.shape} does not fit "
-                                     f"a column of width {width}")
+            if min((c - g) // 2 for c, g in zip(cell, glyph.shape)) < self.jitter:
+                raise DimensionError(f"glyph {token!r} {glyph.shape} with jitter {self.jitter} "
+                                     f"does not fit the smallest {cell[0]}x{cell[1]} cell")
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -149,6 +150,8 @@ class SynthSpec:
 
 def make_glyphs(tokens: Sequence[str], size: int, seed: int) -> dict[str, np.ndarray]:
     """Distinct binary stroke bitmaps, one per token, deterministic per seed."""
+    if size < 3:  # strokes run between interior pixels 1..size-2
+        raise DimensionError(f"glyph_size must be >= 3, got {size}")
     glyphs: dict[str, np.ndarray] = {}
     for class_index, token in enumerate(tokens):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x617, class_index]))
@@ -203,16 +206,10 @@ def generate_document_with_layout(spec: SynthSpec, seed: int) -> tuple[Sample, l
             token = tokens[int(rng.integers(len(tokens)))]
             glyph = spec.glyphs[token]
             gh, gw = glyph.shape
-            margin_y = (cell_height - gh) // 2
-            margin_x = (col_width - gw) // 2
-            if min(margin_y, margin_x) < spec.jitter:
-                raise GenerationError(
-                    f"glyph {token!r} ({gh}x{gw}) plus jitter {spec.jitter} overflows its "
-                    f"{cell_height}x{col_width} cell; fewer/smaller glyphs needed")
             dy = int(rng.integers(-spec.jitter, spec.jitter + 1)) if spec.jitter else 0
             dx = int(rng.integers(-spec.jitter, spec.jitter + 1)) if spec.jitter else 0
-            top = row * cell_height + margin_y + dy
-            left = x_left + margin_x + dx
+            top = row * cell_height + (cell_height - gh) // 2 + dy  # centred, then jittered
+            left = x_left + (col_width - gw) // 2 + dx
             region = image[top:top + gh, left:left + gw, 0]
             np.maximum(region, glyph, out=region)
             target.append(vocabulary.index(token))
@@ -348,20 +345,15 @@ def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
         if not image_path.is_file():
             problems.append(f"line {lineno}: image file {rel!r} missing")
             continue
-        indices = []
-        bad_token = None
-        for token in token_text.split():
-            if token not in vocabulary:
-                bad_token = token
-                break
-            indices.append(vocabulary.index(token))
-        if bad_token is not None:
-            problems.append(f"line {lineno}: unknown token {bad_token!r}")
+        try:
+            target = vocabulary.encode(token_text.split())
+        except DatasetError as exc:
+            problems.append(f"line {lineno}: {exc}")
             continue
         parts_no_suffix = Path(rel).with_suffix("").parts
         if parts_no_suffix[0] == "images" and len(parts_no_suffix) > 1:
             parts_no_suffix = parts_no_suffix[1:]
-        samples.append(Sample(image=read_pgm(image_path), target=tuple(indices),
+        samples.append(Sample(image=read_pgm(image_path), target=target,
                               id="/".join(parts_no_suffix)))
     if problems:
         raise DatasetError(f"{labels}: " + "; ".join(problems))

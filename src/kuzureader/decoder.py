@@ -98,10 +98,6 @@ class GreedyResult:
         return self.stop_reason == "limit"
 
 
-class SequenceTooLongError(RuntimeError):
-    """Raised when a teacher-forced sequence exceeds the decode limit."""
-
-
 class AttentionDecoder:
     """Weight-bearing decoder over a fixed vocabulary and feature width.
 
@@ -191,7 +187,7 @@ class AttentionDecoder:
             raise DimensionError(f"token index {prev_token} out of range "
                                  f"for vocabulary of {self.vocab_size}")
         if state.t > self.config.max_decode_len:
-            raise SequenceTooLongError(
+            raise DimensionError(
                 f"decode step {state.t} exceeds max_decode_len={self.config.max_decode_len}")
         hidden = self.config.hidden_size
 

@@ -78,11 +78,9 @@ def evaluate(pairs: Sequence[tuple[Sequence, Sequence]]) -> EvalReport:
     if total_chars == 0:
         raise DatasetError("targets contain no tokens; character error rate undefined")
     distances = [levenshtein(target, hypothesis) for target, hypothesis in pairs]
-    mismatches = sum(1 for target, hypothesis in pairs
-                     if list(target) != list(hypothesis))
     return EvalReport(
         cer=sum(distances) / total_chars,
-        ser=mismatches / len(pairs),
+        ser=sum(d > 0 for d in distances) / len(pairs),  # distance 0 iff equal
         total_target_chars=total_chars,
         num_sequences=len(pairs),
         distances=distances,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, no_grad
+from .autodiff import DimensionError, NumericError, Tensor, no_grad
 from .decoder import AttentionDecoder, DecoderConfig, GreedyResult
 from .encoder import DenseEncoder, EncoderConfig, FeatureGrid
 from .vocab import Vocabulary
@@ -46,6 +46,8 @@ class Recognizer:
             value = np.asarray(values[name], dtype=np.float64)
             if value.shape != p.data.shape:
                 raise DimensionError(f"parameter {name}: shape {value.shape} != {p.data.shape}")
+            if not np.isfinite(value).all():
+                raise NumericError(f"parameter {name} has non-finite values")
             p.data = np.ascontiguousarray(value)
 
 

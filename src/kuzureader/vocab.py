@@ -26,7 +26,7 @@ class Vocabulary:
             raise DatasetError(f"vocabulary must begin with {START_TOKEN!r}, {END_TOKEN!r}")
         if len(set(tokens)) != len(tokens):
             raise DatasetError("vocabulary tokens must be unique")
-        if any("\n" in t or t == "" for t in tokens):
+        if any(t.splitlines() != [t] for t in tokens):  # exactly one line as load reads it
             raise DatasetError("tokens must be non-empty and newline-free")
         self.tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}
@@ -39,14 +39,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def index(self, token: str) -> int:
         try:
             return self._index[token]
         except KeyError:
-            raise KeyError(f"token {token!r} not in vocabulary") from None
+            raise DatasetError(f"token {token!r} not in vocabulary") from None
 
     def token(self, index: int) -> str:
         return self.tokens[index]
@@ -65,5 +62,4 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([line for line in lines if line != ""])
+        return cls(Path(path).read_text(encoding="utf-8").splitlines())

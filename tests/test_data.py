@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from kuzureader.autodiff import DimensionError
 from kuzureader.data import (
     DatasetError,
-    GenerationError,
     SplitManifest,
     SynthSpec,
     build_spec,
@@ -76,6 +76,13 @@ class TestGlyphs:
         glyphs = make_glyphs(("p",), 12, seed=4)
         assert set(np.unique(glyphs["p"])) <= {0.0, 1.0}
 
+    def test_smallest_glyph_size_is_three(self):
+        assert make_glyphs(("p",), 3, seed=4)["p"].shape == (3, 3)
+        with pytest.raises(DimensionError, match="glyph_size"):
+            make_glyphs(("p",), 2, seed=4)
+        with pytest.raises(DimensionError, match="glyph_size"):
+            build_spec(glyph_size=2)
+
 
 class TestGenerate:
     def test_single_char_document(self):
@@ -126,10 +133,36 @@ class TestGenerate:
 
     def test_glyph_overflow_raises(self):
         glyphs = make_glyphs(("a", "b"), 30, seed=10)
-        spec = SynthSpec(canvas=(64, 64), glyphs=glyphs, lines=(2, 2),
-                         chars=(2, 2), jitter=2, seed=10)
-        with pytest.raises(GenerationError, match="overflow"):
-            generate_document(spec, seed=0)
+        with pytest.raises(DimensionError, match="does not fit the smallest 32x32 cell"):
+            SynthSpec(canvas=(64, 64), glyphs=glyphs, lines=(2, 2), chars=(2, 2), jitter=2,
+                      seed=10)
+
+    @pytest.mark.parametrize("field, value", [("chars", (1, 3)), ("lines", (1, 3))])
+    def test_worst_case_overflow_is_refused_at_build(self, field, value):
+        # one character in one column fits; the most of either does not
+        kwargs = dict(canvas=(64, 64), glyphs=make_glyphs(("a",), 20, seed=12),
+                      lines=(1, 1), chars=(1, 1), jitter=2)
+        SynthSpec(**kwargs)
+        kwargs[field] = value
+        with pytest.raises(DimensionError, match="does not fit"):
+            SynthSpec(**kwargs)
+
+    def test_fit_rule_is_exact_at_its_edge(self):
+        # cells of 14 px at the most chars and lines: (14 - 10) // 2 == jitter
+        glyphs = make_glyphs(("a", "b", "c"), 10, seed=13)
+        spec = SynthSpec(canvas=(42, 28), glyphs=glyphs, lines=(1, 2), chars=(1, 3),
+                         jitter=2, seed=13)
+        vocabulary = spec.vocabulary()
+        for seed in range(50):
+            sample, placements = generate_document_with_layout(spec, seed)
+            for box in placements:
+                assert 0 <= box.top and box.bottom <= 42 and 0 <= box.left and box.right <= 28
+                stamped = sample.image[box.top:box.bottom, box.left:box.right, 0]
+                assert (stamped >= glyphs[vocabulary.token(box.token_index)]).all()
+        # one pixel less on either axis leaves a margin of jitter - 1
+        for canvas in ((39, 28), (42, 26)):
+            with pytest.raises(DimensionError, match="does not fit"):
+                dataclasses.replace(spec, canvas=canvas)
 
     def test_oversized_glyph_rejected_at_spec_build(self):
         glyphs = make_glyphs(("a",), 40, seed=11)

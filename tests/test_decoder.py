@@ -15,11 +15,7 @@ from kuzureader.autodiff import (
     pick,
     sum_all,
 )
-from kuzureader.decoder import (
-    AttentionDecoder,
-    DecoderConfig,
-    SequenceTooLongError,
-)
+from kuzureader.decoder import AttentionDecoder, DecoderConfig
 from kuzureader.encoder import FeatureGrid
 from kuzureader.vocab import Vocabulary
 
@@ -72,7 +68,28 @@ class TestVocabulary:
         with pytest.raises(DatasetError, match="unique"):
             Vocabulary(["<S>", "<E>", "a", "a"])
 
-    @pytest.mark.parametrize("token", ["a\nb", ""])
+    def test_blank_line_in_file_is_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<S>\n<E>\n\na\nb\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="non-empty"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("ending", ["\n", ""], ids=["trailing-newline", "no-newline"])
+    def test_trailing_newline_adds_no_token(self, tmp_path, ending):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<S>\n<E>\na\nb" + ending, encoding="utf-8")
+        loaded = Vocabulary.load(path)
+        assert loaded.tokens == ("<S>", "<E>", "a", "b")
+        assert loaded.index("a") == 2
+
+    def test_unknown_token_is_a_dataset_error(self):
+        v = Vocabulary.from_characters("ab")
+        with pytest.raises(DatasetError, match="'Q' not in vocabulary"):
+            v.index("Q")
+        with pytest.raises(DatasetError, match="'Q'"):
+            v.encode(["a", "Q"])
+
+    @pytest.mark.parametrize("token", ["a\nb", "", "a\r", "x\x0cy", "\u2028"])
     def test_rejects_a_token_the_file_cannot_hold(self, token):
         with pytest.raises(DatasetError, match="newline-free"):
             Vocabulary(["<S>", "<E>", "a", token])
@@ -208,7 +225,7 @@ class TestStep:
         state = dec.initial_state(grid)
         _, state = dec.step(grid, state, vb.START)
         _, state = dec.step(grid, state, 2)
-        with pytest.raises(SequenceTooLongError):
+        with pytest.raises(DimensionError, match="max_decode_len=2"):
             dec.step(grid, state, 2)
 
     def test_attention_memory_is_computed_once_and_carried(self):

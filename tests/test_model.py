@@ -85,6 +85,14 @@ class TestParameters:
         with pytest.raises(DimensionError, match=message):
             model.load_parameter_values(values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_numeric_error(self, bad):
+        model = make_model()
+        values = random_values(model, seed=4)
+        values["enc.stem.bias"][0] = bad
+        with pytest.raises(NumericError, match="enc.stem.bias"):
+            model.load_parameter_values(values)
+
     def test_wrong_shape_raises_dimension_error(self):
         model = make_model()
         values = random_values(model, seed=3)

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import re
 import sys
@@ -51,3 +52,20 @@ def test_model_modules_raise_no_bare_value_error(path):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             assert not (isinstance(exc, ast.Name) and exc.id == "ValueError"), \
                 f"{path.name}:{node.lineno} raises a bare ValueError; raise a typed error"
+
+
+def test_only_the_three_typed_errors_are_defined():
+    classes = [node for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+               if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    defined: set[str] = set()
+    while True:  # grow until no class derives from a builtin or an already found exception
+        found = {node.name for node in classes
+                 if any(getattr(base, "id", getattr(base, "attr", None)) in exceptions | defined
+                        for base in node.bases)}
+        if found == defined:
+            break
+        defined = found
+    assert defined == {"DimensionError", "NumericError", "DatasetError"}
