@@ -27,25 +27,22 @@ Conventions, fixed once for the whole package:
   a copy, so two tensors may share one array (after
   ``backward(sum_all(x + y))``, ``x.grad is y.grad``), and writing into
   one raises ``ValueError`` instead of changing the other. Update a
-  gradient out of place or on a copy.
+  gradient out of place or on a copy;
+* runs are bit-identical for a fixed BLAS thread count. The thread count
+  can change how a product's sums are split, so gradients of the same
+  seed may differ in their last bits between thread counts; compare
+  outputs byte for byte with ``OPENBLAS_NUM_THREADS=1``.
 
-``conv2d`` picks one of two paths from the input's shape and the stride:
-
-* stride 1 on a multi-channel input (the transition convolutions, 1x1
-  included): kh*kw shifted matrix products over the flattened,
-  zero-padded input. No im2col buffer is built; backward keeps only the
-  padded input, about 1/(kh*kw) of what im2col columns take.
-* stride > 1, or a single input channel (the stem): im2col, one product
-  over windowed columns. With one channel each shifted product has an
-  inner extent of 1; on a 256 x 192 page the 3x3 stem took about three
-  times as long that way as one im2col product with an inner extent of
-  9, and its columns are small.
+``conv2d`` is im2col: one matrix product over windowed columns. Its one
+caller in the model is the stem, whose single input channel makes the
+columns small.
 
 ``dense_block`` records a whole DenseNet block as one node. Its layers
 write into one preallocated H x W x C_total buffer, and each reads its
 channel prefix as a strided view, so no layer copies the running feature
-map. Its 3x3 convolutions run the same shifted-product helpers as
-``conv2d``. For backward the node holds only that buffer and each layer's
+map. Its 3x3 convolutions are nine shifted matrix products over the
+flattened, zero-padded bottleneck, so no im2col buffer is built. For
+backward the node holds only that buffer and each layer's
 zero-padded bottleneck activation, which grows linearly with depth where a
 graph of per-layer concatenations grows quadratically; under ``no_grad`` it
 holds nothing per layer and reuses one scratch pad.
@@ -137,25 +134,13 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(value) -> Tensor:
@@ -281,13 +266,6 @@ def mul(a, b) -> Tensor:
     return _record(a.data * b.data,
                    (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
                    (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _record(a.data / b.data,
-                   (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-                   (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def sum_all(a) -> Tensor:
@@ -446,8 +424,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate an H x W x Cin input with a kh x kw x Cin x Cout kernel.
 
     Output extents follow floor((extent + 2*padding - k) / stride) + 1.
-    Stride-1 multi-channel input runs ``_conv2d_shifted``; strided or
-    single-channel input runs im2col (see the module docstring).
+    The input is windowed into im2col columns and multiplied by the
+    flattened kernel once; backward keeps those columns.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -467,9 +445,6 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
                              f"{(hp, wp, cin)} (from {x.shape}, padding {padding})")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    if stride == 1 and cin > 1:
-        return _conv2d_shifted(x, kernel, padding, ho, wo)
-
     kmat = kernel.data.reshape(kh * kw * cin, cout)
     padded = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
     cols = _im2col(padded, kh, kw, stride)
@@ -487,19 +462,18 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
                    (kernel, lambda g: (cols.T @ g.reshape(ho * wo, cout)).reshape(kernel.data.shape)))
 
 
-def _padded_rows(h: int, w: int, c: int, padding: int, kw: int) -> np.ndarray:
-    """Zeros for an h x w x c grid padded by ``padding``, flattened to rows.
+def _padded_rows(h: int, w: int, c: int) -> np.ndarray:
+    """Zeros for an h x w x c grid padded by 1, flattened to rows.
 
-    Row r is padded pixel (r // wp, r % wp); ``kw - 1`` trailing zero rows
-    keep the last shifted product's rows in range.
+    Row r is padded pixel (r // wp, r % wp); two trailing zero rows keep
+    the last shifted product of a 3x3 kernel in range.
     """
-    return np.zeros(((h + 2 * padding) * (w + 2 * padding) + kw - 1, c))
+    return np.zeros(((h + 2) * (w + 2) + 2, c))
 
 
-def _interior(rows: np.ndarray, h: int, w: int, padding: int) -> np.ndarray:
+def _interior(rows: np.ndarray, h: int, w: int) -> np.ndarray:
     """The h x w x c view of the unpadded pixels inside padded ``rows``."""
-    hp, wp = h + 2 * padding, w + 2 * padding
-    return rows[:hp * wp].reshape(hp, wp, -1)[padding:padding + h, padding:padding + w]
+    return rows[:(h + 2) * (w + 2)].reshape(h + 2, w + 2, -1)[1:h + 1, 1:w + 1]
 
 
 def _offsets(kernel_shape: tuple[int, ...], wp: int) -> list[tuple[int, int, int]]:
@@ -523,8 +497,6 @@ def _shifted_products(rows: np.ndarray, kernel: np.ndarray, wp: int, n: int) -> 
 def _widen(g: np.ndarray, wp: int) -> np.ndarray:
     """An ho x wo x C gradient at full padded width (zero columns ``wo..wp-1``) as rows."""
     ho, wo, c = g.shape
-    if wo == wp:
-        return g.reshape(ho * wp, c)
     gw = np.zeros((ho, wp, c))
     gw[:, :wo] = g
     return gw.reshape(ho * wp, c)
@@ -549,33 +521,6 @@ def _shifted_dkernel(rows: np.ndarray, gw: np.ndarray, kernel_shape: tuple[int, 
     for i, j, o in _offsets(kernel_shape, wp):
         dk[i, j] = rows[o:o + n].T @ gw
     return dk
-
-
-def _conv2d_shifted(x: Tensor, kernel: Tensor, padding: int, ho: int, wo: int) -> Tensor:
-    """Stride-1 convolution as kh*kw shifted products over the flattened padded input.
-
-    The padded input is flattened to rows (``_padded_rows``; a view of the
-    input for unpadded kw = 1) and run through ``_shifted_products``.
-    Backward keeps only those rows.
-    """
-    h, w, cin = x.data.shape
-    kh, kw, _, cout = kernel.data.shape
-    wp = w + 2 * padding
-    if padding == 0 and kw == 1:
-        rows = x.data.reshape(h * w, cin)
-    else:
-        rows = _padded_rows(h, w, cin, padding, kw)
-        _interior(rows, h, w, padding)[...] = x.data
-    data = _shifted_products(rows, kernel.data, wp, ho * wp).reshape(ho, wp, cout)[:, :wo]
-    widened = _per_gradient(lambda g: _widen(g, wp))
-
-    def dx(g):
-        return _interior(_shifted_drows(widened(g), kernel.data, wp, len(rows)), h, w, padding)
-
-    def dkernel(g):
-        return _shifted_dkernel(rows, widened(g), kernel.data.shape, wp)
-
-    return _record(data, (x, dx), (kernel, dkernel))
 
 
 def dense_block(x, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
@@ -623,8 +568,8 @@ def dense_block(x, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> T
         reduced += rb.data
         np.maximum(reduced, 0.0, out=reduced)
         if recording or not pads:
-            pads.append(_padded_rows(h, w, reduced.shape[1], 1, 3))
-        _interior(pads[-1], h, w, 1)[...] = reduced.reshape(h, w, -1)
+            pads.append(_padded_rows(h, w, reduced.shape[1]))
+        _interior(pads[-1], h, w)[...] = reduced.reshape(h, w, -1)
         del reduced  # the pad holds it now; keeps the no_grad peak at three bottlenecks
         wide = _shifted_products(pads[-1], ck.data, wp, h * wp)
         wide += cb.data
@@ -642,8 +587,8 @@ def dense_block(x, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> T
             dgrown = grad[:, c:end] * (rows[:, c:end] > 0.0)
             gw = _widen(dgrown.reshape(h, w, -1), wp)
             dpad = _shifted_drows(gw, ck.data, wp, len(pad))
-            active = _interior(pad, h, w, 1) > 0.0
-            dreduced = (_interior(dpad, h, w, 1) * active).reshape(cells, -1)
+            active = _interior(pad, h, w) > 0.0
+            dreduced = (_interior(dpad, h, w) * active).reshape(cells, -1)
             del dpad, active
             dparams[:0] = [(rows[:, :c].T @ dreduced).reshape(rk.data.shape),
                            dreduced.sum(axis=0),

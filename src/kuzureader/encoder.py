@@ -6,7 +6,9 @@ then the three dense blocks of DenseWAP joined by two transition layers.
 Inside a dense block every layer sees the channel-concatenation of all
 previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
 convolution. Transitions halve the channel count with a 1x1 convolution
-and 2x2 average pooling.
+and 2x2 average pooling; that convolution only mixes channels, so it runs
+as one matrix product over the grid's cells, with the H x W x C map viewed
+as (H*W) x C rows.
 
 Channel bookkeeping from an initial 48: a block adds depth * growth_rate
 channels, a transition keeps floor(channels / 2). Each dense
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (DimensionError, NumericError, Tensor, bias_relu, conv2d, dense_block,
-                       pool2d)
+                       matmul, pool2d, reshape)
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
 
@@ -86,8 +88,16 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Compress channels with a 1x1 convolution, then 2x2 average pool."""
-    return pool2d(bias_relu(conv2d(x, kernel), bias), "average")
+    """Compress channels with a 1x1 convolution, then 2x2 average pool.
+
+    The convolution is one (H*W) x Cin by Cin x Cout product. It stays
+    nested inside ``bias_relu`` so the pre-activation map is freed before
+    pooling starts (a named local would keep it alive through ``pool2d``).
+    """
+    h, w, cin = x.shape
+    cout = kernel.shape[3]
+    return pool2d(bias_relu(reshape(matmul(reshape(x, (h * w, cin)), reshape(kernel, (cin, cout))),
+                                    (h, w, cout)), bias), "average")
 
 
 class DenseEncoder:

@@ -36,19 +36,23 @@ class Recognizer:
             return self.decoder.decode_greedy(self.encode(image))
 
     def load_parameter_values(self, values: dict[str, np.ndarray]) -> None:
+        """Replace every parameter's values, or none when any value is refused."""
         params = self.parameters()
         missing = set(params) - set(values)
         extra = set(values) - set(params)
         if missing or extra:
             raise DimensionError(f"parameter name mismatch: missing={sorted(missing)}, "
                                  f"unexpected={sorted(extra)}")
+        checked = {}
         for name, p in params.items():
             value = np.asarray(values[name], dtype=np.float64)
             if value.shape != p.data.shape:
                 raise DimensionError(f"parameter {name}: shape {value.shape} != {p.data.shape}")
             if not np.isfinite(value).all():
                 raise NumericError(f"parameter {name} has non-finite values")
-            p.data = np.ascontiguousarray(value)
+            checked[name] = np.ascontiguousarray(value)
+        for name, value in checked.items():
+            params[name].data = value
 
 
 def pad_to_factor(image: np.ndarray, factor: int, background: float = 0.0) -> np.ndarray:

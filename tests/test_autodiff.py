@@ -67,18 +67,17 @@ def conv_oracle(x, kernel, stride, padding):
     return out
 
 
-# (input shape, kernel shape, stride, padding). Stride-1 multi-channel cases run
-# the shifted-product path; strided or single-channel ones run im2col.
+# (input shape, kernel shape, stride, padding)
 CONV_CASES = [
     ((5, 5, 2), (3, 3, 2, 1), 1, 0),   # output narrower than the padded input
     ((5, 4, 2), (3, 3, 2, 2), 1, 1),
-    ((4, 5, 3), (1, 1, 3, 4), 1, 0),   # 1x1 on a view of the input
+    ((4, 5, 3), (1, 1, 3, 4), 1, 0),   # 1x1, unpadded
     ((3, 4, 2), (1, 1, 2, 3), 1, 1),   # 1x1 with padding
-    ((6, 4, 2), (3, 1, 2, 3), 1, 0),   # kw == 1, unpadded: view with row offsets
+    ((6, 4, 2), (3, 1, 2, 3), 1, 0),   # one kernel column, unpadded
     ((4, 6, 3), (1, 3, 3, 2), 1, 1),
     ((5, 6, 2), (2, 3, 2, 2), 1, 0),
-    ((5, 4, 1), (3, 3, 1, 2), 1, 1),   # single channel: im2col
-    ((5, 5, 2), (3, 3, 2, 1), 2, 1),   # strided: im2col
+    ((5, 4, 1), (3, 3, 1, 2), 1, 1),   # single channel, as in the stem
+    ((5, 5, 2), (3, 3, 2, 1), 2, 1),   # strided
     ((6, 5, 3), (1, 1, 3, 2), 2, 0),
 ]
 
@@ -520,12 +519,11 @@ class TestGraph:
     @pytest.mark.parametrize("op, shapes", [
         (ad.add, [(2, 3), (3,)]),
         (ad.mul, [(2, 3), (2, 1)]),
-        (ad.div, [(2, 3), (3,)]),
         (matmul, [(2, 3), (3, 4)]),
         (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
         (lambda x, k: conv2d(x, k, stride=1, padding=1), [(4, 5, 2), (3, 3, 2, 3)]),
         (lambda x, k: conv2d(x, k, stride=1, padding=1), [(4, 5, 1), (3, 3, 1, 2)]),
-    ], ids=["add", "mul", "div", "matmul", "concat", "conv2d-shifted", "conv2d-im2col"])
+    ], ids=["add", "mul", "matmul", "concat", "conv2d-multi-channel", "conv2d-one-channel"])
     def test_only_the_live_operand_is_linked_and_differentiated(self, op, shapes, live):
         rng = np.random.default_rng(12)
         operands = [Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=i == live)
@@ -586,9 +584,9 @@ class TestGradCheck:
         x = Tensor(np.array([1.0]), requires_grad=True)
 
         def loss():
-            return sum_all(ad.div(x, 0.0))
+            return sum_all(ad.mul(x, np.inf))
 
-        with np.errstate(divide="ignore"), pytest.raises(NumericError):
+        with pytest.raises(NumericError):
             grad_check(loss, [x])
 
     def test_mixed_ops_within_tolerance(self):

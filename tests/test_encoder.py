@@ -12,6 +12,7 @@ from kuzureader.autodiff import (
     conv2d,
     execution_order,
     grad_check,
+    narrow,
     no_grad,
     pool2d,
     sum_all,
@@ -31,11 +32,28 @@ def channel_oracle(initial, growth, depth, blocks, compression):
     return channels
 
 
+def conv3x3_by_taps(x, kernel):
+    """A padded 3x3 convolution as nine 1x1 taps added in row-major order.
+
+    Tap (i, j) convolves the input padded by 1 with kernel entry (i, j) and
+    keeps rows i:i+h and columns j:j+w, so each output sums the same
+    products in the same order as ``dense_block``'s shifted products.
+    """
+    h, w = x.shape[:2]
+    out = None
+    for i in range(3):
+        for j in range(3):
+            tap = conv2d(x, narrow(narrow(kernel, 0, i, 1), 1, j, 1), padding=1)
+            tap = narrow(narrow(tap, 0, i, h), 1, j, w)
+            out = tap if out is None else out + tap
+    return out
+
+
 def composed_block(x, layers):
     """The dense block as the per-layer composition of public ops: the oracle."""
     for reduce_kernel, reduce_bias, conv_kernel, conv_bias in layers:
         reduced = bias_relu(conv2d(x, reduce_kernel), reduce_bias)
-        grown = bias_relu(conv2d(reduced, conv_kernel, padding=1), conv_bias)
+        grown = bias_relu(conv3x3_by_taps(reduced, conv_kernel), conv_bias)
         x = concat_channels([x, grown])
     return x
 
@@ -252,6 +270,25 @@ class TestTransition:
         kernel = Tensor(np.ones((1, 1, 2, 1)))
         with pytest.raises(DimensionError):
             transition(Tensor(np.ones((1, 4, 2))), kernel, Tensor(np.zeros(1)))
+
+    def test_unrecorded_peak_is_two_output_maps(self):
+        # block-0 shapes of a 256 x 192 page; keeping the pre-activation map
+        # alive through pooling adds a quarter map, about 3 MB here
+        h, w, cin, cout = 128, 96, 240, 120
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.uniform(size=(h, w, cin)))
+        kernel = Tensor(rng.normal(scale=cin ** -0.5, size=(1, 1, cin, cout)))
+        bias = Tensor(np.zeros(cout))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = transition(x, kernel, bias)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (h // 2, w // 2, cout)
+        assert peak <= 2 * h * w * cout * 8 + 256 * 1024
 
 
 class TestEncode:

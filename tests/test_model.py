@@ -93,6 +93,17 @@ class TestParameters:
         with pytest.raises(NumericError, match="enc.stem.bias"):
             model.load_parameter_values(values)
 
+    def test_refused_load_leaves_every_parameter_unchanged(self):
+        model = make_model()
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        values = {name: np.full(p.shape, 7.0) for name, p in model.parameters().items()}
+        assert list(values)[-1] == "dec.out.vocab_proj"
+        values["dec.out.vocab_proj"][0, 0] = np.nan
+        with pytest.raises(NumericError, match="dec.out.vocab_proj"):
+            model.load_parameter_values(values)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, before[name])
+
     def test_wrong_shape_raises_dimension_error(self):
         model = make_model()
         values = random_values(model, seed=3)
