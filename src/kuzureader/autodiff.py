@@ -33,9 +33,8 @@ Conventions, fixed once for the whole package:
   seed may differ in their last bits between thread counts; compare
   outputs byte for byte with ``OPENBLAS_NUM_THREADS=1``.
 
-``conv2d`` is im2col: one matrix product over windowed columns. Its one
-caller in the model is the stem, whose single input channel makes the
-columns small.
+The only convolution here is inside ``dense_block``; the encoder's stem
+and transitions are matrix products over fixed rows (see ``encoder``).
 
 ``dense_block`` records a whole DenseNet block as one node. Its layers
 write into one preallocated H x W x C_total buffer, and each reads its
@@ -56,14 +55,14 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible, or a size or setting is out of range.
 
     Raised by the ops on mismatched shapes, by the model and generator
-    settings on invalid sizes, and by a decode step past ``max_decode_len``.
+    settings on invalid sizes, by a decode step past ``max_decode_len``, and
+    by ``encode`` on an image that requires a gradient.
     """
 
 
@@ -71,16 +70,18 @@ class NumericError(ArithmeticError):
     """A value is non-finite or outside its valid range.
 
     Raised when a computation, an input image or a loaded parameter holds a
-    non-finite value, and when an image has a pixel outside [0, 1].
+    non-finite value, and when ``encode`` or ``write_pgm`` gets a pixel
+    outside [0, 1].
     """
 
 
 class DatasetError(RuntimeError):
     """Stored or supplied content is malformed.
 
-    Raised on a malformed dataset directory or graymap, a vocabulary that
-    breaks the file format, a token missing from the vocabulary, sample ids
-    that cannot be split, and an empty evaluation.
+    Raised on a malformed dataset directory or graymap, a dataset image path
+    outside the dataset root, a vocabulary that breaks the file format, a
+    token or token index missing from the vocabulary, sample ids that cannot
+    be split, and an empty evaluation.
     """
 
 
@@ -409,57 +410,6 @@ def matmul(a, b) -> Tensor:
     return _record(a.data @ b.data,
                    (a, lambda g: g @ b.data.T),
                    (b, lambda g: a.data.T @ g))
-
-
-def _im2col(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Window the padded H x W x C input into (Ho*Wo) x (kh*kw*C) columns."""
-    windows = sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride]  # Ho x Wo x C x kh x kw
-    ho, wo = windows.shape[:2]
-    cols = windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * padded.shape[2])
-    return np.ascontiguousarray(cols)
-
-
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate an H x W x Cin input with a kh x kw x Cin x Cout kernel.
-
-    Output extents follow floor((extent + 2*padding - k) / stride) + 1.
-    The input is windowed into im2col columns and multiplied by the
-    flattened kernel once; backward keeps those columns.
-    """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise DimensionError(f"conv2d expects H x W x Cin input and kh x kw x Cin x Cout kernel, "
-                             f"got {x.shape} and {kernel.shape}")
-    h, w, cin = x.data.shape
-    kh, kw, kcin, cout = kernel.data.shape
-    if kcin != cin:
-        raise DimensionError(f"conv2d: input channels {cin} do not match kernel {kernel.shape}")
-    if stride < 1:
-        raise DimensionError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise DimensionError(f"conv2d: padding must be >= 0, got {padding}")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if kh > hp or kw > wp:
-        raise DimensionError(f"conv2d: kernel {kernel.shape} larger than padded input "
-                             f"{(hp, wp, cin)} (from {x.shape}, padding {padding})")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    kmat = kernel.data.reshape(kh * kw * cin, cout)
-    padded = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
-    cols = _im2col(padded, kh, kw, stride)
-    data = (cols @ kmat).reshape(ho, wo, cout)
-
-    def dx(g):
-        dcols = (g.reshape(ho * wo, cout) @ kmat.T).reshape(ho, wo, kh, kw, cin)
-        dpad = np.zeros((hp, wp, cin))
-        for i in range(kh):
-            for j in range(kw):
-                dpad[i:i + ho * stride:stride, j:j + wo * stride:stride] += dcols[:, :, i, j]
-        return dpad[padding:padding + h, padding:padding + w]
-
-    return _record(data, (x, dx),
-                   (kernel, lambda g: (cols.T @ g.reshape(ho * wo, cout)).reshape(kernel.data.shape)))
 
 
 def _padded_rows(h: int, w: int, c: int) -> np.ndarray:

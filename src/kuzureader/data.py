@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import DatasetError, DimensionError
+from .autodiff import DatasetError, DimensionError, NumericError
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -41,13 +41,26 @@ GLYPH_ALPHABET = tuple("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJ")
 # portable graymap IO (binary P5), bit-exact round trip
 
 
+def check_pixels(pixels: np.ndarray) -> None:
+    """Raise ``NumericError`` unless every pixel is a finite value in [0, 1]."""
+    if not np.isfinite(pixels).all():
+        raise NumericError("image has non-finite pixels")
+    if np.min(pixels, initial=0.0) < 0.0 or np.max(pixels, initial=1.0) > 1.0:
+        raise NumericError("image has pixels outside [0, 1]")
+
+
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write an H x W or H x W x 1 array of [0, 1] ink-high values."""
+    """Write an H x W or H x W x 1 array of [0, 1] ink-high values.
+
+    Pixels are checked before the file is opened, so a refused image
+    leaves no file.
+    """
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim == 3:
         if arr.shape[2] != 1:
             raise DimensionError(f"expected single-channel image, got {arr.shape}")
         arr = arr[:, :, 0]
+    check_pixels(arr)
     gray = np.round((1.0 - arr) * 255.0).astype(np.uint8)  # ink -> dark
     h, w = gray.shape
     with open(path, "wb") as fh:
@@ -325,7 +338,11 @@ def save_dataset(samples: Iterable[Sample], root, vocabulary: Vocabulary) -> Non
 
 
 def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
-    """Read a dataset directory; malformed rows are reported with line numbers."""
+    """Read a dataset directory; malformed rows are reported with line numbers.
+
+    An image path must stay under ``root``: an absolute path or a ``..``
+    segment is a malformed row.
+    """
     root = Path(root)
     labels = root / "labels.tsv"
     if not labels.is_file():
@@ -341,6 +358,9 @@ def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
             problems.append(f"line {lineno}: expected 'path<TAB>tokens', got {line!r}")
             continue
         rel, token_text = parts
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            problems.append(f"line {lineno}: image path {rel!r} leaves the dataset root")
+            continue
         image_path = root / rel
         if not image_path.is_file():
             problems.append(f"line {lineno}: image file {rel!r} missing")

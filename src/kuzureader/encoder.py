@@ -3,6 +3,8 @@
 A document image (H x W x 1, values in [0, 1], dark ink mapped high) is
 reduced to a coarse feature grid: a stem convolution with max pooling,
 then the three dense blocks of DenseWAP joined by two transition layers.
+The page is a constant, so the stem is one product of its kh*kw-pixel
+patches with the flattened kernel, and only the kernel is differentiated.
 Inside a dense block every layer sees the channel-concatenation of all
 previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
 convolution. Transitions halve the channel count with a 1x1 convolution
@@ -30,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import (DimensionError, NumericError, Tensor, bias_relu, conv2d, dense_block,
-                       matmul, pool2d, reshape)
+from .autodiff import DimensionError, Tensor, bias_relu, dense_block, matmul, pool2d, reshape
+from .data import check_pixels
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
 
@@ -87,6 +90,21 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def conv2d(image: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
+    """The stem: cross-correlate a constant H x W x 1 page with a kh x kw x 1 x Cout kernel.
+
+    The zero-padded page is cut into one row of kh*kw pixels per output
+    cell, and those (Ho*Wo) x (kh*kw) patches are multiplied by the kernel
+    once. The page gets no gradient; backward keeps the patches.
+    """
+    kh, kw, _, cout = kernel.shape
+    padded = np.pad(image.data[:, :, 0], padding)
+    windows = sliding_window_view(padded, (kh, kw))[::stride, ::stride]
+    ho, wo = windows.shape[:2]
+    patches = Tensor(windows.reshape(ho * wo, kh * kw))
+    return reshape(matmul(patches, reshape(kernel, (kh * kw, cout))), (ho, wo, cout))
+
+
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Compress channels with a 1x1 convolution, then 2x2 average pool.
 
@@ -137,12 +155,16 @@ class DenseEncoder:
 
         Image extents must be divisible by the downsample factor (pad with
         the background value beforehand) and every pixel must be a finite
-        value in [0, 1].
+        value in [0, 1]. The image is a constant: the stem is a patch product
+        that differentiates only its kernel, so an image that requires a
+        gradient is refused.
         """
         if not isinstance(image, Tensor):
             image = Tensor(image)
         if image.ndim != 3 or image.shape[2] != 1:
             raise DimensionError(f"expected H x W x 1 image, got {image.shape}")
+        if image.requires_grad:
+            raise DimensionError("the stem differentiates no image; pass one without requires_grad")
         factor = self.config.downsample_factor
         h, w = image.shape[:2]
         if h % factor or w % factor:
@@ -150,10 +172,7 @@ class DenseEncoder:
                 f"image extents {(h, w)} not divisible by downsample factor {factor}")
         if h // factor < 1 or w // factor < 1:
             raise DimensionError(f"image {(h, w)} too small for downsample factor {factor}")
-        if not np.isfinite(image.data).all():
-            raise NumericError("image has non-finite pixels")
-        if image.data.min() < 0.0 or image.data.max() > 1.0:
-            raise NumericError("image has pixels outside [0, 1]")
+        check_pixels(image.data)
 
         c = self.config
         x = conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,

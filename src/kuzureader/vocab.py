@@ -46,13 +46,15 @@ class Vocabulary:
             raise DatasetError(f"token {token!r} not in vocabulary") from None
 
     def token(self, index: int) -> str:
+        if not 0 <= index < len(self.tokens):
+            raise DatasetError(f"token index {index} outside 0..{len(self.tokens) - 1}")
         return self.tokens[index]
 
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.index(t) for t in tokens)
 
     def decode(self, indices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.tokens[i] for i in indices)
+        return tuple(self.token(i) for i in indices)
 
     def sha256(self) -> str:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()

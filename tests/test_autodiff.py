@@ -16,7 +16,6 @@ from kuzureader.autodiff import (
     backward,
     bias_relu,
     concat_channels,
-    conv2d,
     grad_check,
     logsumexp,
     matmul,
@@ -44,42 +43,6 @@ def matmul_oracle(a, b):
             for l in range(k):
                 out[i, j] += a[i, l] * b[l, j]
     return out
-
-
-def conv_oracle(x, kernel, stride, padding):
-    """Direct-summation cross-correlation."""
-    h, w, cin = x.shape
-    kh, kw, _, cout = kernel.shape
-    padded = np.zeros((h + 2 * padding, w + 2 * padding, cin))
-    padded[padding:padding + h, padding:padding + w] = x
-    ho = (padded.shape[0] - kh) // stride + 1
-    wo = (padded.shape[1] - kw) // stride + 1
-    out = np.zeros((ho, wo, cout))
-    for u in range(ho):
-        for v in range(wo):
-            for o in range(cout):
-                acc = 0.0
-                for i in range(kh):
-                    for j in range(kw):
-                        for c in range(cin):
-                            acc += padded[u * stride + i, v * stride + j, c] * kernel[i, j, c, o]
-                out[u, v, o] = acc
-    return out
-
-
-# (input shape, kernel shape, stride, padding)
-CONV_CASES = [
-    ((5, 5, 2), (3, 3, 2, 1), 1, 0),   # output narrower than the padded input
-    ((5, 4, 2), (3, 3, 2, 2), 1, 1),
-    ((4, 5, 3), (1, 1, 3, 4), 1, 0),   # 1x1, unpadded
-    ((3, 4, 2), (1, 1, 2, 3), 1, 1),   # 1x1 with padding
-    ((6, 4, 2), (3, 1, 2, 3), 1, 0),   # one kernel column, unpadded
-    ((4, 6, 3), (1, 3, 3, 2), 1, 1),
-    ((5, 6, 2), (2, 3, 2, 2), 1, 0),
-    ((5, 4, 1), (3, 3, 1, 2), 1, 1),   # single channel, as in the stem
-    ((5, 5, 2), (3, 3, 2, 1), 2, 1),   # strided
-    ((6, 5, 3), (1, 1, 3, 2), 2, 0),
-]
 
 
 def fd_gradient(loss_fn, param, epsilon=1e-6):
@@ -129,51 +92,6 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
-
-
-class TestConv2d:
-    def test_one_by_one_identity(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 5, 3))
-        kernel = np.eye(3).reshape(1, 1, 3, 3)
-        out = conv2d(Tensor(x), Tensor(kernel), stride=1, padding=0)
-        assert np.allclose(out.data, x, atol=0, rtol=0)
-
-    def test_padded_3x3_preserves_shape(self):
-        out = conv2d(Tensor(np.zeros((6, 9, 2))), Tensor(np.zeros((3, 3, 2, 5))),
-                     stride=1, padding=1)
-        assert out.shape == (6, 9, 5)
-
-    def test_against_direct_summation_oracle(self):
-        rng = np.random.default_rng(3)
-        for x_shape, k_shape, stride, padding in CONV_CASES:
-            x = rng.normal(size=x_shape)
-            k = rng.normal(size=k_shape)
-            out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
-            expected = conv_oracle(x, k, stride, padding)
-            assert out.shape == expected.shape
-            assert np.max(np.abs(out.data - expected)) < 1e-12
-
-    def test_kernel_larger_than_padded_input(self):
-        with pytest.raises(DimensionError, match="larger than padded input"):
-            conv2d(Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros((5, 5, 1, 1))),
-                   stride=1, padding=1)
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(4)
-        for x_shape, k_shape, stride, padding in CONV_CASES:
-            x = Tensor(rng.normal(size=x_shape), requires_grad=True)
-            k = Tensor(rng.normal(size=k_shape), requires_grad=True)
-
-            def loss():
-                return sum_all(tanh(conv2d(x, k, stride=stride, padding=padding)))
-
-            backward(loss())
-            for p in (x, k):
-                numeric = fd_gradient(loss, p)
-                rel = np.abs(p.grad - numeric) / np.maximum(np.abs(numeric), 1.0)
-                assert rel.max() < 1e-5
-            assert grad_check(loss, [x, k]) < 1e-6
 
 
 def sliding_pool2d(x, kind, window=2, stride=2):
@@ -521,9 +439,7 @@ class TestGraph:
         (ad.mul, [(2, 3), (2, 1)]),
         (matmul, [(2, 3), (3, 4)]),
         (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
-        (lambda x, k: conv2d(x, k, stride=1, padding=1), [(4, 5, 2), (3, 3, 2, 3)]),
-        (lambda x, k: conv2d(x, k, stride=1, padding=1), [(4, 5, 1), (3, 3, 1, 2)]),
-    ], ids=["add", "mul", "matmul", "concat", "conv2d-multi-channel", "conv2d-one-channel"])
+    ], ids=["add", "mul", "matmul", "concat"])
     def test_only_the_live_operand_is_linked_and_differentiated(self, op, shapes, live):
         rng = np.random.default_rng(12)
         operands = [Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=i == live)
@@ -541,11 +457,11 @@ class TestGraph:
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 6, 2))
-        k = rng.normal(size=(3, 3, 2, 4))
+        layer = [Tensor(rng.normal(size=shape)) for shape in [(1, 1, 2, 4), (4,), (3, 3, 4, 3), (3,)]]
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = sum_all(softmax_flat(pool2d(conv2d(t, Tensor(k), 1, 1), "max")))
+            out = sum_all(softmax_flat(pool2d(ad.dense_block(t, [layer]), "max")))
             backward(out)
             return out.item(), t.grad.copy()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuzureader.autodiff import DimensionError
+from kuzureader.autodiff import DimensionError, NumericError
 from kuzureader.data import (
     DatasetError,
     SplitManifest,
@@ -45,6 +45,17 @@ class TestPgm:
     def test_write_rejects_multichannel_image(self, tmp_path):
         with pytest.raises(DimensionError, match="single-channel"):
             write_pgm(tmp_path / "img.pgm", np.zeros((2, 2, 3)))
+
+    @pytest.mark.parametrize("bad, message", [
+        (2.0, "outside"), (255.0, "outside"), (-0.5, "outside"), (np.nan, "non-finite"),
+    ], ids=["above-one", "0-255-scale", "negative", "nan"])
+    def test_write_refuses_a_pixel_it_would_wrap_and_creates_no_file(self, tmp_path, bad, message):
+        image = np.zeros((2, 3, 1))
+        image[1, 2, 0] = bad
+        path = tmp_path / "img.pgm"
+        with pytest.raises(NumericError, match=message):
+            write_pgm(path, image)
+        assert not path.exists()
 
     def test_rejects_non_p5(self, tmp_path):
         path = tmp_path / "img.pgm"
@@ -271,6 +282,16 @@ class TestDatasetIO:
         (tmp_path / "labels.tsv").write_text("images/nope.pgm\ta\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="line 1.*missing"):
             load_dataset(tmp_path, Vocabulary.from_characters("a"))
+
+    def test_image_path_outside_the_root_reports_line(self, tmp_path):
+        root = tmp_path / "data"
+        root.mkdir()
+        outside = tmp_path / "outside.pgm"
+        write_pgm(outside, np.zeros((2, 2, 1)))
+        (root / "labels.tsv").write_text(f"../outside.pgm\ta\n{outside}\ta\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="line 1: .*leaves the dataset root.*"
+                                              "line 2: .*leaves the dataset root"):
+            load_dataset(root, Vocabulary.from_characters("a"))
 
     def test_malformed_row_reports_line(self, tmp_path):
         (tmp_path / "labels.tsv").write_text("no-tab-here\n", encoding="utf-8")

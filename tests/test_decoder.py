@@ -52,6 +52,14 @@ class TestVocabulary:
             assert v.index(v.token(i)) == i
             assert v.token(v.index(token)) == token
 
+    def test_index_outside_the_vocabulary_is_refused(self):
+        v = Vocabulary.from_characters("ab")
+        for index in (-1, len(v)):
+            with pytest.raises(DatasetError, match="outside 0..3"):
+                v.token(index)
+        with pytest.raises(DatasetError, match="index -2"):
+            v.decode([-2])
+
     def test_file_roundtrip(self, tmp_path):
         v = Vocabulary.from_characters(list("0123456789"))
         path = tmp_path / "vocab.txt"

@@ -8,18 +8,21 @@ from kuzureader.autodiff import (
     Tensor,
     backward,
     bias_relu,
+    concat,
     concat_channels,
-    conv2d,
     execution_order,
     grad_check,
+    matmul,
     narrow,
     no_grad,
     pool2d,
+    reshape,
     sum_all,
+    tanh,
     zero_grads,
 )
-from kuzureader.encoder import (BLOCKS, DenseEncoder, EncoderConfig, FeatureGrid, dense_block,
-                                transition)
+from kuzureader.encoder import (BLOCKS, DenseEncoder, EncoderConfig, FeatureGrid, conv2d,
+                                dense_block, transition)
 
 
 def channel_oracle(initial, growth, depth, blocks, compression):
@@ -32,19 +35,30 @@ def channel_oracle(initial, growth, depth, blocks, compression):
     return channels
 
 
+def conv1x1(x, kernel):
+    """A 1x1 convolution as one product over the grid's cells."""
+    h, w, cin = x.shape
+    cout = kernel.shape[3]
+    return reshape(matmul(reshape(x, (h * w, cin)), reshape(kernel, (cin, cout))), (h, w, cout))
+
+
 def conv3x3_by_taps(x, kernel):
     """A padded 3x3 convolution as nine 1x1 taps added in row-major order.
 
-    Tap (i, j) convolves the input padded by 1 with kernel entry (i, j) and
-    keeps rows i:i+h and columns j:j+w, so each output sums the same
-    products in the same order as ``dense_block``'s shifted products.
+    The input is zero-padded by 1 with constant tensors. Tap (i, j) takes
+    the h x w window at offset (i, j) and multiplies it by kernel entry
+    (i, j), so each output sums the same products in the same order as
+    ``dense_block``'s shifted products.
     """
-    h, w = x.shape[:2]
+    h, w, c = x.shape
+    column = Tensor(np.zeros((h, 1, c)))
+    row = Tensor(np.zeros((1, w + 2, c)))
+    padded = concat([row, concat([column, x, column], axis=1), row], axis=0)
     out = None
     for i in range(3):
         for j in range(3):
-            tap = conv2d(x, narrow(narrow(kernel, 0, i, 1), 1, j, 1), padding=1)
-            tap = narrow(narrow(tap, 0, i, h), 1, j, w)
+            window = narrow(narrow(padded, 0, i, h), 1, j, w)
+            tap = conv1x1(window, narrow(narrow(kernel, 0, i, 1), 1, j, 1))
             out = tap if out is None else out + tap
     return out
 
@@ -52,7 +66,7 @@ def conv3x3_by_taps(x, kernel):
 def composed_block(x, layers):
     """The dense block as the per-layer composition of public ops: the oracle."""
     for reduce_kernel, reduce_bias, conv_kernel, conv_bias in layers:
-        reduced = bias_relu(conv2d(x, reduce_kernel), reduce_bias)
+        reduced = bias_relu(conv1x1(x, reduce_kernel), reduce_bias)
         grown = bias_relu(conv3x3_by_taps(reduced, conv_kernel), conv_bias)
         x = concat_channels([x, grown])
     return x
@@ -73,6 +87,35 @@ def block_layers(initial, growth, depth, seed, bottleneck=None):
             Tensor(rng.normal(scale=0.1, size=growth), requires_grad=True),
         ))
     return layers
+
+
+def conv_oracle(x, kernel, stride, padding):
+    """Direct-summation cross-correlation."""
+    h, w, cin = x.shape
+    kh, kw, _, cout = kernel.shape
+    padded = np.zeros((h + 2 * padding, w + 2 * padding, cin))
+    padded[padding:padding + h, padding:padding + w] = x
+    ho = (padded.shape[0] - kh) // stride + 1
+    wo = (padded.shape[1] - kw) // stride + 1
+    out = np.zeros((ho, wo, cout))
+    for u in range(ho):
+        for v in range(wo):
+            for o in range(cout):
+                acc = 0.0
+                for i in range(kh):
+                    for j in range(kw):
+                        for c in range(cin):
+                            acc += padded[u * stride + i, v * stride + j, c] * kernel[i, j, c, o]
+                out[u, v, o] = acc
+    return out
+
+
+# (image shape, kernel shape, stride, padding) on one grayscale channel
+STEM_CASES = [
+    ((5, 4, 1), (3, 3, 1, 2), 1, 1),   # the default stem
+    ((7, 6, 1), (3, 3, 1, 3), 2, 1),   # strided
+    ((12, 10, 1), (7, 7, 1, 4), 2, 3),  # DenseWAP's stem
+]
 
 
 def old_order_encode(enc, image):
@@ -122,6 +165,43 @@ class TestConfig:
             EncoderConfig(growth_rate=8, block_depth=4, stem_kernel=2)
         with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=8, block_depth=4, stem_stride=0)
+
+
+class TestStem:
+    """``conv2d``: the stem as one patch product over a constant page."""
+
+    def test_one_by_one_identity(self):
+        x = np.random.default_rng(2).normal(size=(4, 5, 1))
+        out = conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
+        assert np.array_equal(out.data, x)
+
+    def test_padded_3x3_preserves_shape(self):
+        out = conv2d(Tensor(np.zeros((6, 9, 1))), Tensor(np.zeros((3, 3, 1, 5))),
+                     stride=1, padding=1)
+        assert out.shape == (6, 9, 5)
+
+    def test_against_direct_summation_oracle(self):
+        rng = np.random.default_rng(3)
+        for x_shape, k_shape, stride, padding in STEM_CASES:
+            x = rng.normal(size=x_shape)
+            k = rng.normal(size=k_shape)
+            out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
+            expected = conv_oracle(x, k, stride, padding)
+            assert out.shape == expected.shape
+            assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    def test_kernel_gradient_matches_finite_differences_and_the_image_gets_none(self):
+        rng = np.random.default_rng(4)
+        for x_shape, k_shape, stride, padding in STEM_CASES:
+            image = Tensor(rng.normal(size=x_shape), requires_grad=True)
+            kernel = Tensor(rng.normal(size=k_shape), requires_grad=True)
+
+            def loss():
+                return sum_all(tanh(conv2d(image, kernel, stride=stride, padding=padding)))
+
+            assert all(t is not image for t in execution_order(loss()))
+            assert grad_check(loss, [kernel]) < 1e-6
+            assert image.grad is None
 
 
 class TestDenseBlock:
@@ -305,6 +385,11 @@ class TestEncode:
         with no_grad():
             grid = enc.encode(image)
         assert grid.features.shape == (2, 3, 460)
+
+    def test_image_that_requires_grad_rejected(self):
+        enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=1), seed=7)
+        with pytest.raises(DimensionError, match="requires_grad"):
+            enc.encode(Tensor(np.zeros((16, 16, 1)), requires_grad=True))
 
     def test_indivisible_extents_rejected(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=1), seed=7)
