@@ -15,7 +15,6 @@ Conventions, fixed once for the whole package:
 
 * buffers are row-major ``numpy`` float64 arrays;
 * images and feature grids are laid out height x width x channels;
-* convolution is cross-correlation (no kernel flip);
 * pooling (``pool2d``) is a fixed 2x2 window at stride 2, and max-pool
   ties break toward the first corner in row-major scan order;
 * ``backward`` frees the graph it sweeps. Leaves keep their ``grad``
@@ -33,18 +32,7 @@ Conventions, fixed once for the whole package:
   seed may differ in their last bits between thread counts; compare
   outputs byte for byte with ``OPENBLAS_NUM_THREADS=1``.
 
-The only convolution here is inside ``dense_block``; the encoder's stem
-and transitions are matrix products over fixed rows (see ``encoder``).
-
-``dense_block`` records a whole DenseNet block as one node. Its layers
-write into one preallocated H x W x C_total buffer, and each reads its
-channel prefix as a strided view, so no layer copies the running feature
-map. Its 3x3 convolutions are nine shifted matrix products over the
-flattened, zero-padded bottleneck, so no im2col buffer is built. For
-backward the node holds only that buffer and each layer's
-zero-padded bottleneck activation, which grows linearly with depth where a
-graph of per-layer concatenations grows quadratically; under ``no_grad`` it
-holds nothing per layer and reuses one scratch pad.
+No convolution lives here; the encoder's convolutions are in ``encoder``.
 """
 
 from __future__ import annotations
@@ -79,9 +67,10 @@ class DatasetError(RuntimeError):
     """Stored or supplied content is malformed.
 
     Raised on a malformed dataset directory or graymap, a dataset image path
-    outside the dataset root, a vocabulary that breaks the file format, a
-    token or token index missing from the vocabulary, sample ids that cannot
-    be split, and an empty evaluation.
+    or sample id outside the dataset root, a sample id saved twice, a
+    vocabulary that breaks the file format, a token or token index missing
+    from the vocabulary, sample ids that cannot be split, and an empty
+    evaluation.
     """
 
 
@@ -410,144 +399,6 @@ def matmul(a, b) -> Tensor:
     return _record(a.data @ b.data,
                    (a, lambda g: g @ b.data.T),
                    (b, lambda g: a.data.T @ g))
-
-
-def _padded_rows(h: int, w: int, c: int) -> np.ndarray:
-    """Zeros for an h x w x c grid padded by 1, flattened to rows.
-
-    Row r is padded pixel (r // wp, r % wp); two trailing zero rows keep
-    the last shifted product of a 3x3 kernel in range.
-    """
-    return np.zeros(((h + 2) * (w + 2) + 2, c))
-
-
-def _interior(rows: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The h x w x c view of the unpadded pixels inside padded ``rows``."""
-    return rows[:(h + 2) * (w + 2)].reshape(h + 2, w + 2, -1)[1:h + 1, 1:w + 1]
-
-
-def _offsets(kernel_shape: tuple[int, ...], wp: int) -> list[tuple[int, int, int]]:
-    return [(i, j, i * wp + j) for i in range(kernel_shape[0]) for j in range(kernel_shape[1])]
-
-
-def _shifted_products(rows: np.ndarray, kernel: np.ndarray, wp: int, n: int) -> np.ndarray:
-    """Stride-1 convolution at full padded width ``wp``: n x Cout.
-
-    Output pixel (u, v) reads ``rows[u*wp + v + i*wp + j]`` at kernel
-    offset (i, j), so each offset is one product over rows ``o:o + n``
-    with ``o = i*wp + j``. Columns ``wo..wp-1`` of the result wrap into
-    the next row; callers drop them.
-    """
-    wide = rows[:n] @ kernel[0, 0]
-    for i, j, o in _offsets(kernel.shape, wp)[1:]:
-        wide += rows[o:o + n] @ kernel[i, j]
-    return wide
-
-
-def _widen(g: np.ndarray, wp: int) -> np.ndarray:
-    """An ho x wo x C gradient at full padded width (zero columns ``wo..wp-1``) as rows."""
-    ho, wo, c = g.shape
-    gw = np.zeros((ho, wp, c))
-    gw[:, :wo] = g
-    return gw.reshape(ho * wp, c)
-
-
-def _shifted_drows(gw: np.ndarray, kernel: np.ndarray, wp: int, count: int) -> np.ndarray:
-    """Gradient of ``_shifted_products`` with respect to its ``count`` input rows."""
-    n = gw.shape[0]
-    drows = np.empty((count, kernel.shape[2]))
-    np.matmul(gw, kernel[0, 0].T, out=drows[:n])
-    drows[n:] = 0.0
-    for i, j, o in _offsets(kernel.shape, wp)[1:]:
-        drows[o:o + n] += gw @ kernel[i, j].T
-    return drows
-
-
-def _shifted_dkernel(rows: np.ndarray, gw: np.ndarray, kernel_shape: tuple[int, ...],
-                     wp: int) -> np.ndarray:
-    """Gradient of ``_shifted_products`` with respect to its kernel."""
-    n = gw.shape[0]
-    dk = np.empty(kernel_shape)
-    for i, j, o in _offsets(kernel_shape, wp):
-        dk[i, j] = rows[o:o + n].T @ gw
-    return dk
-
-
-def dense_block(x, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
-    """A DenseNet block over an H x W x C0 input, recorded as one graph node.
-
-    ``layers`` holds one ``(reduce_kernel, reduce_bias, conv_kernel,
-    conv_bias)`` tuple per layer: a 1 x 1 x C_l x B kernel with B biases,
-    then a 3 x 3 x B x G kernel (pad 1) with G biases, where C_l is the
-    channel count the layer sees. Layer l computes
-    ``relu(conv3x3(relu(conv1x1(prefix) + rb)) + cb)`` from the first C_l
-    channels and appends its G channels, so the output has the input's
-    extents and C0 + sum(G) channels. An empty list returns ``x`` itself.
-
-    Every layer writes into one preallocated output buffer and reads its
-    channel prefix as a view, so nothing is concatenated. The node holds
-    that buffer and, when recording, each layer's padded bottleneck
-    activation; one reverse sweep over a single gradient buffer serves
-    every edge. Without recording, one scratch pad is reused and nothing
-    is kept per layer.
-    """
-    x = _as_tensor(x)
-    if not layers:
-        return x
-    if x.data.ndim != 3:
-        raise DimensionError(f"dense_block expects an H x W x C input, got {x.shape}")
-    h, w, c0 = x.data.shape
-    starts = [c0]
-    for rk, rb, ck, cb in layers:
-        b, g = rb.data.size, cb.data.size
-        if ((rk.data.shape, rb.data.shape, ck.data.shape, cb.data.shape)
-                != ((1, 1, starts[-1], b), (b,), (3, 3, b, g), (g,))):
-            raise DimensionError(
-                f"dense_block layer {len(starts) - 1} on {starts[-1]} channels has kernels "
-                f"{rk.shape}, {ck.shape} and biases {rb.shape}, {cb.shape}")
-        starts.append(starts[-1] + g)
-    params = [p for layer in layers for p in layer]
-    cells, ctot, wp = h * w, starts[-1], w + 2
-    buf = np.empty((h, w, ctot))
-    buf[..., :c0] = x.data
-    rows = buf.reshape(cells, ctot)
-    recording = _grad_enabled.get() and any(t.requires_grad for t in (x, *params))
-    pads: list[np.ndarray] = []
-    for (rk, rb, ck, cb), c, end in zip(layers, starts, starts[1:]):
-        reduced = rows[:, :c] @ rk.data[0, 0]
-        reduced += rb.data
-        np.maximum(reduced, 0.0, out=reduced)
-        if recording or not pads:
-            pads.append(_padded_rows(h, w, reduced.shape[1]))
-        _interior(pads[-1], h, w)[...] = reduced.reshape(h, w, -1)
-        del reduced  # the pad holds it now; keeps the no_grad peak at three bottlenecks
-        wide = _shifted_products(pads[-1], ck.data, wp, h * wp)
-        wide += cb.data
-        np.maximum(wide, 0.0, out=wide)
-        buf[..., c:end] = wide.reshape(h, wp, -1)[:, :w]
-    if not recording:
-        return Tensor(buf)
-
-    @_per_gradient
-    def sweep(g):
-        """Input gradient, then each parameter's, in ``params`` order."""
-        grad = np.array(g).reshape(cells, ctot)  # writable; layers add into its prefix
-        dparams = []
-        for (rk, rb, ck, cb), c, end, pad in reversed(list(zip(layers, starts, starts[1:], pads))):
-            dgrown = grad[:, c:end] * (rows[:, c:end] > 0.0)
-            gw = _widen(dgrown.reshape(h, w, -1), wp)
-            dpad = _shifted_drows(gw, ck.data, wp, len(pad))
-            active = _interior(pad, h, w) > 0.0
-            dreduced = (_interior(dpad, h, w) * active).reshape(cells, -1)
-            del dpad, active
-            dparams[:0] = [(rows[:, :c].T @ dreduced).reshape(rk.data.shape),
-                           dreduced.sum(axis=0),
-                           _shifted_dkernel(pad, gw, ck.data.shape, wp),
-                           dgrown.sum(axis=0)]
-            grad[:, :c] += dreduced @ rk.data[0, 0].T
-        return [grad[:, :c0].reshape(h, w, c0), *dparams]
-
-    return _record(buf, *[(t, lambda g, k=k: sweep(g)[k]) for k, t in enumerate((x, *params))])
 
 
 def pool2d(x, kind: str) -> Tensor:

@@ -11,7 +11,8 @@ On-disk layout of a dataset directory:
     root/labels.tsv          one row per sample: image path <TAB> tokens
     root/images/<id>.pgm     binary P5 graymap, lossless
     root/vocab.txt           vocabulary file
-    root/split.json          train/validation/test manifest
+    root/split.json          train/validation/test manifest, written separately
+                             by ``SplitManifest.save``
 
 Images store ink as dark pixels (PGM value 0); in memory pixels live in
 [0, 1] with dark ink mapped high (ink = 1.0, background = 0.0).
@@ -49,12 +50,8 @@ def check_pixels(pixels: np.ndarray) -> None:
         raise NumericError("image has pixels outside [0, 1]")
 
 
-def write_pgm(path, image: np.ndarray) -> None:
-    """Write an H x W or H x W x 1 array of [0, 1] ink-high values.
-
-    Pixels are checked before the file is opened, so a refused image
-    leaves no file.
-    """
+def _pgm_bytes(image: np.ndarray) -> bytes:
+    """The P5 graymap of an H x W or H x W x 1 array of [0, 1] ink-high values."""
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim == 3:
         if arr.shape[2] != 1:
@@ -63,9 +60,16 @@ def write_pgm(path, image: np.ndarray) -> None:
     check_pixels(arr)
     gray = np.round((1.0 - arr) * 255.0).astype(np.uint8)  # ink -> dark
     h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes()
+
+
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write an H x W or H x W x 1 array of [0, 1] ink-high values.
+
+    Pixels are checked before the file is opened, so a refused image
+    leaves no file.
+    """
+    Path(path).write_bytes(_pgm_bytes(image))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -320,18 +324,36 @@ def make_split(ids: Sequence[str], ratio: tuple[int, int] = (9, 1),
 # dataset directories
 
 
+def _inside_root(rel) -> bool:
+    """Whether a dataset-relative path stays under the root: not absolute, no ``..`` segment."""
+    path = Path(rel)
+    return not path.is_absolute() and ".." not in path.parts
+
+
 def save_dataset(samples: Iterable[Sample], root, vocabulary: Vocabulary) -> None:
-    """Write labels.tsv, images/ and vocab.txt under ``root``."""
+    """Write labels.tsv, images/ and vocab.txt under ``root``.
+
+    Every id and target is checked, and every image encoded, before the
+    first write, so a refused save writes nothing. An id whose image would
+    leave ``root`` (a ``..`` segment), an id that names another sample's
+    image, and a target outside the vocabulary raise ``DatasetError``.
+    """
     root = Path(root)
-    (root / "images").mkdir(parents=True, exist_ok=True)
+    images: dict[Path, bytes] = {}
     rows = []
     for sample in samples:
-        rel = f"images/{sample.id}.pgm"
-        target_path = root / rel
-        target_path.parent.mkdir(parents=True, exist_ok=True)
-        write_pgm(target_path, sample.image)
+        rel = Path(f"images/{sample.id}.pgm")
+        if not _inside_root(rel):
+            raise DatasetError(f"sample id {sample.id!r} leaves the dataset root")
+        if rel in images:
+            raise DatasetError(f"sample id {sample.id!r} names the same image as an earlier one")
         tokens = " ".join(vocabulary.token(i) for i in sample.target)
-        rows.append(f"{rel}\t{tokens}")
+        images[rel] = _pgm_bytes(sample.image)
+        rows.append(f"{rel.as_posix()}\t{tokens}")
+    (root / "images").mkdir(parents=True, exist_ok=True)
+    for rel, payload in images.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(payload)
     (root / "labels.tsv").write_text("\n".join(rows) + ("\n" if rows else ""),
                                      encoding="utf-8")
     vocabulary.save(root / "vocab.txt")
@@ -358,7 +380,7 @@ def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
             problems.append(f"line {lineno}: expected 'path<TAB>tokens', got {line!r}")
             continue
         rel, token_text = parts
-        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+        if not _inside_root(rel):
             problems.append(f"line {lineno}: image path {rel!r} leaves the dataset root")
             continue
         image_path = root / rel

@@ -3,38 +3,38 @@
 A document image (H x W x 1, values in [0, 1], dark ink mapped high) is
 reduced to a coarse feature grid: a stem convolution with max pooling,
 then the three dense blocks of DenseWAP joined by two transition layers.
-The page is a constant, so the stem is one product of its kh*kw-pixel
-patches with the flattened kernel, and only the kernel is differentiated.
-Inside a dense block every layer sees the channel-concatenation of all
-previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
-convolution. Transitions halve the channel count with a 1x1 convolution
-and 2x2 average pooling; that convolution only mixes channels, so it runs
-as one matrix product over the grid's cells, with the H x W x C map viewed
-as (H*W) x C rows.
+Convolution is cross-correlation (no kernel flip). The page is a
+constant, so the stem is one product of its kh*kw-pixel patches with the
+flattened kernel, and only the kernel is differentiated. Inside a dense
+block (``dense_block``, one graph node) every layer sees the
+channel-concatenation of all previous outputs; a 1x1 bottleneck (4x the
+growth rate) precedes each 3x3 convolution. Transitions halve the channel
+count with a 1x1 convolution and 2x2 average pooling; that convolution
+only mixes channels, so it runs as one matrix product over the grid's
+cells, with the H x W x C map viewed as (H*W) x C rows.
 
 Channel bookkeeping from an initial 48: a block adds depth * growth_rate
-channels, a transition keeps floor(channels / 2). Each dense
-block is one graph node (``autodiff.dense_block``): its layers fill one
-preallocated channel buffer, and for backward it holds that buffer plus
-each layer's padded bottleneck activation; under ``no_grad`` it holds
-nothing per layer. The stem and transition convolutions take their bias
-and rectifier from ``bias_relu`` as one graph node, so the unrectified sum
-is never kept. The stem max-pools before that node, which is exact:
-``fl(x + b)`` is monotone in ``x`` and ReLU is monotone, so
-``max(relu(x + b)) == relu(max(x) + b)`` bit for bit; bias and ReLU then
-run on a quarter-size grid instead of copying the largest map in the
-model at full size. There is no batch normalization, which keeps runs
-bit-deterministic.
+channels, a transition keeps floor(channels / 2). The stem and transition
+convolutions take their bias and rectifier from ``bias_relu`` as one graph
+node, so the unrectified sum is never kept. The stem max-pools before that
+node, which is exact: ``fl(x + b)`` is monotone in ``x`` and ReLU is
+monotone, so ``max(relu(x + b)) == relu(max(x) + b)`` bit for bit; bias
+and ReLU then run on a quarter-size grid instead of copying the largest
+map in the model at full size. There is no batch normalization, which
+keeps runs bit-deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import DimensionError, Tensor, bias_relu, dense_block, matmul, pool2d, reshape
+from .autodiff import (DimensionError, Tensor, _grad_enabled, _per_gradient, _record, bias_relu,
+                       matmul, pool2d, reshape)
 from .data import check_pixels
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
@@ -103,6 +103,136 @@ def conv2d(image: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
     ho, wo = windows.shape[:2]
     patches = Tensor(windows.reshape(ho * wo, kh * kw))
     return reshape(matmul(patches, reshape(kernel, (kh * kw, cout))), (ho, wo, cout))
+
+
+def _padded_rows(h: int, w: int, c: int) -> np.ndarray:
+    """Zeros for an h x w x c grid padded by 1, flattened to rows.
+
+    Row r is padded pixel (r // wp, r % wp); two trailing zero rows keep
+    the last shifted product of a 3x3 kernel in range.
+    """
+    return np.zeros(((h + 2) * (w + 2) + 2, c))
+
+
+def _interior(rows: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The h x w x c view of the unpadded pixels inside padded ``rows``."""
+    return rows[:(h + 2) * (w + 2)].reshape(h + 2, w + 2, -1)[1:h + 1, 1:w + 1]
+
+
+def _offsets(kernel_shape: tuple[int, ...], wp: int) -> list[tuple[int, int, int]]:
+    return [(i, j, i * wp + j) for i in range(kernel_shape[0]) for j in range(kernel_shape[1])]
+
+
+def _shifted_products(rows: np.ndarray, kernel: np.ndarray, wp: int, n: int) -> np.ndarray:
+    """Stride-1 convolution at full padded width ``wp``: n x Cout.
+
+    Output pixel (u, v) reads ``rows[u*wp + v + i*wp + j]`` at kernel
+    offset (i, j), so each offset is one product over rows ``o:o + n``
+    with ``o = i*wp + j``. Columns ``wo..wp-1`` of the result wrap into
+    the next row; callers drop them.
+    """
+    wide = rows[:n] @ kernel[0, 0]
+    for i, j, o in _offsets(kernel.shape, wp)[1:]:
+        wide += rows[o:o + n] @ kernel[i, j]
+    return wide
+
+
+def _widen(g: np.ndarray, wp: int) -> np.ndarray:
+    """An ho x wo x C gradient at full padded width (zero columns ``wo..wp-1``) as rows."""
+    ho, wo, c = g.shape
+    gw = np.zeros((ho, wp, c))
+    gw[:, :wo] = g
+    return gw.reshape(ho * wp, c)
+
+
+def _shifted_drows(gw: np.ndarray, kernel: np.ndarray, wp: int, count: int) -> np.ndarray:
+    """Gradient of ``_shifted_products`` with respect to its ``count`` input rows."""
+    n = gw.shape[0]
+    drows = np.empty((count, kernel.shape[2]))
+    np.matmul(gw, kernel[0, 0].T, out=drows[:n])
+    drows[n:] = 0.0
+    for i, j, o in _offsets(kernel.shape, wp)[1:]:
+        drows[o:o + n] += gw @ kernel[i, j].T
+    return drows
+
+
+def _shifted_dkernel(rows: np.ndarray, gw: np.ndarray, kernel_shape: tuple[int, ...],
+                     wp: int) -> np.ndarray:
+    """Gradient of ``_shifted_products`` with respect to its kernel."""
+    n = gw.shape[0]
+    dk = np.empty(kernel_shape)
+    for i, j, o in _offsets(kernel_shape, wp):
+        dk[i, j] = rows[o:o + n].T @ gw
+    return dk
+
+
+def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
+    """A DenseNet block over an H x W x C0 input, recorded as one graph node.
+
+    ``layers`` holds one ``(reduce_kernel, reduce_bias, conv_kernel,
+    conv_bias)`` tuple per layer: a 1 x 1 x C_l x B kernel with B biases,
+    then a 3 x 3 x B x G kernel (pad 1) with G biases, where C_l is the
+    channel count the layer sees. Layer l computes
+    ``relu(conv3x3(relu(conv1x1(prefix) + rb)) + cb)`` from the first C_l
+    channels and appends its G channels, so the output has the input's
+    extents and C0 + sum(G) channels. An empty list returns ``x`` itself.
+
+    Every layer writes into one preallocated output buffer and reads its
+    channel prefix as a view, so nothing is concatenated. Each 3x3
+    convolution is nine shifted matrix products over the flattened,
+    zero-padded bottleneck, so no im2col buffer is built. The node holds
+    the output buffer and, when recording, each layer's padded bottleneck
+    activation, which grows linearly with depth where a graph of per-layer
+    concatenations grows quadratically; one reverse sweep over a single
+    gradient buffer serves every edge. Without recording, one scratch pad
+    is reused and nothing is kept per layer.
+    """
+    if not layers:
+        return x
+    h, w, c0 = x.data.shape
+    starts = list(accumulate((cb.data.size for *_, cb in layers), initial=c0))
+    params = [p for layer in layers for p in layer]
+    cells, ctot, wp = h * w, starts[-1], w + 2
+    buf = np.empty((h, w, ctot))
+    buf[..., :c0] = x.data
+    rows = buf.reshape(cells, ctot)
+    recording = _grad_enabled.get() and any(t.requires_grad for t in (x, *params))
+    pads: list[np.ndarray] = []
+    for (rk, rb, ck, cb), c, end in zip(layers, starts, starts[1:]):
+        reduced = rows[:, :c] @ rk.data[0, 0]
+        reduced += rb.data
+        np.maximum(reduced, 0.0, out=reduced)
+        if recording or not pads:
+            pads.append(_padded_rows(h, w, reduced.shape[1]))
+        _interior(pads[-1], h, w)[...] = reduced.reshape(h, w, -1)
+        del reduced  # the pad holds it now; keeps the no_grad peak at three bottlenecks
+        wide = _shifted_products(pads[-1], ck.data, wp, h * wp)
+        wide += cb.data
+        np.maximum(wide, 0.0, out=wide)
+        buf[..., c:end] = wide.reshape(h, wp, -1)[:, :w]
+    if not recording:
+        return Tensor(buf)
+
+    @_per_gradient
+    def sweep(g):
+        """Input gradient, then each parameter's, in ``params`` order."""
+        grad = np.array(g).reshape(cells, ctot)  # writable; layers add into its prefix
+        dparams = []
+        for (rk, rb, ck, cb), c, end, pad in reversed(list(zip(layers, starts, starts[1:], pads))):
+            dgrown = grad[:, c:end] * (rows[:, c:end] > 0.0)
+            gw = _widen(dgrown.reshape(h, w, -1), wp)
+            dpad = _shifted_drows(gw, ck.data, wp, len(pad))
+            active = _interior(pad, h, w) > 0.0
+            dreduced = (_interior(dpad, h, w) * active).reshape(cells, -1)
+            del dpad, active
+            dparams[:0] = [(rows[:, :c].T @ dreduced).reshape(rk.data.shape),
+                           dreduced.sum(axis=0),
+                           _shifted_dkernel(pad, gw, ck.data.shape, wp),
+                           dgrown.sum(axis=0)]
+            grad[:, :c] += dreduced @ rk.data[0, 0].T
+        return [grad[:, :c0].reshape(h, w, c0), *dparams]
+
+    return _record(buf, *[(t, lambda g, k=k: sweep(g)[k]) for k, t in enumerate((x, *params))])
 
 
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:

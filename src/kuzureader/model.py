@@ -56,7 +56,9 @@ class Recognizer:
 
 
 def pad_to_factor(image: np.ndarray, factor: int, background: float = 0.0) -> np.ndarray:
-    """Pad an H x W x C image at the bottom/right to multiples of ``factor``."""
+    """Pad an H x W x C image at the bottom/right to multiples of ``factor`` (at least 1)."""
+    if factor < 1:
+        raise DimensionError(f"padding factor must be >= 1, got {factor}")
     h, w = image.shape[:2]
     ph = (-h) % factor
     pw = (-w) % factor

@@ -30,6 +30,7 @@ from kuzureader.autodiff import (
     tanh,
     zero_grads,
 )
+from kuzureader.encoder import dense_block
 
 
 def matmul_oracle(a, b):
@@ -461,7 +462,7 @@ class TestGraph:
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = sum_all(softmax_flat(pool2d(ad.dense_block(t, [layer]), "max")))
+            out = sum_all(softmax_flat(pool2d(dense_block(t, [layer]), "max")))
             backward(out)
             return out.item(), t.grad.copy()
 

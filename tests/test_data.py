@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kuzureader.autodiff import DimensionError, NumericError
 from kuzureader.data import (
     DatasetError,
+    Sample,
     SplitManifest,
     SynthSpec,
     build_spec,
@@ -292,6 +293,29 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 1: .*leaves the dataset root.*"
                                               "line 2: .*leaves the dataset root"):
             load_dataset(root, Vocabulary.from_characters("a"))
+
+    def test_id_that_leaves_the_root_is_refused_and_nothing_is_written(self, tmp_path):
+        image = np.zeros((2, 2, 1))
+        root = tmp_path / "a" / "ds"
+        samples = [Sample(image, (0,), "good"), Sample(image, (0,), "../../escaped")]
+        with pytest.raises(DatasetError, match="leaves the dataset root"):
+            save_dataset(samples, root, Vocabulary.from_characters("a"))
+        assert sorted(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("ids", [("x", "x"), ("x", "./x"), ("sub/x", "sub//x")],
+                             ids=["same", "dot-segment", "double-slash"])
+    def test_ids_naming_one_image_are_refused_and_nothing_is_written(self, tmp_path, ids):
+        samples = [Sample(np.full((2, 2, 1), k / 2), (0,), i) for k, i in enumerate(ids)]
+        with pytest.raises(DatasetError, match="same image"):
+            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
+        assert sorted(tmp_path.rglob("*")) == []
+
+    def test_refused_target_writes_nothing(self, tmp_path):
+        image = np.zeros((2, 2, 1))
+        samples = [Sample(image, (0,), "good"), Sample(image, (-1,), "bad")]
+        with pytest.raises(DatasetError, match="token index -1"):
+            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
+        assert sorted(tmp_path.rglob("*")) == []
 
     def test_malformed_row_reports_line(self, tmp_path):
         (tmp_path / "labels.tsv").write_text("no-tab-here\n", encoding="utf-8")

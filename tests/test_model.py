@@ -7,7 +7,7 @@ from kuzureader import data, vocab
 from kuzureader.autodiff import DimensionError, NumericError, backward, logsumexp, pick
 from kuzureader.decoder import AttentionDecoder, DecoderConfig
 from kuzureader.encoder import BLOCKS, EncoderConfig
-from kuzureader.model import Recognizer
+from kuzureader.model import Recognizer, pad_to_factor
 from kuzureader.vocab import Vocabulary
 
 
@@ -143,6 +143,20 @@ class TestRecognize:
         image[where] = bad
         with pytest.raises(NumericError, match=message):
             model.recognize(image)
+
+
+class TestPadToFactor:
+    def test_pads_bottom_and_right_to_multiples_with_the_background(self):
+        image = np.ones((5, 8, 1))
+        padded = pad_to_factor(image, 4, background=0.25)
+        assert padded.shape == (8, 8, 1)
+        assert np.array_equal(padded[:5], image) and np.all(padded[5:] == 0.25)
+        assert pad_to_factor(padded, 4) is padded
+
+    @pytest.mark.parametrize("factor", [0, -8])
+    def test_factor_below_one_is_a_dimension_error(self, factor):
+        with pytest.raises(DimensionError, match="factor"):
+            pad_to_factor(np.zeros((5, 8, 1)), factor)
 
 
 class TestTrainingStep:

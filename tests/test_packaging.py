@@ -37,6 +37,19 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 assert module.split(".")[0] in allowed, f"{path.name} imports {module}"
 
 
+def test_autodiff_imports_no_other_package_module():
+    for node in ast.walk(ast.parse((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            assert not module.startswith(".") and module.split(".")[0] != "kuzureader", \
+                f"autodiff.py:{node.lineno} imports {module}"
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
