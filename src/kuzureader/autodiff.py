@@ -67,10 +67,10 @@ class DatasetError(RuntimeError):
     """Stored or supplied content is malformed.
 
     Raised on a malformed dataset directory or graymap, a dataset image path
-    or sample id outside the dataset root, a sample id saved twice, a
-    vocabulary that breaks the file format, a token or token index missing
-    from the vocabulary, sample ids that cannot be split, and an empty
-    evaluation.
+    or sample id outside the dataset root, a sample id saved twice or one
+    holding a tab or a line break, a vocabulary that breaks the file or
+    dataset format, a token or token index missing from the vocabulary,
+    sample ids that cannot be split, and an empty evaluation.
     """
 
 

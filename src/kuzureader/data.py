@@ -336,7 +336,8 @@ def save_dataset(samples: Iterable[Sample], root, vocabulary: Vocabulary) -> Non
     Every id and target is checked, and every image encoded, before the
     first write, so a refused save writes nothing. An id whose image would
     leave ``root`` (a ``..`` segment), an id that names another sample's
-    image, and a target outside the vocabulary raise ``DatasetError``.
+    image, an id holding a tab or a line break (``labels.tsv`` could not
+    hold its row), and a target outside the vocabulary raise ``DatasetError``.
     """
     root = Path(root)
     images: dict[Path, bytes] = {}
@@ -347,9 +348,12 @@ def save_dataset(samples: Iterable[Sample], root, vocabulary: Vocabulary) -> Non
             raise DatasetError(f"sample id {sample.id!r} leaves the dataset root")
         if rel in images:
             raise DatasetError(f"sample id {sample.id!r} names the same image as an earlier one")
+        path = rel.as_posix()
+        if "\t" in path or path.splitlines() != [path]:
+            raise DatasetError(f"sample id {sample.id!r} holds a tab or a line break")
         tokens = " ".join(vocabulary.token(i) for i in sample.target)
         images[rel] = _pgm_bytes(sample.image)
-        rows.append(f"{rel.as_posix()}\t{tokens}")
+        rows.append(f"{path}\t{tokens}")
     (root / "images").mkdir(parents=True, exist_ok=True)
     for rel, payload in images.items():
         (root / rel).parent.mkdir(parents=True, exist_ok=True)

@@ -11,10 +11,18 @@ embedding + projected hidden + projected context.
 
 The cell features and their projection (the attention keys) do not
 change from step to step, so ``initial_state`` computes them once per
-image and the state carries them; under teacher forcing the keys gather
-their gradient from every step and take one backward product. The LSTM
-gate pre-activations are laid out in/forget/out/candidate and go through
-one sigmoid over the first three blocks and one tanh over the last.
+image and the state carries them. The LSTM input weights come as context
+rows and embedding rows. The embedding rows' term, plus the gate bias,
+depends on the previous token alone, so ``initial_state`` also takes it
+once per image, as a per-token table (vocabulary x 4H), and each step
+reads one row. Building the table is one V x E by E x 4H product: it
+reads the E x 4H weights once, as one step's product did, and does V
+steps' worth of multiply-adds, so it pays once a decode runs more steps
+than the vocabulary has tokens. Under teacher forcing the keys and the
+table gather their gradient from every step and take one backward
+product each. The LSTM gate pre-activations are laid out
+in/forget/out/candidate and go through one sigmoid over the first three
+blocks and one tanh over the last.
 
 Coverage starts at zero and accumulates one attention map per step, so
 the decoder can remember which regions it has already read. Decoding is
@@ -32,7 +40,6 @@ from . import vocab as vb
 from .autodiff import (
     DimensionError,
     Tensor,
-    concat,
     matmul,
     mul,
     narrow,
@@ -64,11 +71,15 @@ class DecoderState:
 
     ``features`` is the grid the state was built from, ``flat`` its cells
     as rows (cells x C) and ``keys`` their projection through
-    ``att.feature_proj`` (cells x att); every step passes them on as they are.
+    ``att.feature_proj`` (cells x att). ``token_gates`` holds, per token,
+    the gate pre-activation's embedding term plus the gate bias
+    (vocabulary x 4H). Like ``keys`` it is built once per image, and every
+    step passes these on as they are.
     """
     features: Tensor
     flat: Tensor
     keys: Tensor
+    token_gates: Tensor
     h: Tensor
     cell: Tensor
     coverage: Tensor
@@ -127,7 +138,9 @@ class AttentionDecoder:
             "att.hidden_proj": Tensor(_uniform(rng, (hidden, att), hidden), requires_grad=True),
             "att.coverage_proj": Tensor(_uniform(rng, (1, att), 1), requires_grad=True),
             "att.energy": Tensor(_uniform(rng, (att, 1), att), requires_grad=True),
-            "lstm.input_w": Tensor(_uniform(rng, (lstm_in, 4 * hidden), lstm_in), requires_grad=True),
+            # the rows of one (C+E) x 4H draw: context rows, then embedding rows
+            "lstm.context_w": Tensor(_uniform(rng, (channels, 4 * hidden), lstm_in), requires_grad=True),
+            "lstm.embed_w": Tensor(_uniform(rng, (embed, 4 * hidden), lstm_in), requires_grad=True),
             "lstm.hidden_w": Tensor(_uniform(rng, (hidden, 4 * hidden), hidden), requires_grad=True),
             "lstm.bias": Tensor(lstm_bias, requires_grad=True),
             "out.hidden_proj": Tensor(_uniform(rng, (hidden, embed), hidden), requires_grad=True),
@@ -136,7 +149,7 @@ class AttentionDecoder:
         }
 
     def initial_state(self, grid: FeatureGrid) -> DecoderState:
-        """Per-image attention memory, zero hidden/cell state and zero coverage."""
+        """Per-image attention memory and token gate table, zero hidden/cell state and coverage."""
         feats = grid.features
         gh, gw, gc = feats.shape
         if gc != self.feature_channels:
@@ -148,6 +161,8 @@ class AttentionDecoder:
             features=feats,
             flat=flat,
             keys=matmul(flat, self.params["att.feature_proj"]),
+            token_gates=(matmul(self.params["embed.table"], self.params["lstm.embed_w"])
+                         + self.params["lstm.bias"]),
             h=Tensor(np.zeros((1, hidden))),
             cell=Tensor(np.zeros((1, hidden))),
             coverage=Tensor(np.zeros((gh, gw))),
@@ -194,9 +209,9 @@ class AttentionDecoder:
         alpha, context = self.attend(state)
         embedded = narrow(self.params["embed.table"], 0, prev_token, 1)
 
-        gates = (matmul(concat([context, embedded], axis=1), self.params["lstm.input_w"])
-                 + matmul(state.h, self.params["lstm.hidden_w"])
-                 + self.params["lstm.bias"])
+        gates = (matmul(context, self.params["lstm.context_w"])
+                 + narrow(state.token_gates, 0, prev_token, 1)
+                 + matmul(state.h, self.params["lstm.hidden_w"]))
         in_forget_out = sigmoid(narrow(gates, 1, 0, 3 * hidden))
         in_gate, forget_gate, out_gate = (narrow(in_forget_out, 1, k * hidden, hidden)
                                           for k in range(3))
@@ -213,6 +228,7 @@ class AttentionDecoder:
             features=state.features,
             flat=state.flat,
             keys=state.keys,
+            token_gates=state.token_gates,
             h=h,
             cell=cell,
             coverage=state.coverage + alpha,

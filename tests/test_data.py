@@ -310,6 +310,15 @@ class TestDatasetIO:
             save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
         assert sorted(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("sample_id", ["x\ty", "x\ny", "x\r", "x\u2028y"])
+    def test_id_the_labels_file_cannot_hold_is_refused_and_nothing_is_written(self, tmp_path,
+                                                                             sample_id):
+        image = np.zeros((2, 2, 1))
+        samples = [Sample(image, (0,), "good"), Sample(image, (0,), sample_id)]
+        with pytest.raises(DatasetError, match="tab or a line break"):
+            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
+        assert sorted(tmp_path.rglob("*")) == []
+
     def test_refused_target_writes_nothing(self, tmp_path):
         image = np.zeros((2, 2, 1))
         samples = [Sample(image, (0,), "good"), Sample(image, (-1,), "bad")]

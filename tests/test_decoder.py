@@ -16,7 +16,7 @@ from kuzureader.autodiff import (
     sum_all,
 )
 from kuzureader.decoder import AttentionDecoder, DecoderConfig
-from kuzureader.encoder import FeatureGrid
+from kuzureader.encoder import FeatureGrid, _uniform
 from kuzureader.vocab import Vocabulary
 
 
@@ -97,7 +97,7 @@ class TestVocabulary:
         with pytest.raises(DatasetError, match="'Q'"):
             v.encode(["a", "Q"])
 
-    @pytest.mark.parametrize("token", ["a\nb", "", "a\r", "x\x0cy", "\u2028"])
+    @pytest.mark.parametrize("token", ["a\nb", "", "a\r", "x\x0cy", "\u2028", "a b", "a\tb"])
     def test_rejects_a_token_the_file_cannot_hold(self, token):
         with pytest.raises(DatasetError, match="newline-free"):
             Vocabulary(["<S>", "<E>", "a", token])
@@ -245,6 +245,7 @@ class TestStep:
         _, state1 = dec.step(grid, state, vb.START)
         _, state2 = dec.step(grid, state1, 2)
         assert state2.flat is state.flat and state2.keys is state.keys
+        assert state2.token_gates is state.token_gates
         assert state2.features is grid.features
 
     def test_step_rejects_a_grid_other_than_the_states(self):
@@ -267,22 +268,57 @@ class TestStep:
         dec = make_decoder(channels=3, vocab_size=5, hidden=3, embed=3, att=2, seed=17)
         grid = FeatureGrid(features=Tensor(np.random.default_rng(17).normal(size=(2, 2, 3)),
                                            requires_grad=True))
-        target = (2, 4, vb.END)
-
-        def loss():
-            state = dec.initial_state(grid)
-            prev, total = vb.START, None
-            for token in target:
-                logits, state = dec.step(grid, state, prev)
-                term = logsumexp(logits) - pick(logits, token)
-                total = term if total is None else total + term
-                prev = token
-            return total
-
         params = [*dec.params.values(), grid.features]
-        assert len(params) == 12
-        assert grad_check(loss, params) < 1e-6
-        assert all(p.grad is not None and np.any(p.grad != 0) for p in params)
+        assert len(params) == 13
+        # the second target feeds one token gate row from two steps
+        for target in ((2, 4, vb.END), (2, 2, vb.END)):
+            def loss():
+                state = dec.initial_state(grid)
+                prev, total = vb.START, None
+                for token in target:
+                    logits, state = dec.step(grid, state, prev)
+                    term = logsumexp(logits) - pick(logits, token)
+                    total = term if total is None else total + term
+                    prev = token
+                return total
+
+            assert grad_check(loss, params) < 1e-6
+            assert all(p.grad is not None and np.any(p.grad != 0) for p in params)
+
+    def test_lstm_input_rows_are_one_draw_split_in_two(self):
+        channels, vocab_size, hidden, embed, att = 6, 5, 8, 8, 4
+        dec = make_decoder(channels, vocab_size, hidden, embed, att, seed=22)
+        rng = np.random.default_rng(np.random.SeedSequence([22, 0xDEC]))
+        for shape, fan_in in (((vocab_size, embed), embed), ((channels, att), channels),
+                              ((hidden, att), hidden), ((1, att), 1), ((att, 1), att)):
+            _uniform(rng, shape, fan_in)
+        whole = _uniform(rng, (channels + embed, 4 * hidden), channels + embed)
+        assert np.array_equal(np.vstack([dec.params["lstm.context_w"].data,
+                                         dec.params["lstm.embed_w"].data]), whole)
+        assert np.array_equal(dec.params["lstm.hidden_w"].data,
+                              _uniform(rng, (hidden, 4 * hidden), hidden))
+
+    def test_step_matches_the_unsplit_lstm_input_product(self):
+        hidden = 8
+        dec = make_decoder(hidden=hidden, seed=23)
+        grid = make_grid(3, 2, 6, seed=23)
+        p = {name: t.data for name, t in dec.params.items()}
+        input_w = np.vstack([p["lstm.context_w"], p["lstm.embed_w"]])
+        state = dec.initial_state(grid)
+        for prev in (vb.START, 2, 2, 4, 3):
+            _, context = dec.attend(state)
+            embedded = p["embed.table"][prev:prev + 1]
+            gates = (np.concatenate([context.data, embedded], axis=1) @ input_w
+                     + state.h.data @ p["lstm.hidden_w"] + p["lstm.bias"])
+            sig = 1.0 / (1.0 + np.exp(-gates[:, :3 * hidden]))
+            in_gate, forget_gate, out_gate = (sig[:, k * hidden:(k + 1) * hidden] for k in range(3))
+            cell = forget_gate * state.cell.data + in_gate * np.tanh(gates[:, 3 * hidden:])
+            h = out_gate * np.tanh(cell)
+            expected = (embedded + h @ p["out.hidden_proj"]
+                        + context.data @ p["out.context_proj"]) @ p["out.vocab_proj"]
+            logits, state = dec.step(grid, state, prev)
+            assert np.max(np.abs(logits.data - expected[0])) < 1e-12
+            assert np.max(np.abs(state.cell.data - cell)) < 1e-12
 
     def test_gradient_flows_into_coverage_weights(self):
         dec = make_decoder(channels=3, vocab_size=4, hidden=4, embed=4, att=3, seed=9)
