@@ -148,6 +148,15 @@ def _record(data: np.ndarray, *edges: tuple[Tensor, Vjp]) -> Tensor:
     return out
 
 
+def _recording(*inputs: Tensor) -> bool:
+    """Whether an op over ``inputs`` records a node: grad is on and some input needs one.
+
+    A fused op checks this before it builds its vjps, so under ``no_grad``
+    it keeps no closures or backward buffers.
+    """
+    return _grad_enabled.get() and any(t.requires_grad for t in inputs)
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` to ``t.grad`` and make the stored array read-only."""
     g = g if t.grad is None else t.grad + g
@@ -269,14 +278,18 @@ def tanh(a) -> Tensor:
     return _record(y, (a, lambda g: g * (1.0 - y * y)))
 
 
-def sigmoid(a) -> Tensor:
-    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
-    a = _as_tensor(a)
-    x = a.data
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in a new array; exp only ever sees -|x|, so it cannot overflow."""
     with np.errstate(under="ignore"):  # exp(-|x|) below the subnormals is 0, the limit
         e = np.exp(-np.abs(x))
     d = 1.0 + e
-    y = np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def sigmoid(a) -> Tensor:
+    """Logistic function, overflow-safe (``_logistic``)."""
+    a = _as_tensor(a)
+    y = _logistic(a.data)
     return _record(y, (a, lambda g: g * y * (1.0 - y)))
 
 
@@ -294,6 +307,14 @@ def bias_relu(x, b) -> Tensor:
                    (b, lambda g: _unbroadcast(masked(g), b.data.shape)))
 
 
+def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max(x)) / sum over all entries, into ``out`` (which may be ``x``) or a new array."""
+    y = np.subtract(x, x.max(), out=out)
+    np.exp(y, out=y)
+    y /= y.sum()
+    return y
+
+
 def softmax_flat(a) -> Tensor:
     """Softmax over all entries, stabilized by max subtraction.
 
@@ -301,9 +322,7 @@ def softmax_flat(a) -> Tensor:
     to one.
     """
     a = _as_tensor(a)
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    y = e / e.sum()
+    y = _softmax(a.data)
     return _record(y, (a, lambda g: y * (g - (g * y).sum())))
 
 

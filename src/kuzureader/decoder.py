@@ -9,20 +9,45 @@ cell features. The LSTM cell then consumes [context; previous-token
 embedding], and the output distribution is a linear read-out of
 embedding + projected hidden + projected context.
 
-The cell features and their projection (the attention keys) do not
-change from step to step, so ``initial_state`` computes them once per
-image and the state carries them. The LSTM input weights come as context
-rows and embedding rows. The embedding rows' term, plus the gate bias,
-depends on the previous token alone, so ``initial_state`` also takes it
-once per image, as a per-token table (vocabulary x 4H), and each step
-reads one row. Building the table is one V x E by E x 4H product: it
-reads the E x 4H weights once, as one step's product did, and does V
-steps' worth of multiply-adds, so it pays once a decode runs more steps
-than the vocabulary has tokens. Under teacher forcing the keys and the
-table gather their gradient from every step and take one backward
-product each. The LSTM gate pre-activations are laid out
-in/forget/out/candidate and go through one sigmoid over the first three
-blocks and one tanh over the last.
+Per image, ``initial_state`` builds what does not change from step to
+step, and the state carries it:
+
+* the cell features as rows and their projection (the attention keys);
+* ``token_gates`` (V x 4H): per token, the LSTM input weights' embedding
+  rows applied to its embedding, plus the gate bias. One V x E by E x 4H
+  product;
+* the read-out folded to vocabulary width. The read-out
+  ``(embedding + h P_h + context P_c) W_o`` is linear, so it is the sum of
+  three terms, each taken through ``W_o`` once per decode:
+  ``token_logits = embed.table W_o`` (V x V), ``hidden_logits = P_h W_o``
+  (H x V) and ``context_logits = P_c W_o`` (C x V). Their products cost
+  E x V x (V + H + C) multiply-adds, and a step then does (H + C) x V in
+  place of E x (H + C + V).
+
+Each table's product does about V steps' worth of the work it saves, so it
+pays once a decode runs more steps than the vocabulary has tokens. Under
+teacher forcing the tables are matmul nodes that gather their gradient
+from every step and take one backward product each, so training reaches
+every parameter.
+
+A step is a few fused graph nodes. Each computes its forward in place, in
+the order of the composition of ``autodiff`` ops it replaces (so the map,
+context, cell, hidden state and coverage are bit-equal to it, and only the
+logits' sum is regrouped), and records no vjps under ``no_grad``:
+
+* ``_attention_weights``: the map, softmax(tanh(keys + h U_h + coverage
+  u_c) e) over all cells. It keeps the tanh (cells x att) and the map;
+* the context, one product of the map with the cell rows;
+* ``_gate_sum``: the gate pre-activations, context W_c +
+  token_gates[prev] + h W_h (1 x 4H), laid out in/forget/out/candidate.
+  It keeps nothing of its own;
+* ``_lstm``: the memory ``f * c + i * tanh(candidate)`` and the output
+  ``o * tanh(memory)``, two nodes sharing one logistic over the first
+  three gate blocks. The memory keeps it and the candidate's tanh, the
+  output its tanh of the memory;
+* ``_readout``: the logits, token_logits[prev] + h hidden_logits +
+  context context_logits. It keeps nothing of its own;
+* the new coverage, the old one plus the map.
 
 Coverage starts at zero and accumulates one attention map per step, so
 the decoder can remember which regions it has already read. Decoding is
@@ -40,15 +65,18 @@ from . import vocab as vb
 from .autodiff import (
     DimensionError,
     Tensor,
+    _logistic,
+    _per_gradient,
+    _record,
+    _recording,
+    _scattered,
+    _softmax,
     matmul,
-    mul,
-    narrow,
     no_grad,
     reshape,
-    sigmoid,
-    softmax_flat,
-    tanh,
 )
+# not called here: module attributes that bench/spans.py wraps by name, like matmul
+from .autodiff import narrow, sigmoid, softmax_flat, tanh  # noqa: F401
 from .encoder import FeatureGrid, _uniform
 
 
@@ -73,13 +101,18 @@ class DecoderState:
     as rows (cells x C) and ``keys`` their projection through
     ``att.feature_proj`` (cells x att). ``token_gates`` holds, per token,
     the gate pre-activation's embedding term plus the gate bias
-    (vocabulary x 4H). Like ``keys`` it is built once per image, and every
-    step passes these on as they are.
+    (vocabulary x 4H). ``token_logits`` (V x V), ``hidden_logits`` (H x V)
+    and ``context_logits`` (C x V) are the read-out's three terms taken
+    through ``out.vocab_proj``. All of these are built once per image,
+    and every step passes them on as they are.
     """
     features: Tensor
     flat: Tensor
     keys: Tensor
     token_gates: Tensor
+    token_logits: Tensor
+    hidden_logits: Tensor
+    context_logits: Tensor
     h: Tensor
     cell: Tensor
     coverage: Tensor
@@ -109,6 +142,122 @@ class GreedyResult:
         return self.stop_reason == "limit"
 
 
+def _attention_weights(keys: Tensor, h: Tensor, hidden_proj: Tensor, coverage: Tensor,
+                       coverage_proj: Tensor, energy: Tensor) -> Tensor:
+    """The attention map softmax(tanh(keys + h U_h + coverage u_c) e) as one node.
+
+    ``keys`` is cells x att, ``h`` 1 x H, ``hidden_proj`` H x att,
+    ``coverage`` the gh x gw map, ``coverage_proj`` 1 x att and ``energy``
+    att x 1; the map has the coverage's shape. The softmax runs over all
+    cells. Backward keeps the tanh and the map.
+    """
+    gh, gw = coverage.shape
+    cells = gh * gw
+    column = coverage.data.reshape(cells, 1)
+    act = keys.data + h.data @ hidden_proj.data
+    act += column * coverage_proj.data
+    np.tanh(act, out=act)
+    scores = act @ energy.data
+    y = _softmax(scores, out=scores)
+    alpha = y.reshape(gh, gw)
+    if not _recording(keys, h, hidden_proj, coverage, coverage_proj, energy):
+        return Tensor(alpha)
+
+    @_per_gradient
+    def dscores(g):
+        g = g.reshape(cells, 1)
+        return y * (g - (g * y).sum())
+
+    @_per_gradient
+    def dpre(g):
+        d = dscores(g) @ energy.data.T
+        d *= 1.0 - act * act
+        return d
+
+    @_per_gradient
+    def dquery(g):
+        return dpre(g).sum(axis=0, keepdims=True)
+
+    return _record(alpha,
+                   (keys, dpre),
+                   (h, lambda g: dquery(g) @ hidden_proj.data.T),
+                   (hidden_proj, lambda g: h.data.T @ dquery(g)),
+                   (coverage, lambda g: (dpre(g) @ coverage_proj.data.T).reshape(gh, gw)),
+                   (coverage_proj, lambda g: column.T @ dpre(g)),
+                   (energy, lambda g: act.T @ dscores(g)))
+
+
+def _gate_sum(context: Tensor, context_w: Tensor, token_gates: Tensor, prev_token: int,
+              h: Tensor, hidden_w: Tensor) -> Tensor:
+    """The 1 x 4H LSTM gate pre-activations context W_c + token_gates[prev] + h W_h as one node."""
+    gates = context.data @ context_w.data
+    gates += token_gates.data[prev_token]
+    gates += h.data @ hidden_w.data
+    if not _recording(context, context_w, token_gates, h, hidden_w):
+        return Tensor(gates)
+    return _record(gates,
+                   (context, lambda g: g @ context_w.data.T),
+                   (context_w, lambda g: context.data.T @ g),
+                   (token_gates, lambda g: _scattered(token_gates.data, prev_token, g[0])),
+                   (h, lambda g: g @ hidden_w.data.T),
+                   (hidden_w, lambda g: h.data.T @ g))
+
+
+def _lstm(gates: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
+    """The LSTM update from 1 x 4H gate pre-activations (in/forget/out/candidate): (memory, output).
+
+    Two nodes: the memory ``f * cell + i * tanh(candidate)`` and the output
+    ``o * tanh(memory)``, where i, f and o are one logistic over the first
+    three blocks. The memory node keeps that logistic and the candidate's
+    tanh, the output node its tanh of the memory.
+    """
+    hidden = cell.shape[1]
+    ifo = _logistic(gates.data[:, :3 * hidden])
+    in_gate, forget_gate, out_gate = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
+    candidate = np.tanh(gates.data[:, 3 * hidden:])
+    memory = forget_gate * cell.data
+    memory += in_gate * candidate
+    squashed = np.tanh(memory)
+    output = out_gate * squashed
+    if not _recording(gates, cell):
+        return Tensor(memory), Tensor(output)
+
+    def dgates_of_memory(g):
+        d = np.zeros_like(gates.data)  # the output gate's block stays zero
+        d[:, :hidden] = g * candidate
+        d[:, hidden:2 * hidden] = g * cell.data
+        d[:, :3 * hidden] *= ifo
+        d[:, :3 * hidden] *= 1.0 - ifo
+        d[:, 3 * hidden:] = g * in_gate * (1.0 - candidate * candidate)
+        return d
+
+    def dgates_of_output(g):
+        d = np.zeros_like(gates.data)
+        d[:, 2 * hidden:3 * hidden] = g * squashed * out_gate * (1.0 - out_gate)
+        return d
+
+    memory_node = _record(memory, (gates, dgates_of_memory), (cell, lambda g: g * forget_gate))
+    return memory_node, _record(output, (gates, dgates_of_output),
+                                (memory_node, lambda g: g * out_gate * (1.0 - squashed * squashed)))
+
+
+def _readout(token_logits: Tensor, prev_token: int, h: Tensor, hidden_logits: Tensor,
+             context: Tensor, context_logits: Tensor) -> Tensor:
+    """The V logits token_logits[prev] + h hidden_logits + context context_logits as one node."""
+    y = h.data @ hidden_logits.data
+    y += token_logits.data[prev_token]
+    y += context.data @ context_logits.data
+    logits = y.reshape(-1)
+    if not _recording(token_logits, h, hidden_logits, context, context_logits):
+        return Tensor(logits)
+    return _record(logits,
+                   (token_logits, lambda g: _scattered(token_logits.data, prev_token, g)),
+                   (h, lambda g: g[None] @ hidden_logits.data.T),
+                   (hidden_logits, lambda g: h.data.T @ g[None]),
+                   (context, lambda g: g[None] @ context_logits.data.T),
+                   (context_logits, lambda g: context.data.T @ g[None]))
+
+
 class AttentionDecoder:
     """Weight-bearing decoder over a fixed vocabulary and feature width.
 
@@ -122,8 +271,6 @@ class AttentionDecoder:
         if vocab_size < 2:
             raise DimensionError("vocabulary must contain at least the start/end markers")
         self.config = config
-        self.feature_channels = feature_channels
-        self.vocab_size = vocab_size
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC]))
         hidden, embed, att = config.hidden_size, config.embed_size, config.attention_size
         channels = feature_channels
@@ -148,21 +295,32 @@ class AttentionDecoder:
             "out.vocab_proj": Tensor(_uniform(rng, (embed, vocab_size), embed), requires_grad=True),
         }
 
+    @property
+    def vocab_size(self) -> int:
+        return self.params["out.vocab_proj"].shape[1]
+
+    @property
+    def feature_channels(self) -> int:
+        return self.params["att.feature_proj"].shape[0]
+
     def initial_state(self, grid: FeatureGrid) -> DecoderState:
-        """Per-image attention memory and token gate table, zero hidden/cell state and coverage."""
+        """Per-image attention memory and token tables, zero hidden/cell state and coverage."""
         feats = grid.features
         gh, gw, gc = feats.shape
         if gc != self.feature_channels:
             raise DimensionError(f"feature grid has {gc} channels, decoder expects "
                                  f"{self.feature_channels}")
+        p = self.params
         flat = reshape(feats, (gh * gw, gc))
         hidden = self.config.hidden_size
         return DecoderState(
             features=feats,
             flat=flat,
-            keys=matmul(flat, self.params["att.feature_proj"]),
-            token_gates=(matmul(self.params["embed.table"], self.params["lstm.embed_w"])
-                         + self.params["lstm.bias"]),
+            keys=matmul(flat, p["att.feature_proj"]),
+            token_gates=matmul(p["embed.table"], p["lstm.embed_w"]) + p["lstm.bias"],
+            token_logits=matmul(p["embed.table"], p["out.vocab_proj"]),
+            hidden_logits=matmul(p["out.hidden_proj"], p["out.vocab_proj"]),
+            context_logits=matmul(p["out.context_proj"], p["out.vocab_proj"]),
             h=Tensor(np.zeros((1, hidden))),
             cell=Tensor(np.zeros((1, hidden))),
             coverage=Tensor(np.zeros((gh, gw))),
@@ -175,17 +333,11 @@ class AttentionDecoder:
         to 1; context is the alpha-weighted sum of cell features as a
         1 x C row.
         """
-        gh, gw = state.coverage.shape
-        cells = gh * gw
-        # coverage term as a broadcast (cells x 1) * (1 x att): one product per entry,
-        # the same values as the k=1 matmul
-        energy_in = (state.keys
-                     + matmul(state.h, self.params["att.hidden_proj"])
-                     + mul(reshape(state.coverage, (cells, 1)), self.params["att.coverage_proj"]))
-        energies = matmul(tanh(energy_in), self.params["att.energy"])
-        alpha_flat = softmax_flat(energies)
-        context = matmul(reshape(alpha_flat, (1, cells)), state.flat)
-        return reshape(alpha_flat, (gh, gw)), context
+        p = self.params
+        alpha = _attention_weights(state.keys, state.h, p["att.hidden_proj"], state.coverage,
+                                   p["att.coverage_proj"], p["att.energy"])
+        context = matmul(reshape(alpha, (1, state.flat.shape[0])), state.flat)
+        return alpha, context
 
     def step(self, grid: FeatureGrid, state: DecoderState, prev_token: int):
         """Advance one step given the previously emitted token index.
@@ -204,31 +356,22 @@ class AttentionDecoder:
         if state.t > self.config.max_decode_len:
             raise DimensionError(
                 f"decode step {state.t} exceeds max_decode_len={self.config.max_decode_len}")
-        hidden = self.config.hidden_size
+        p = self.params
 
         alpha, context = self.attend(state)
-        embedded = narrow(self.params["embed.table"], 0, prev_token, 1)
-
-        gates = (matmul(context, self.params["lstm.context_w"])
-                 + narrow(state.token_gates, 0, prev_token, 1)
-                 + matmul(state.h, self.params["lstm.hidden_w"]))
-        in_forget_out = sigmoid(narrow(gates, 1, 0, 3 * hidden))
-        in_gate, forget_gate, out_gate = (narrow(in_forget_out, 1, k * hidden, hidden)
-                                          for k in range(3))
-        candidate = tanh(narrow(gates, 1, 3 * hidden, hidden))
-        cell = mul(forget_gate, state.cell) + mul(in_gate, candidate)
-        h = mul(out_gate, tanh(cell))
-
-        readout = (embedded
-                   + matmul(h, self.params["out.hidden_proj"])
-                   + matmul(context, self.params["out.context_proj"]))
-        logits = reshape(matmul(readout, self.params["out.vocab_proj"]), (self.vocab_size,))
-
+        gates = _gate_sum(context, p["lstm.context_w"], state.token_gates, prev_token,
+                          state.h, p["lstm.hidden_w"])
+        cell, h = _lstm(gates, state.cell)
+        logits = _readout(state.token_logits, prev_token, h, state.hidden_logits,
+                          context, state.context_logits)
         new_state = DecoderState(
             features=state.features,
             flat=state.flat,
             keys=state.keys,
             token_gates=state.token_gates,
+            token_logits=state.token_logits,
+            hidden_logits=state.hidden_logits,
+            context_logits=state.context_logits,
             h=h,
             cell=cell,
             coverage=state.coverage + alpha,

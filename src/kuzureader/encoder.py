@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import (DimensionError, Tensor, _grad_enabled, _per_gradient, _record, bias_relu,
+from .autodiff import (DimensionError, Tensor, _per_gradient, _record, _recording, bias_relu,
                        matmul, pool2d, reshape)
 from .data import check_pixels
 
@@ -196,7 +196,7 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     buf = np.empty((h, w, ctot))
     buf[..., :c0] = x.data
     rows = buf.reshape(cells, ctot)
-    recording = _grad_enabled.get() and any(t.requires_grad for t in (x, *params))
+    recording = _recording(x, *params)
     pads: list[np.ndarray] = []
     for (rk, rb, ck, cb), c, end in zip(layers, starts, starts[1:]):
         reduced = rows[:, :c] @ rk.data[0, 0]

@@ -1,21 +1,40 @@
+import contextlib
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from kuzureader import autodiff
+from kuzureader import decoder as decoder_mod
 from kuzureader import vocab as vb
 from kuzureader.autodiff import (
     DatasetError,
     DimensionError,
     Tensor,
     backward,
+    execution_order,
     grad_check,
     logsumexp,
+    matmul,
+    mul,
+    narrow,
+    no_grad,
     pick,
+    reshape,
+    sigmoid,
+    softmax_flat,
     sum_all,
+    tanh,
 )
-from kuzureader.decoder import AttentionDecoder, DecoderConfig
+from kuzureader.decoder import (
+    AttentionDecoder,
+    DecoderConfig,
+    _attention_weights,
+    _gate_sum,
+    _lstm,
+    _readout,
+)
 from kuzureader.encoder import FeatureGrid, _uniform
 from kuzureader.vocab import Vocabulary
 
@@ -113,6 +132,20 @@ class TestConfig:
     def test_vocabulary_without_both_markers_raises_dimension_error(self):
         with pytest.raises(DimensionError, match="start/end markers"):
             make_decoder(vocab_size=1)
+
+    def test_sizes_are_read_from_the_parameter_shapes(self):
+        dec = make_decoder(channels=6, vocab_size=7)
+        assert (dec.vocab_size, dec.feature_channels) == (7, 6)
+        assert "vocab_size" not in vars(dec) and "feature_channels" not in vars(dec)
+        with pytest.raises(AttributeError):
+            dec.vocab_size = 3
+        with pytest.raises(AttributeError):
+            dec.feature_channels = 3
+
+    def test_step_ops_stay_module_attributes(self):
+        # a traced benchmark run wraps these by name to time a step's ops
+        for name in ("matmul", "tanh", "sigmoid", "narrow", "softmax_flat"):
+            assert getattr(decoder_mod, name) is getattr(autodiff, name)
 
 
 class TestAttend:
@@ -336,6 +369,137 @@ class TestStep:
         backward(loss())
         assert dec.params["att.coverage_proj"].grad is not None
         assert np.any(dec.params["att.coverage_proj"].grad != 0)
+
+
+class TestFusedNodes:
+    """Each fused node of a step, on its own and against the ops it replaces."""
+
+    @staticmethod
+    def weighted(t, seed):
+        """A scalar that reaches every entry of ``t`` with a distinct weight."""
+        return sum_all(mul(t, Tensor(np.random.default_rng(seed).normal(size=t.shape))))
+
+    def test_attention_weights_gradients(self):
+        rng = np.random.default_rng(30)
+        gh, gw, hidden, att = 2, 3, 4, 3
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in
+                  ((gh * gw, att), (1, hidden), (hidden, att), (gh, gw), (1, att), (att, 1))]
+        inputs[3].data = np.abs(inputs[3].data)  # coverage is a sum of maps
+        alpha = _attention_weights(*inputs)
+        assert alpha.shape == (gh, gw) and abs(alpha.data.sum() - 1.0) < 1e-12
+        assert grad_check(lambda: self.weighted(_attention_weights(*inputs), 31), inputs) < 1e-6
+
+    def test_gate_sum_gradients_with_a_token_row_read_twice(self):
+        rng = np.random.default_rng(32)
+        channels, vocab_size, hidden = 3, 4, 2
+        context, context_w, token_gates, h, hidden_w = (
+            Tensor(rng.normal(size=shape), requires_grad=True) for shape in
+            ((1, channels), (channels, 4 * hidden), (vocab_size, 4 * hidden), (1, hidden),
+             (hidden, 4 * hidden)))
+        inputs = [context, context_w, token_gates, h, hidden_w]
+
+        def loss():
+            total = None
+            for k, token in enumerate((2, 3, 2)):
+                term = self.weighted(_gate_sum(context, context_w, token_gates, token, h,
+                                               hidden_w), 33 + k)
+                total = term if total is None else total + term
+            return total
+
+        assert grad_check(loss, inputs) < 1e-6
+        gathered = token_gates.grad
+        assert np.all(gathered[[0, 1]] == 0.0) and np.all(gathered[[2, 3]] != 0.0)
+
+    def test_lstm_gradients(self):
+        rng = np.random.default_rng(36)
+        hidden = 3
+        gates = Tensor(rng.normal(size=(1, 4 * hidden)), requires_grad=True)
+        cell = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
+
+        def loss():
+            memory, output = _lstm(gates, cell)
+            return self.weighted(memory, 37) + self.weighted(output, 38)
+
+        assert grad_check(loss, [gates, cell]) < 1e-6
+        assert np.all(gates.grad != 0.0)
+
+    def test_readout_gradients_with_a_token_row_read_twice(self):
+        rng = np.random.default_rng(39)
+        vocab_size, hidden, channels = 5, 3, 2
+        token_logits, h, hidden_logits, context, context_logits = (
+            Tensor(rng.normal(size=shape), requires_grad=True) for shape in
+            ((vocab_size, vocab_size), (1, hidden), (hidden, vocab_size), (1, channels),
+             (channels, vocab_size)))
+        inputs = [token_logits, h, hidden_logits, context, context_logits]
+
+        def loss():
+            total = None
+            for k, token in enumerate((4, 0, 4)):
+                logits = _readout(token_logits, token, h, hidden_logits, context, context_logits)
+                term = logsumexp(logits) - pick(logits, k)
+                total = term if total is None else total + term
+            return total
+
+        assert grad_check(loss, inputs) < 1e-6
+        assert np.all(token_logits.grad[[1, 2, 3]] == 0.0)
+        assert np.all(token_logits.grad[[0, 4]] != 0.0)
+
+    @pytest.mark.parametrize("recording", [True, False], ids=["recording", "no_grad"])
+    def test_five_steps_match_the_composed_ops(self, recording):
+        hidden = 8
+        dec = make_decoder(hidden=hidden, seed=40)
+        grid = FeatureGrid(features=Tensor(np.random.default_rng(40).normal(size=(3, 2, 6)),
+                                           requires_grad=True))
+        p = dec.params
+        flat = reshape(grid.features, (6, 6))
+        keys = matmul(flat, p["att.feature_proj"])
+        token_gates = matmul(p["embed.table"], p["lstm.embed_w"]) + p["lstm.bias"]
+        h, cell = Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden)))
+        coverage = Tensor(np.zeros((3, 2)))
+        with contextlib.ExitStack() as stack:
+            if not recording:
+                stack.enter_context(no_grad())
+            state = dec.initial_state(grid)
+            for prev in (vb.START, 2, 2, 4, 3):
+                # the step as autodiff ops, in the order the fused nodes keep
+                energy_in = (keys + matmul(h, p["att.hidden_proj"])
+                             + mul(reshape(coverage, (6, 1)), p["att.coverage_proj"]))
+                alpha_flat = softmax_flat(matmul(tanh(energy_in), p["att.energy"]))
+                context = matmul(reshape(alpha_flat, (1, 6)), flat)
+                gates = (matmul(context, p["lstm.context_w"]) + narrow(token_gates, 0, prev, 1)
+                         + matmul(h, p["lstm.hidden_w"]))
+                in_forget_out = sigmoid(narrow(gates, 1, 0, 3 * hidden))
+                in_gate, forget_gate, out_gate = (narrow(in_forget_out, 1, k * hidden, hidden)
+                                                  for k in range(3))
+                candidate = tanh(narrow(gates, 1, 3 * hidden, hidden))
+                cell = mul(forget_gate, cell) + mul(in_gate, candidate)
+                h = mul(out_gate, tanh(cell))
+                readout = (narrow(p["embed.table"], 0, prev, 1) + matmul(h, p["out.hidden_proj"])
+                           + matmul(context, p["out.context_proj"]))
+                logits = matmul(readout, p["out.vocab_proj"])
+                alpha = reshape(alpha_flat, (3, 2))
+                coverage = coverage + alpha
+
+                fused_alpha, fused_context = dec.attend(state)
+                fused_logits, state = dec.step(grid, state, prev)
+                for fused, composed in ((fused_alpha, alpha), (fused_context, context),
+                                        (state.cell, cell), (state.h, h),
+                                        (state.coverage, coverage)):
+                    assert np.array_equal(fused.data, composed.data)
+                assert np.max(np.abs(fused_logits.data - logits.data[0])) < 1e-13
+                assert fused_logits.requires_grad is recording
+
+    def test_a_teacher_forced_step_adds_at_most_ten_nodes(self):
+        dec = make_decoder(seed=41)
+        grid = FeatureGrid(features=Tensor(np.random.default_rng(41).normal(size=(3, 2, 6)),
+                                           requires_grad=True))
+        state = dec.initial_state(grid)
+        prev, reachable = vb.START, []
+        for token in (2, 3, 2, 4, vb.END):
+            logits, state = dec.step(grid, state, prev)
+            reachable.append(len(execution_order(logits)))
+            prev = token
+        assert all(b - a <= 10 for a, b in zip(reachable, reachable[1:]))
 
 
 class TestGreedy:
