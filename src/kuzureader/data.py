@@ -330,24 +330,45 @@ def _inside_root(rel) -> bool:
     return not path.is_absolute() and ".." not in path.parts
 
 
+def _image_path(sample_id: str) -> Path:
+    """The dataset-relative image path ``save_dataset`` writes a sample id to."""
+    return Path(f"images/{sample_id}.pgm")
+
+
+def _sample_id(rel) -> str:
+    """The sample id ``load_dataset`` reads from a dataset-relative image path.
+
+    The id is the path without its suffix and without a leading ``images``
+    folder.
+    """
+    parts = Path(rel).with_suffix("").parts
+    if parts[0] == "images" and len(parts) > 1:
+        parts = parts[1:]
+    return "/".join(parts)
+
+
 def save_dataset(samples: Iterable[Sample], root, vocabulary: Vocabulary) -> None:
     """Write labels.tsv, images/ and vocab.txt under ``root``.
 
     Every id and target is checked, and every image encoded, before the
     first write, so a refused save writes nothing. An id whose image would
     leave ``root`` (a ``..`` segment), an id that names another sample's
-    image, an id holding a tab or a line break (``labels.tsv`` could not
-    hold its row), and a target outside the vocabulary raise ``DatasetError``.
+    image, an id that ``load_dataset`` would read back as another id (such
+    as ``./x``, ``a//b`` or ``c/``), an id holding a tab or a line break
+    (``labels.tsv`` could not hold its row), and a target outside the
+    vocabulary raise ``DatasetError``.
     """
     root = Path(root)
     images: dict[Path, bytes] = {}
     rows = []
     for sample in samples:
-        rel = Path(f"images/{sample.id}.pgm")
+        rel = _image_path(sample.id)
         if not _inside_root(rel):
             raise DatasetError(f"sample id {sample.id!r} leaves the dataset root")
         if rel in images:
             raise DatasetError(f"sample id {sample.id!r} names the same image as an earlier one")
+        if _sample_id(rel) != sample.id:
+            raise DatasetError(f"sample id {sample.id!r} would load back as {_sample_id(rel)!r}")
         path = rel.as_posix()
         if "\t" in path or path.splitlines() != [path]:
             raise DatasetError(f"sample id {sample.id!r} holds a tab or a line break")
@@ -367,7 +388,9 @@ def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
     """Read a dataset directory; malformed rows are reported with line numbers.
 
     An image path must stay under ``root``: an absolute path or a ``..``
-    segment is a malformed row.
+    segment is a malformed row. So is a row whose image path gives the
+    same sample id as an earlier row's, such as a second row naming the
+    same image.
     """
     root = Path(root)
     labels = root / "labels.tsv"
@@ -375,6 +398,7 @@ def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
         raise DatasetError(f"{labels}: labels file not found")
     samples: list[Sample] = []
     problems: list[str] = []
+    first_line: dict[str, int] = {}  # sample id -> the line that named it first
     lines = labels.read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
@@ -396,11 +420,13 @@ def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
         except DatasetError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        parts_no_suffix = Path(rel).with_suffix("").parts
-        if parts_no_suffix[0] == "images" and len(parts_no_suffix) > 1:
-            parts_no_suffix = parts_no_suffix[1:]
-        samples.append(Sample(image=read_pgm(image_path), target=target,
-                              id="/".join(parts_no_suffix)))
+        sample_id = _sample_id(rel)
+        first = first_line.setdefault(sample_id, lineno)
+        if first != lineno:
+            problems.append(f"line {lineno}: image {rel!r} gives sample id {sample_id!r}, "
+                            f"as line {first} does")
+            continue
+        samples.append(Sample(image=read_pgm(image_path), target=target, id=sample_id))
     if problems:
         raise DatasetError(f"{labels}: " + "; ".join(problems))
     if not samples:

@@ -9,26 +9,10 @@ cell features. The LSTM cell then consumes [context; previous-token
 embedding], and the output distribution is a linear read-out of
 embedding + projected hidden + projected context.
 
-Per image, ``initial_state`` builds what does not change from step to
-step, and the state carries it:
-
-* the cell features as rows and their projection (the attention keys);
-* ``token_gates`` (V x 4H): per token, the LSTM input weights' embedding
-  rows applied to its embedding, plus the gate bias. One V x E by E x 4H
-  product;
-* the read-out folded to vocabulary width. The read-out
-  ``(embedding + h P_h + context P_c) W_o`` is linear, so it is the sum of
-  three terms, each taken through ``W_o`` once per decode:
-  ``token_logits = embed.table W_o`` (V x V), ``hidden_logits = P_h W_o``
-  (H x V) and ``context_logits = P_c W_o`` (C x V). Their products cost
-  E x V x (V + H + C) multiply-adds, and a step then does (H + C) x V in
-  place of E x (H + C + V).
-
-Each table's product does about V steps' worth of the work it saves, so it
-pays once a decode runs more steps than the vocabulary has tokens. Under
-teacher forcing the tables are matmul nodes that gather their gradient
-from every step and take one backward product each, so training reaches
-every parameter.
+Per image, ``initial_state`` builds a ``DecodeTables`` of what no step
+changes: the attention memory and the token and read-out tables. Every
+state carries that one object, and a step changes only the hidden state,
+the cell, the coverage and the trace.
 
 A step is a few fused graph nodes. Each computes its forward in place, in
 the order of the composition of ``autodiff`` ops it replaces (so the map,
@@ -38,15 +22,15 @@ logits' sum is regrouped), and records no vjps under ``no_grad``:
 * ``_attention_weights``: the map, softmax(tanh(keys + h U_h + coverage
   u_c) e) over all cells. It keeps the tanh (cells x att) and the map;
 * the context, one product of the map with the cell rows;
-* ``_gate_sum``: the gate pre-activations, context W_c +
-  token_gates[prev] + h W_h (1 x 4H), laid out in/forget/out/candidate.
-  It keeps nothing of its own;
+* ``_row_plus_products``: ``x1 w1 + table[row] + x2 w2`` as one flat node
+  that keeps nothing of its own. It serves twice: as the 4H gate
+  pre-activations, context W_c + token_gates[prev] + h W_h, laid out
+  in/forget/out/candidate, and as the V logits, h hidden_logits +
+  token_logits[prev] + context context_logits;
 * ``_lstm``: the memory ``f * c + i * tanh(candidate)`` and the output
   ``o * tanh(memory)``, two nodes sharing one logistic over the first
   three gate blocks. The memory keeps it and the candidate's tanh, the
   output its tanh of the memory;
-* ``_readout``: the logits, token_logits[prev] + h hidden_logits +
-  context context_logits. It keeps nothing of its own;
 * the new coverage, the old one plus the map.
 
 Coverage starts at zero and accumulates one attention map per step, so
@@ -77,7 +61,7 @@ from .autodiff import (
 )
 # not called here: module attributes that bench/spans.py wraps by name, like matmul
 from .autodiff import narrow, sigmoid, softmax_flat, tanh  # noqa: F401
-from .encoder import FeatureGrid, _uniform
+from .encoder import FeatureGrid, _uniform, check_integer_fields
 
 
 @dataclass(frozen=True)
@@ -88,23 +72,35 @@ class DecoderConfig:
     max_decode_len: int = 128
 
     def __post_init__(self):
+        check_integer_fields(self)
         for name in ("hidden_size", "embed_size", "attention_size", "max_decode_len"):
             if getattr(self, name) < 1:
                 raise DimensionError(f"{name} must be >= 1")
 
 
-@dataclass
-class DecoderState:
-    """Mutable per-run decoding state; step numbering starts at 1.
+@dataclass(frozen=True)
+class DecodeTables:
+    """What every step of one decode reads and none changes, built once per image.
 
-    ``features`` is the grid the state was built from, ``flat`` its cells
-    as rows (cells x C) and ``keys`` their projection through
-    ``att.feature_proj`` (cells x att). ``token_gates`` holds, per token,
-    the gate pre-activation's embedding term plus the gate bias
-    (vocabulary x 4H). ``token_logits`` (V x V), ``hidden_logits`` (H x V)
-    and ``context_logits`` (C x V) are the read-out's three terms taken
-    through ``out.vocab_proj``. All of these are built once per image,
-    and every step passes them on as they are.
+    * ``features`` is the grid the decode reads, ``flat`` its cells as rows
+      (cells x C) and ``keys`` their projection through
+      ``att.feature_proj`` (cells x att): the attention memory;
+    * ``token_gates`` (V x 4H): per token, the LSTM input weights'
+      embedding rows applied to its embedding, plus the gate bias. One
+      V x E by E x 4H product;
+    * the read-out folded to vocabulary width. The read-out
+      ``(embedding + h P_h + context P_c) W_o`` is linear, so it is the sum
+      of three terms, each taken through ``W_o`` once per decode:
+      ``token_logits = embed.table W_o`` (V x V), ``hidden_logits = P_h W_o``
+      (H x V) and ``context_logits = P_c W_o`` (C x V). Their products cost
+      E x V x (V + H + C) multiply-adds, and a step then does (H + C) x V
+      in place of E x (H + C + V).
+
+    Each table's product does about V steps' worth of the work it saves, so
+    it pays once a decode runs more steps than the vocabulary has tokens.
+    Under teacher forcing the tables are matmul nodes that gather their
+    gradient from every step and take one backward product each, so
+    training reaches every parameter.
     """
     features: Tensor
     flat: Tensor
@@ -113,6 +109,15 @@ class DecoderState:
     token_logits: Tensor
     hidden_logits: Tensor
     context_logits: Tensor
+
+
+@dataclass
+class DecoderState:
+    """Mutable per-run decoding state; step numbering starts at 1.
+
+    Every step passes ``tables`` on as it is and replaces the rest.
+    """
+    tables: DecodeTables
     h: Tensor
     cell: Tensor
     coverage: Tensor
@@ -187,24 +192,28 @@ def _attention_weights(keys: Tensor, h: Tensor, hidden_proj: Tensor, coverage: T
                    (energy, lambda g: act.T @ dscores(g)))
 
 
-def _gate_sum(context: Tensor, context_w: Tensor, token_gates: Tensor, prev_token: int,
-              h: Tensor, hidden_w: Tensor) -> Tensor:
-    """The 1 x 4H LSTM gate pre-activations context W_c + token_gates[prev] + h W_h as one node."""
-    gates = context.data @ context_w.data
-    gates += token_gates.data[prev_token]
-    gates += h.data @ hidden_w.data
-    if not _recording(context, context_w, token_gates, h, hidden_w):
-        return Tensor(gates)
-    return _record(gates,
-                   (context, lambda g: g @ context_w.data.T),
-                   (context_w, lambda g: context.data.T @ g),
-                   (token_gates, lambda g: _scattered(token_gates.data, prev_token, g[0])),
-                   (h, lambda g: g @ hidden_w.data.T),
-                   (hidden_w, lambda g: h.data.T @ g))
+def _row_plus_products(x1: Tensor, w1: Tensor, table: Tensor, row: int, x2: Tensor,
+                       w2: Tensor) -> Tensor:
+    """``x1 w1 + table[row] + x2 w2``, summed in that order, as one flat node.
+
+    ``x1`` and ``x2`` are 1 x n rows; the result has ``table``'s row width.
+    """
+    y = x1.data @ w1.data
+    y += table.data[row]
+    y += x2.data @ w2.data
+    flat = y.reshape(-1)
+    if not _recording(table, x1, w1, x2, w2):
+        return Tensor(flat)
+    return _record(flat,
+                   (table, lambda g: _scattered(table.data, row, g)),
+                   (x1, lambda g: g[None] @ w1.data.T),
+                   (w1, lambda g: x1.data.T @ g[None]),
+                   (x2, lambda g: g[None] @ w2.data.T),
+                   (w2, lambda g: x2.data.T @ g[None]))
 
 
 def _lstm(gates: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
-    """The LSTM update from 1 x 4H gate pre-activations (in/forget/out/candidate): (memory, output).
+    """The LSTM update from the flat 4H gates (in/forget/out/candidate): (memory, output).
 
     Two nodes: the memory ``f * cell + i * tanh(candidate)`` and the output
     ``o * tanh(memory)``, where i, f and o are one logistic over the first
@@ -212,9 +221,9 @@ def _lstm(gates: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
     tanh, the output node its tanh of the memory.
     """
     hidden = cell.shape[1]
-    ifo = _logistic(gates.data[:, :3 * hidden])
-    in_gate, forget_gate, out_gate = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
-    candidate = np.tanh(gates.data[:, 3 * hidden:])
+    ifo = _logistic(gates.data[:3 * hidden])
+    in_gate, forget_gate, out_gate = ifo.reshape(3, hidden)
+    candidate = np.tanh(gates.data[3 * hidden:])
     memory = forget_gate * cell.data
     memory += in_gate * candidate
     squashed = np.tanh(memory)
@@ -224,38 +233,21 @@ def _lstm(gates: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
 
     def dgates_of_memory(g):
         d = np.zeros_like(gates.data)  # the output gate's block stays zero
-        d[:, :hidden] = g * candidate
-        d[:, hidden:2 * hidden] = g * cell.data
-        d[:, :3 * hidden] *= ifo
-        d[:, :3 * hidden] *= 1.0 - ifo
-        d[:, 3 * hidden:] = g * in_gate * (1.0 - candidate * candidate)
+        d[:hidden] = g * candidate
+        d[hidden:2 * hidden] = g * cell.data
+        d[:3 * hidden] *= ifo
+        d[:3 * hidden] *= 1.0 - ifo
+        d[3 * hidden:] = g * in_gate * (1.0 - candidate * candidate)
         return d
 
     def dgates_of_output(g):
         d = np.zeros_like(gates.data)
-        d[:, 2 * hidden:3 * hidden] = g * squashed * out_gate * (1.0 - out_gate)
+        d[2 * hidden:3 * hidden] = g * squashed * out_gate * (1.0 - out_gate)
         return d
 
     memory_node = _record(memory, (gates, dgates_of_memory), (cell, lambda g: g * forget_gate))
     return memory_node, _record(output, (gates, dgates_of_output),
                                 (memory_node, lambda g: g * out_gate * (1.0 - squashed * squashed)))
-
-
-def _readout(token_logits: Tensor, prev_token: int, h: Tensor, hidden_logits: Tensor,
-             context: Tensor, context_logits: Tensor) -> Tensor:
-    """The V logits token_logits[prev] + h hidden_logits + context context_logits as one node."""
-    y = h.data @ hidden_logits.data
-    y += token_logits.data[prev_token]
-    y += context.data @ context_logits.data
-    logits = y.reshape(-1)
-    if not _recording(token_logits, h, hidden_logits, context, context_logits):
-        return Tensor(logits)
-    return _record(logits,
-                   (token_logits, lambda g: _scattered(token_logits.data, prev_token, g)),
-                   (h, lambda g: g[None] @ hidden_logits.data.T),
-                   (hidden_logits, lambda g: h.data.T @ g[None]),
-                   (context, lambda g: g[None] @ context_logits.data.T),
-                   (context_logits, lambda g: context.data.T @ g[None]))
 
 
 class AttentionDecoder:
@@ -312,8 +304,7 @@ class AttentionDecoder:
                                  f"{self.feature_channels}")
         p = self.params
         flat = reshape(feats, (gh * gw, gc))
-        hidden = self.config.hidden_size
-        return DecoderState(
+        tables = DecodeTables(
             features=feats,
             flat=flat,
             keys=matmul(flat, p["att.feature_proj"]),
@@ -321,10 +312,10 @@ class AttentionDecoder:
             token_logits=matmul(p["embed.table"], p["out.vocab_proj"]),
             hidden_logits=matmul(p["out.hidden_proj"], p["out.vocab_proj"]),
             context_logits=matmul(p["out.context_proj"], p["out.vocab_proj"]),
-            h=Tensor(np.zeros((1, hidden))),
-            cell=Tensor(np.zeros((1, hidden))),
-            coverage=Tensor(np.zeros((gh, gw))),
         )
+        hidden = self.config.hidden_size
+        return DecoderState(tables, h=Tensor(np.zeros((1, hidden))),
+                            cell=Tensor(np.zeros((1, hidden))), coverage=Tensor(np.zeros((gh, gw))))
 
     def attend(self, state: DecoderState):
         """One attention read from ``state``: (alpha over cells, context vector).
@@ -334,9 +325,10 @@ class AttentionDecoder:
         1 x C row.
         """
         p = self.params
-        alpha = _attention_weights(state.keys, state.h, p["att.hidden_proj"], state.coverage,
+        alpha = _attention_weights(state.tables.keys, state.h, p["att.hidden_proj"], state.coverage,
                                    p["att.coverage_proj"], p["att.energy"])
-        context = matmul(reshape(alpha, (1, state.flat.shape[0])), state.flat)
+        flat = state.tables.flat
+        context = matmul(reshape(alpha, (1, flat.shape[0])), flat)
         return alpha, context
 
     def step(self, grid: FeatureGrid, state: DecoderState, prev_token: int):
@@ -347,7 +339,8 @@ class AttentionDecoder:
         alpha is appended to the attention trace. ``grid`` must be the
         grid ``state`` was built from.
         """
-        if grid.features is not state.features:
+        tables = state.tables
+        if grid.features is not tables.features:
             raise DimensionError("step got a feature grid other than the one "
                                  "its state was built from")
         if prev_token < 0 or prev_token >= self.vocab_size:
@@ -359,25 +352,13 @@ class AttentionDecoder:
         p = self.params
 
         alpha, context = self.attend(state)
-        gates = _gate_sum(context, p["lstm.context_w"], state.token_gates, prev_token,
-                          state.h, p["lstm.hidden_w"])
+        gates = _row_plus_products(context, p["lstm.context_w"], tables.token_gates, prev_token,
+                                   state.h, p["lstm.hidden_w"])
         cell, h = _lstm(gates, state.cell)
-        logits = _readout(state.token_logits, prev_token, h, state.hidden_logits,
-                          context, state.context_logits)
-        new_state = DecoderState(
-            features=state.features,
-            flat=state.flat,
-            keys=state.keys,
-            token_gates=state.token_gates,
-            token_logits=state.token_logits,
-            hidden_logits=state.hidden_logits,
-            context_logits=state.context_logits,
-            h=h,
-            cell=cell,
-            coverage=state.coverage + alpha,
-            attention_trace=state.attention_trace + [alpha],
-        )
-        return logits, new_state
+        logits = _row_plus_products(h, tables.hidden_logits, tables.token_logits, prev_token,
+                                    context, tables.context_logits)
+        return logits, DecoderState(tables, h, cell, state.coverage + alpha,
+                                    state.attention_trace + [alpha])
 
     def decode_greedy(self, grid: FeatureGrid) -> GreedyResult:
         """Greedy decode: argmax per step until the end marker, the limit or non-finite logits.

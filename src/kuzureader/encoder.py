@@ -26,7 +26,8 @@ keeps runs bit-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Sequence
 
@@ -40,6 +41,16 @@ from .data import check_pixels
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
 
 
+def check_integer_fields(config) -> None:
+    """Raise ``DimensionError`` unless every field of ``config`` is an integer (numpy's too)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DimensionError(f"{f.name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     growth_rate: int
@@ -49,6 +60,7 @@ class EncoderConfig:
     stem_stride: int = 1
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.growth_rate < 1:
             raise DimensionError(f"growth_rate must be >= 1, got {self.growth_rate}")
         if self.block_depth < 0:

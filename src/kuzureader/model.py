@@ -45,7 +45,10 @@ class Recognizer:
                                  f"unexpected={sorted(extra)}")
         checked = {}
         for name, p in params.items():
-            value = np.asarray(values[name], dtype=np.float64)
+            value = np.asarray(values[name])
+            if value.dtype.kind not in "biuf":  # bool, integer or float
+                raise NumericError(f"parameter {name} is not real-valued ({value.dtype})")
+            value = value.astype(np.float64, copy=False)
             if value.shape != p.data.shape:
                 raise DimensionError(f"parameter {name}: shape {value.shape} != {p.data.shape}")
             if not np.isfinite(value).all():

@@ -310,6 +310,26 @@ class TestDatasetIO:
             save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
         assert sorted(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("sample_id, loaded", [("/abs", "abs"), ("./x", "x"), ("a//b", "a/b"),
+                                                   ("c/", "c/.pgm")])
+    def test_id_that_would_load_as_another_is_refused_and_nothing_is_written(self, tmp_path,
+                                                                            sample_id, loaded):
+        image = np.zeros((2, 2, 1))
+        samples = [Sample(image, (0,), "good"), Sample(image, (0,), sample_id)]
+        with pytest.raises(DatasetError, match=f"would load back as '{loaded}'"):
+            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
+        assert sorted(tmp_path.rglob("*")) == []
+
+    def test_rows_naming_one_image_report_both_lines(self, tmp_path):
+        vocabulary = Vocabulary.from_characters("a")
+        save_dataset([Sample(np.zeros((2, 2, 1)), (2,), "x")], tmp_path, vocabulary)
+        labels = tmp_path / "labels.tsv"
+        labels.write_text(labels.read_text() + "images/y.pgm\ta\nimages/./x.pgm\ta\n",
+                          encoding="utf-8")
+        write_pgm(tmp_path / "images" / "y.pgm", np.zeros((2, 2, 1)))
+        with pytest.raises(DatasetError, match=r"line 3: .*'x', as line 1 does"):
+            load_dataset(tmp_path, vocabulary)
+
     @pytest.mark.parametrize("sample_id", ["x\ty", "x\ny", "x\r", "x\u2028y"])
     def test_id_the_labels_file_cannot_hold_is_refused_and_nothing_is_written(self, tmp_path,
                                                                              sample_id):

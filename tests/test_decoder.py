@@ -31,9 +31,8 @@ from kuzureader.decoder import (
     AttentionDecoder,
     DecoderConfig,
     _attention_weights,
-    _gate_sum,
     _lstm,
-    _readout,
+    _row_plus_products,
 )
 from kuzureader.encoder import FeatureGrid, _uniform
 from kuzureader.vocab import Vocabulary
@@ -128,6 +127,16 @@ class TestConfig:
     def test_non_positive_size_raises_dimension_error(self, field):
         with pytest.raises(DimensionError, match=f"{field} must be >= 1"):
             DecoderConfig(**{field: 0})
+
+    @pytest.mark.parametrize("value", [2.5, "3"], ids=["float", "string"])
+    def test_non_integer_size_raises_dimension_error(self, value):
+        with pytest.raises(DimensionError, match="hidden_size must be an integer"):
+            DecoderConfig(hidden_size=value)
+
+    def test_numpy_integer_sizes_build_a_decoder(self):
+        config = DecoderConfig(*(np.int64(n) for n in (4, 4, 2, 3)))
+        grid = make_grid(2, 2, 6)
+        assert len(AttentionDecoder(6, 5, config).decode_greedy(grid).trace) <= 3
 
     def test_vocabulary_without_both_markers_raises_dimension_error(self):
         with pytest.raises(DimensionError, match="start/end markers"):
@@ -273,13 +282,12 @@ class TestStep:
         dec = make_decoder()
         grid = make_grid(3, 2, 6, seed=15)
         state = dec.initial_state(grid)
-        assert np.array_equal(state.keys.data,
+        assert np.array_equal(state.tables.keys.data,
                               grid.features.data.reshape(6, 6) @ dec.params["att.feature_proj"].data)
         _, state1 = dec.step(grid, state, vb.START)
         _, state2 = dec.step(grid, state1, 2)
-        assert state2.flat is state.flat and state2.keys is state.keys
-        assert state2.token_gates is state.token_gates
-        assert state2.features is grid.features
+        assert state2.tables is state.tables
+        assert state2.tables.features is grid.features
 
     def test_step_rejects_a_grid_other_than_the_states(self):
         dec = make_decoder()
@@ -389,31 +397,35 @@ class TestFusedNodes:
         assert alpha.shape == (gh, gw) and abs(alpha.data.sum() - 1.0) < 1e-12
         assert grad_check(lambda: self.weighted(_attention_weights(*inputs), 31), inputs) < 1e-6
 
-    def test_gate_sum_gradients_with_a_token_row_read_twice(self):
+    @pytest.mark.parametrize("x1_width, x2_width, rows, width, vocab_size", [
+        (3, 2, (2, 3, 2), 8, 4),   # gate sum: context (C = 3), h (H = 2), 4H wide
+        (3, 2, (4, 0, 4), 5, 5),   # read-out: h (H = 3), context (C = 2), V wide
+    ], ids=["gate-sum", "read-out"])
+    def test_row_plus_products_gradients_with_a_row_read_twice(self, x1_width, x2_width, rows,
+                                                               width, vocab_size):
         rng = np.random.default_rng(32)
-        channels, vocab_size, hidden = 3, 4, 2
-        context, context_w, token_gates, h, hidden_w = (
+        x1, w1, table, x2, w2 = inputs = [
             Tensor(rng.normal(size=shape), requires_grad=True) for shape in
-            ((1, channels), (channels, 4 * hidden), (vocab_size, 4 * hidden), (1, hidden),
-             (hidden, 4 * hidden)))
-        inputs = [context, context_w, token_gates, h, hidden_w]
+            ((1, x1_width), (x1_width, width), (vocab_size, width), (1, x2_width),
+             (x2_width, width))]
+        assert _row_plus_products(x1, w1, table, rows[0], x2, w2).shape == (width,)
 
         def loss():
             total = None
-            for k, token in enumerate((2, 3, 2)):
-                term = self.weighted(_gate_sum(context, context_w, token_gates, token, h,
-                                               hidden_w), 33 + k)
+            for k, row in enumerate(rows):
+                term = self.weighted(_row_plus_products(x1, w1, table, row, x2, w2), 33 + k)
                 total = term if total is None else total + term
             return total
 
         assert grad_check(loss, inputs) < 1e-6
-        gathered = token_gates.grad
-        assert np.all(gathered[[0, 1]] == 0.0) and np.all(gathered[[2, 3]] != 0.0)
+        unread = [row for row in range(vocab_size) if row not in rows]
+        assert np.all(table.grad[unread] == 0.0)
+        assert np.all(table.grad[sorted(set(rows))] != 0.0)
 
     def test_lstm_gradients(self):
         rng = np.random.default_rng(36)
         hidden = 3
-        gates = Tensor(rng.normal(size=(1, 4 * hidden)), requires_grad=True)
+        gates = Tensor(rng.normal(size=4 * hidden), requires_grad=True)  # flat, as a step's
         cell = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
 
         def loss():
@@ -422,27 +434,6 @@ class TestFusedNodes:
 
         assert grad_check(loss, [gates, cell]) < 1e-6
         assert np.all(gates.grad != 0.0)
-
-    def test_readout_gradients_with_a_token_row_read_twice(self):
-        rng = np.random.default_rng(39)
-        vocab_size, hidden, channels = 5, 3, 2
-        token_logits, h, hidden_logits, context, context_logits = (
-            Tensor(rng.normal(size=shape), requires_grad=True) for shape in
-            ((vocab_size, vocab_size), (1, hidden), (hidden, vocab_size), (1, channels),
-             (channels, vocab_size)))
-        inputs = [token_logits, h, hidden_logits, context, context_logits]
-
-        def loss():
-            total = None
-            for k, token in enumerate((4, 0, 4)):
-                logits = _readout(token_logits, token, h, hidden_logits, context, context_logits)
-                term = logsumexp(logits) - pick(logits, k)
-                total = term if total is None else total + term
-            return total
-
-        assert grad_check(loss, inputs) < 1e-6
-        assert np.all(token_logits.grad[[1, 2, 3]] == 0.0)
-        assert np.all(token_logits.grad[[0, 4]] != 0.0)
 
     @pytest.mark.parametrize("recording", [True, False], ids=["recording", "no_grad"])
     def test_five_steps_match_the_composed_ops(self, recording):

@@ -166,6 +166,15 @@ class TestConfig:
         with pytest.raises(DimensionError):
             EncoderConfig(growth_rate=8, block_depth=4, stem_stride=0)
 
+    @pytest.mark.parametrize("value", [2.5, "3"], ids=["float", "string"])
+    def test_non_integer_size_raises_dimension_error(self, value):
+        with pytest.raises(DimensionError, match="block_depth must be an integer"):
+            EncoderConfig(growth_rate=8, block_depth=value)
+
+    def test_numpy_integer_sizes_pass(self):
+        config = EncoderConfig(growth_rate=np.int64(8), block_depth=np.int32(4))
+        assert config.channel_plan() == EncoderConfig(8, 4).channel_plan()
+
 
 class TestStem:
     """``conv2d``: the stem as one patch product over a constant page."""

@@ -104,6 +104,20 @@ class TestParameters:
         for name, p in model.parameters().items():
             assert np.array_equal(p.data, before[name])
 
+    # a complex value of the right shape differs only in its imaginary part
+    @pytest.mark.parametrize("bad", [lambda shape: "not a number",
+                                     lambda shape: np.full(shape, 1 + 2j)],
+                             ids=["string", "complex"])
+    def test_value_that_is_not_real_raises_numeric_error_and_changes_nothing(self, bad):
+        model = make_model()
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        values = random_values(model, seed=5)
+        values["dec.att.energy"] = bad(values["dec.att.energy"].shape)
+        with pytest.raises(NumericError, match="dec.att.energy"):
+            model.load_parameter_values(values)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, before[name])
+
     def test_wrong_shape_raises_dimension_error(self):
         model = make_model()
         values = random_values(model, seed=3)
