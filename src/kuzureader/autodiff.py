@@ -49,8 +49,9 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible, or a size or setting is out of range.
 
     Raised by the ops on mismatched shapes, by the model and generator
-    settings on invalid sizes, by a decode step past ``max_decode_len``, and
-    by ``encode`` on an image that requires a gradient.
+    settings on invalid sizes, by a decode step past ``max_decode_len`` or
+    given a previous token that is not an integer vocabulary index, and by
+    ``encode`` on an image that requires a gradient.
     """
 
 
@@ -68,9 +69,10 @@ class DatasetError(RuntimeError):
 
     Raised on a malformed dataset directory or graymap, a dataset image path
     or sample id outside the dataset root, a sample id saved twice or one
-    holding a tab or a line break, a vocabulary that breaks the file or
-    dataset format, a token or token index missing from the vocabulary,
-    sample ids that cannot be split, and an empty evaluation.
+    holding a tab, a line break or a NUL byte, a graymap with no pixels, a
+    vocabulary that breaks the file or dataset format, a token or token
+    index missing from the vocabulary, a token index that is not an
+    integer, sample ids that cannot be split, and an empty evaluation.
     """
 
 

@@ -98,6 +98,8 @@ def read_pgm(path) -> np.ndarray:
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise DatasetError(f"{path}: unsupported maxval {maxval}")
+    if w == 0 or h == 0:
+        raise DatasetError(f"{path}: no pixels in a {w} x {h} graymap")
     data = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8)
     if data.size != w * h:
         raise DatasetError(f"{path}: truncated pixel data")
@@ -355,8 +357,9 @@ def save_dataset(samples: Iterable[Sample], root, vocabulary: Vocabulary) -> Non
     leave ``root`` (a ``..`` segment), an id that names another sample's
     image, an id that ``load_dataset`` would read back as another id (such
     as ``./x``, ``a//b`` or ``c/``), an id holding a tab or a line break
-    (``labels.tsv`` could not hold its row), and a target outside the
-    vocabulary raise ``DatasetError``.
+    (``labels.tsv`` could not hold its row) or a NUL byte (no file system
+    can name its image), and a target outside the vocabulary raise
+    ``DatasetError``.
     """
     root = Path(root)
     images: dict[Path, bytes] = {}
@@ -372,6 +375,8 @@ def save_dataset(samples: Iterable[Sample], root, vocabulary: Vocabulary) -> Non
         path = rel.as_posix()
         if "\t" in path or path.splitlines() != [path]:
             raise DatasetError(f"sample id {sample.id!r} holds a tab or a line break")
+        if "\0" in path:
+            raise DatasetError(f"sample id {sample.id!r} holds a NUL byte")
         tokens = " ".join(vocabulary.token(i) for i in sample.target)
         images[rel] = _pgm_bytes(sample.image)
         rows.append(f"{path}\t{tokens}")

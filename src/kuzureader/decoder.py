@@ -41,6 +41,7 @@ marker, the step limit, or a step whose logits are not finite.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,6 +344,10 @@ class AttentionDecoder:
         if grid.features is not tables.features:
             raise DimensionError("step got a feature grid other than the one "
                                  "its state was built from")
+        try:
+            prev_token = operator.index(prev_token)
+        except TypeError:
+            raise DimensionError(f"token index {prev_token!r} is not an integer") from None
         if prev_token < 0 or prev_token >= self.vocab_size:
             raise DimensionError(f"token index {prev_token} out of range "
                                  f"for vocabulary of {self.vocab_size}")

@@ -8,7 +8,10 @@ constant, so the stem is one product of its kh*kw-pixel patches with the
 flattened kernel, and only the kernel is differentiated. Inside a dense
 block (``dense_block``, one graph node) every layer sees the
 channel-concatenation of all previous outputs; a 1x1 bottleneck (4x the
-growth rate) precedes each 3x3 convolution. Transitions halve the channel
+growth rate) precedes each 3x3 convolution. The node keeps each layer's
+unpadded bottleneck, and its backward pass takes a 3x3 convolution's
+kernel and bottleneck gradients each as one product with a single matrix
+of the output gradient's 3x3 windows. Transitions halve the channel
 count with a 1x1 convolution and 2x2 average pooling; that convolution
 only mixes channels, so it runs as one matrix product over the grid's
 cells, with the H x W x C map viewed as (H*W) x C rows.
@@ -131,10 +134,6 @@ def _interior(rows: np.ndarray, h: int, w: int) -> np.ndarray:
     return rows[:(h + 2) * (w + 2)].reshape(h + 2, w + 2, -1)[1:h + 1, 1:w + 1]
 
 
-def _offsets(kernel_shape: tuple[int, ...], wp: int) -> list[tuple[int, int, int]]:
-    return [(i, j, i * wp + j) for i in range(kernel_shape[0]) for j in range(kernel_shape[1])]
-
-
 def _shifted_products(rows: np.ndarray, kernel: np.ndarray, wp: int, n: int) -> np.ndarray:
     """Stride-1 convolution at full padded width ``wp``: n x Cout.
 
@@ -144,38 +143,24 @@ def _shifted_products(rows: np.ndarray, kernel: np.ndarray, wp: int, n: int) -> 
     the next row; callers drop them.
     """
     wide = rows[:n] @ kernel[0, 0]
-    for i, j, o in _offsets(kernel.shape, wp)[1:]:
+    for i, j in list(np.ndindex(kernel.shape[:2]))[1:]:
+        o = i * wp + j
         wide += rows[o:o + n] @ kernel[i, j]
     return wide
 
 
-def _widen(g: np.ndarray, wp: int) -> np.ndarray:
-    """An ho x wo x C gradient at full padded width (zero columns ``wo..wp-1``) as rows."""
-    ho, wo, c = g.shape
-    gw = np.zeros((ho, wp, c))
-    gw[:, :wo] = g
-    return gw.reshape(ho * wp, c)
+def _gradient_patches(d: np.ndarray) -> np.ndarray:
+    """An h x w x G output gradient as its (h*w) x (9*G) matrix of 3x3 windows.
 
-
-def _shifted_drows(gw: np.ndarray, kernel: np.ndarray, wp: int, count: int) -> np.ndarray:
-    """Gradient of ``_shifted_products`` with respect to its ``count`` input rows."""
-    n = gw.shape[0]
-    drows = np.empty((count, kernel.shape[2]))
-    np.matmul(gw, kernel[0, 0].T, out=drows[:n])
-    drows[n:] = 0.0
-    for i, j, o in _offsets(kernel.shape, wp)[1:]:
-        drows[o:o + n] += gw @ kernel[i, j].T
-    return drows
-
-
-def _shifted_dkernel(rows: np.ndarray, gw: np.ndarray, kernel_shape: tuple[int, ...],
-                     wp: int) -> np.ndarray:
-    """Gradient of ``_shifted_products`` with respect to its kernel."""
-    n = gw.shape[0]
-    dk = np.empty(kernel_shape)
-    for i, j, o in _offsets(kernel_shape, wp):
-        dk[i, j] = rows[o:o + n].T @ gw
-    return dk
+    ``d`` is padded by 1 and window (p, q) of cell (a, b) holds
+    ``d[a + p - 1, b + q - 1]``, channels innermost. That is the gradient
+    that reached bottleneck pixel (a, b) through kernel tap (2 - p, 2 - q),
+    so the flipped kernel maps the windows to the bottleneck gradient, and
+    the bottleneck maps them to the flipped kernel gradient.
+    """
+    h, w, g = d.shape
+    windows = sliding_window_view(np.pad(d, ((1, 1), (1, 1), (0, 0))), (3, 3), axis=(0, 1))
+    return windows.transpose(0, 1, 3, 4, 2).reshape(h * w, 9 * g)
 
 
 def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
@@ -191,13 +176,16 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
 
     Every layer writes into one preallocated output buffer and reads its
     channel prefix as a view, so nothing is concatenated. Each 3x3
-    convolution is nine shifted matrix products over the flattened,
-    zero-padded bottleneck, so no im2col buffer is built. The node holds
-    the output buffer and, when recording, each layer's padded bottleneck
-    activation, which grows linearly with depth where a graph of per-layer
-    concatenations grows quadratically; one reverse sweep over a single
-    gradient buffer serves every edge. Without recording, one scratch pad
-    is reused and nothing is kept per layer.
+    convolution is nine shifted matrix products over one flattened,
+    zero-padded scratch copy of the bottleneck, so no im2col buffer is
+    built. When recording, the node holds the output buffer and each
+    layer's unpadded bottleneck activation, which grows linearly with depth
+    where a graph of per-layer concatenations grows quadratically; without
+    recording nothing is kept per layer. One reverse sweep over a single
+    gradient buffer serves every edge. It cuts each layer's output
+    gradient into one (H*W) x (9*G) matrix of 3x3 windows, so the 3x3
+    kernel gradient and the bottleneck gradient are one product each; the
+    bottleneck gradient overwrites that layer's kept bottleneck.
     """
     if not layers:
         return x
@@ -209,16 +197,17 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     buf[..., :c0] = x.data
     rows = buf.reshape(cells, ctot)
     recording = _recording(x, *params)
-    pads: list[np.ndarray] = []
+    pad = _padded_rows(h, w, layers[0][0].data.shape[3])
+    bottlenecks: list[np.ndarray] = []
     for (rk, rb, ck, cb), c, end in zip(layers, starts, starts[1:]):
         reduced = rows[:, :c] @ rk.data[0, 0]
         reduced += rb.data
         np.maximum(reduced, 0.0, out=reduced)
-        if recording or not pads:
-            pads.append(_padded_rows(h, w, reduced.shape[1]))
-        _interior(pads[-1], h, w)[...] = reduced.reshape(h, w, -1)
-        del reduced  # the pad holds it now; keeps the no_grad peak at three bottlenecks
-        wide = _shifted_products(pads[-1], ck.data, wp, h * wp)
+        _interior(pad, h, w)[...] = reduced.reshape(h, w, -1)
+        if recording:
+            bottlenecks.append(reduced)
+        del reduced  # the pad holds a copy; keeps the no_grad peak at three bottlenecks
+        wide = _shifted_products(pad, ck.data, wp, h * wp)
         wide += cb.data
         np.maximum(wide, 0.0, out=wide)
         buf[..., c:end] = wide.reshape(h, wp, -1)[:, :w]
@@ -227,20 +216,22 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
 
     @_per_gradient
     def sweep(g):
-        """Input gradient, then each parameter's, in ``params`` order."""
+        """Input gradient, then each parameter's, in ``params`` order; runs once."""
         grad = np.array(g).reshape(cells, ctot)  # writable; layers add into its prefix
         dparams = []
-        for (rk, rb, ck, cb), c, end, pad in reversed(list(zip(layers, starts, starts[1:], pads))):
+        for (rk, rb, ck, cb), c, end in reversed(list(zip(layers, starts, starts[1:]))):
+            bottleneck = bottlenecks.pop()
             dgrown = grad[:, c:end] * (rows[:, c:end] > 0.0)
-            gw = _widen(dgrown.reshape(h, w, -1), wp)
-            dpad = _shifted_drows(gw, ck.data, wp, len(pad))
-            active = _interior(pad, h, w) > 0.0
-            dreduced = (_interior(dpad, h, w) * active).reshape(cells, -1)
-            del dpad, active
+            patches = _gradient_patches(dgrown.reshape(h, w, -1))
+            b, growth = ck.data.shape[2:]
+            dkernel = (bottleneck.T @ patches).reshape(b, 3, 3, growth).transpose(1, 2, 0, 3)
+            active = bottleneck > 0.0
+            flipped = ck.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * growth, b)
+            dreduced = np.matmul(patches, flipped, out=bottleneck)
+            del patches
+            dreduced *= active
             dparams[:0] = [(rows[:, :c].T @ dreduced).reshape(rk.data.shape),
-                           dreduced.sum(axis=0),
-                           _shifted_dkernel(pad, gw, ck.data.shape, wp),
-                           dgrown.sum(axis=0)]
+                           dreduced.sum(axis=0), dkernel[::-1, ::-1], dgrown.sum(axis=0)]
             grad[:, :c] += dreduced @ rk.data[0, 0].T
         return [grad[:, :c0].reshape(h, w, c0), *dparams]
 

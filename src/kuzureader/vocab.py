@@ -10,6 +10,7 @@ target's tokens by it.
 from __future__ import annotations
 
 import hashlib
+import operator
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -48,6 +49,10 @@ class Vocabulary:
             raise DatasetError(f"token {token!r} not in vocabulary") from None
 
     def token(self, index: int) -> str:
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise DatasetError(f"token index {index!r} is not an integer") from None
         if not 0 <= index < len(self.tokens):
             raise DatasetError(f"token index {index} outside 0..{len(self.tokens) - 1}")
         return self.tokens[index]

@@ -74,6 +74,14 @@ class TestPgm:
         with pytest.raises(DatasetError, match=message):
             read_pgm(path)
 
+    @pytest.mark.parametrize("raw", [b"P5\n0 5\n255\n", b"P5\n5 0\n255\n"],
+                             ids=["zero-width", "zero-height"])
+    def test_empty_graymap_raises_dataset_error(self, tmp_path, raw):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(DatasetError, match="no pixels"):
+            read_pgm(path)
+
 
 class TestGlyphs:
     def test_deterministic_and_distinct(self):
@@ -336,6 +344,13 @@ class TestDatasetIO:
         image = np.zeros((2, 2, 1))
         samples = [Sample(image, (0,), "good"), Sample(image, (0,), sample_id)]
         with pytest.raises(DatasetError, match="tab or a line break"):
+            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
+        assert sorted(tmp_path.rglob("*")) == []
+
+    def test_id_holding_a_nul_byte_is_refused_and_nothing_is_written(self, tmp_path):
+        image = np.zeros((2, 2, 1))
+        samples = [Sample(image, (0,), "good"), Sample(image, (0,), "a\x00b")]
+        with pytest.raises(DatasetError, match="NUL byte"):
             save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
         assert sorted(tmp_path.rglob("*")) == []
 

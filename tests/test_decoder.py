@@ -78,6 +78,13 @@ class TestVocabulary:
         with pytest.raises(DatasetError, match="index -2"):
             v.decode([-2])
 
+    def test_index_that_is_not_an_integer_is_refused(self):
+        v = Vocabulary.from_characters("ab")
+        assert v.token(np.int64(2)) == "a"
+        for index in (1.0, np.float64(2.0), "2", None):
+            with pytest.raises(DatasetError, match="not an integer"):
+                v.token(index)
+
     def test_file_roundtrip(self, tmp_path):
         v = Vocabulary.from_characters(list("0123456789"))
         path = tmp_path / "vocab.txt"
@@ -288,6 +295,17 @@ class TestStep:
         _, state2 = dec.step(grid, state1, 2)
         assert state2.tables is state.tables
         assert state2.tables.features is grid.features
+
+    def test_step_refuses_a_previous_token_that_is_not_an_integer(self):
+        dec = make_decoder()
+        grid = make_grid(2, 2, 6, seed=17)
+        state = dec.initial_state(grid)
+        expected, _ = dec.step(grid, state, 2)
+        logits, _ = dec.step(grid, state, np.int64(2))
+        assert np.array_equal(logits.data, expected.data)
+        for prev in (1.0, np.float64(2.0), "2", None):
+            with pytest.raises(DimensionError, match="not an integer"):
+                dec.step(grid, state, prev)
 
     def test_step_rejects_a_grid_other_than_the_states(self):
         dec = make_decoder()

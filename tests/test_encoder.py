@@ -240,6 +240,7 @@ class TestBlockNode:
 
     @pytest.mark.parametrize("h,w,initial,growth,depth", [
         (3, 4, 4, 3, 2), (1, 1, 5, 2, 3), (6, 5, 8, 4, 4), (2, 7, 3, 5, 1),
+        (5, 1, 4, 3, 2), (1, 6, 3, 2, 3),
     ])
     def test_matches_the_composed_layers(self, h, w, initial, growth, depth):
         rng = np.random.default_rng(h * w + depth)
@@ -302,18 +303,46 @@ class TestBlockNode:
         finally:
             tracemalloc.stop()
         bottleneck = c["h"] * c["w"] * 4 * c["growth"] * 8
-        padded = (c["h"] + 2) * (c["w"] + 2) * 4 * c["growth"] * 8
-        return out, held - before, peak - before, bottleneck, padded
+        return out, held - before, peak - before, bottleneck
 
     def test_without_recording_peak_is_buffer_plus_three_bottlenecks(self):
-        out, _, peak, bottleneck, _ = self._traced_block(record=False)
+        out, _, peak, bottleneck = self._traced_block(record=False)
         assert out._edges == ()
         assert peak <= out.data.nbytes + 3 * bottleneck + self.SLACK
 
-    def test_recorded_block_holds_buffer_and_one_pad_per_layer(self):
-        out, held, _, _, padded = self._traced_block(record=True)
+    def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self):
+        out, held, _, bottleneck = self._traced_block(record=True)
         depth = self.MEMORY_CASE["depth"]
-        assert held <= out.data.nbytes + depth * padded + self.SLACK
+        assert held <= out.data.nbytes + depth * bottleneck + self.SLACK
+
+    def test_backward_adds_the_gradient_its_copy_and_one_patch_matrix(self):
+        # each layer's bottleneck gradient overwrites its kept bottleneck, so
+        # besides the incoming gradient, the sweep's writable copy of it and
+        # the parameter gradients, the sweep needs one layer's (h*w) x (9*G)
+        # matrix of 3x3 windows, with the masked gradient slice and its
+        # padded copy it is cut from. At growth 8 from 8 input channels that
+        # matrix (72 a cell) is wider than any 1x1 input-gradient product
+        # (at most 32 a cell), so it sets the peak. Tracing starts before the
+        # forward pass so that what the sweep frees counts against its peak.
+        h, w, initial, growth, depth = 32, 32, 8, 8, 4
+        layers = block_layers(initial, growth, depth, seed=6)
+        params = [p for layer in layers for p in layer]
+        x = Tensor(np.random.default_rng(6).uniform(size=(h, w, initial)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            loss = sum_all(dense_block(x, layers))
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        gradient = h * w * (initial + depth * growth) * 8
+        patches = h * w * 9 * growth * 8
+        slices = (h * w + (h + 2) * (w + 2)) * growth * 8
+        param_grads = sum(p.data.nbytes for p in params)
+        assert all(t.grad is not None for t in [x, *params])
+        assert peak <= 2 * gradient + patches + slices + param_grads + self.SLACK
 
 
 class TestTransition:
