@@ -14,9 +14,12 @@ forward buffers their vjps hold) as soon as the sweep reaches it.
 Conventions, fixed once for the whole package:
 
 * buffers are row-major ``numpy`` float64 arrays;
-* images and feature grids are laid out height x width x channels;
-* pooling (``pool2d``) is a fixed 2x2 window at stride 2, and max-pool
-  ties break toward the first corner in row-major scan order;
+* pages and the decoder's feature grids are laid out height x width x
+  channels; the encoder's maps in between are channel-major, channels x
+  height x width, so a channel prefix is one contiguous slab;
+* pooling (``pool2d``) is a fixed 2x2 window at stride 2 over a C x H x W
+  map's trailing two axes, and max-pool ties break toward the first
+  corner in row-major scan order;
 * ``backward`` frees the graph it sweeps. Leaves keep their ``grad``
   (accumulated across sweeps until ``zero_grads``); an interior node's
   ``grad`` is not readable afterwards. A later sweep that reaches a freed
@@ -72,7 +75,9 @@ class DatasetError(RuntimeError):
     holding a tab, a line break or a NUL byte, a graymap with no pixels, a
     vocabulary that breaks the file or dataset format, a token or token
     index missing from the vocabulary, a token index that is not an
-    integer, sample ids that cannot be split, and an empty evaluation.
+    integer, sample ids that cannot be split, an empty evaluation, and an
+    evaluation report that is not the JSON object ``EvalReport.to_json``
+    writes (a missing field or one of the wrong type).
     """
 
 
@@ -423,26 +428,29 @@ def matmul(a, b) -> Tensor:
 
 
 def pool2d(x, kind: str) -> Tensor:
-    """Max or average pooling per channel over 2x2 windows at stride 2.
+    """Max or average pooling of a C x H x W map over 2x2 windows at stride 2.
 
-    The window is fixed: an H x W x C input gives H//2 x W//2 x C, and a
-    trailing odd row or column is dropped. Max pooling routes the gradient
-    to the first window corner, in row-major scan order, that holds the max.
+    The window is fixed and slides over the trailing two axes: a C x H x W
+    input gives C x H//2 x W//2, and a trailing odd row or column is
+    dropped. Max pooling routes the gradient to the first window corner, in
+    row-major scan order, that holds the max.
     """
     x = _as_tensor(x)
     if x.data.ndim != 3:
-        raise DimensionError(f"pool2d expects an H x W x C input, got {x.shape}")
+        raise DimensionError(f"pool2d expects a C x H x W input, got {x.shape}")
     if kind not in ("max", "average"):
         raise DimensionError(f"pool2d kind must be 'max' or 'average', got {kind!r}")
-    ho, wo = x.data.shape[0] // 2, x.data.shape[1] // 2
+    ho, wo = x.data.shape[1] // 2, x.data.shape[2] // 2
     if ho < 1 or wo < 1:
-        raise DimensionError(f"pool2d needs extents >= 2, got {x.shape[:2]}")
-    corners = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
+        raise DimensionError(f"pool2d needs extents >= 2, got {x.shape[1:]}")
+    corners = [(slice(None), slice(i, 2 * ho, 2), slice(j, 2 * wo, 2))
+               for i in (0, 1) for j in (0, 1)]
     c00, c01, c10, c11 = (x.data[corner] for corner in corners)
 
     if kind == "max":
-        data = np.maximum(c00, c01)
-        np.maximum(data, np.maximum(c10, c11), out=data)
+        data = np.maximum(c00, c01)  # each later corner goes in place: one output-sized array
+        np.maximum(data, c10, out=data)
+        np.maximum(data, c11, out=data)
 
         def vjp(g):
             dx = np.zeros_like(x.data)

@@ -32,6 +32,10 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return previous[len(b)]
 
 
+_REPORT_FIELDS = {"cer": (int, float), "ser": (int, float), "total_target_chars": int,
+                  "num_sequences": int, "distances": list}  # JSON types of EvalReport's fields
+
+
 @dataclass
 class EvalReport:
     cer: float
@@ -41,22 +45,28 @@ class EvalReport:
     distances: list[int]
 
     def to_json(self) -> str:
-        payload = {
-            "cer": self.cer,
-            "ser": self.ser,
-            "total_target_chars": self.total_target_chars,
-            "num_sequences": self.num_sequences,
-            "distances": self.distances,
-        }
+        payload = {name: getattr(self, name) for name in _REPORT_FIELDS}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        payload = json.loads(text)
-        return cls(cer=payload["cer"], ser=payload["ser"],
-                   total_target_chars=payload["total_target_chars"],
-                   num_sequences=payload["num_sequences"],
-                   distances=list(payload["distances"]))
+        """Read back ``to_json``'s text; anything else raises ``DatasetError`` naming the fault."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"evaluation report is not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise DatasetError(f"evaluation report must be a JSON object, got {type(payload).__name__}")
+        for name, kinds in _REPORT_FIELDS.items():
+            if name not in payload:
+                raise DatasetError(f"evaluation report has no field {name!r}")
+            value = payload[name]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DatasetError(f"evaluation report field {name!r} has the wrong type: {value!r}")
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in payload["distances"]):
+            raise DatasetError(f"evaluation report field 'distances' must hold integers: "
+                               f"{payload['distances']!r}")
+        return cls(**{name: payload[name] for name in _REPORT_FIELDS})
 
     def to_text(self) -> str:
         """key=value lines, one metric per line."""

@@ -6,10 +6,10 @@ import pytest
 from kuzureader.autodiff import (
     DimensionError,
     Tensor,
+    _record,
     backward,
     bias_relu,
     concat,
-    concat_channels,
     execution_order,
     grad_check,
     matmul,
@@ -35,30 +35,52 @@ def channel_oracle(initial, growth, depth, blocks, compression):
     return channels
 
 
+def transposed(t, axes):
+    """``t`` with its axes permuted, as a graph node."""
+    return _record(np.transpose(t.data, axes), (t, lambda g: np.transpose(g, np.argsort(axes))))
+
+
+def per_channel(bias):
+    return reshape(bias, (bias.shape[0], 1, 1))
+
+
 def conv1x1(x, kernel):
-    """A 1x1 convolution as one product over the grid's cells."""
-    h, w, cin = x.shape
-    cout = kernel.shape[3]
-    return reshape(matmul(reshape(x, (h * w, cin)), reshape(kernel, (cin, cout))), (h, w, cout))
+    """A 1x1 convolution of a C x H x W map as one product over the grid's cells.
 
-
-def conv3x3_by_taps(x, kernel):
-    """A padded 3x3 convolution as nine 1x1 taps added in row-major order.
-
-    The input is zero-padded by 1 with constant tensors. Tap (i, j) takes
-    the h x w window at offset (i, j) and multiplies it by kernel entry
-    (i, j), so each output sums the same products in the same order as
-    ``dense_block``'s shifted products.
+    The product is taken as (H*W) x Cin by Cin x Cout and transposed back.
+    On a 1 x 1 grid BLAS takes a matrix-vector path, and this orientation is
+    the one whose sums match ``dense_block``'s ``kernel.T @ prefix`` there.
     """
-    h, w, c = x.shape
-    column = Tensor(np.zeros((h, 1, c)))
-    row = Tensor(np.zeros((1, w + 2, c)))
-    padded = concat([row, concat([column, x, column], axis=1), row], axis=0)
+    cin, h, w = x.shape
+    cout = kernel.shape[3]
+    cells = transposed(reshape(x, (cin, h * w)), (1, 0))
+    return reshape(transposed(matmul(cells, reshape(kernel, (cin, cout))), (1, 0)), (cout, h, w))
+
+
+def conv3x3_by_rows(x, kernel):
+    """A padded 3x3 convolution of a C x H x W map as three kernel-row products.
+
+    The input is zero-padded by 1 with constant tensors and flattened to
+    rows of (h+2)*(w+2) values plus two trailing zeros. Kernel row i's three
+    taps are stacked into one 3G x C matrix and multiplied by the flattened
+    rows from column i*(w+2); tap (i, j) is that product's j-th G rows
+    shifted by j columns and cut to h x w. The taps are added in row-major
+    order, so each output sums the same products in the same order as
+    ``dense_block``'s row products.
+    """
+    c, h, w = x.shape
+    g = kernel.shape[3]
+    wp, n = w + 2, h * (w + 2)
+    column = Tensor(np.zeros((c, h, 1)))
+    row = Tensor(np.zeros((c, 1, wp)))
+    padded = concat([row, concat([column, x, column], axis=2), row], axis=1)
+    flat = concat([reshape(padded, (c, (h + 2) * wp)), Tensor(np.zeros((c, 2)))], axis=1)
     out = None
     for i in range(3):
+        stacked = reshape(transposed(narrow(kernel, 0, i, 1), (0, 1, 3, 2)), (3 * g, c))
+        product = matmul(stacked, narrow(flat, 1, i * wp, n + 2))
         for j in range(3):
-            window = narrow(narrow(padded, 0, i, h), 1, j, w)
-            tap = conv1x1(window, narrow(narrow(kernel, 0, i, 1), 1, j, 1))
+            tap = narrow(reshape(narrow(narrow(product, 0, j * g, g), 1, j, n), (g, h, wp)), 2, 0, w)
             out = tap if out is None else out + tap
     return out
 
@@ -66,9 +88,9 @@ def conv3x3_by_taps(x, kernel):
 def composed_block(x, layers):
     """The dense block as the per-layer composition of public ops: the oracle."""
     for reduce_kernel, reduce_bias, conv_kernel, conv_bias in layers:
-        reduced = bias_relu(conv1x1(x, reduce_kernel), reduce_bias)
-        grown = bias_relu(conv3x3_by_taps(reduced, conv_kernel), conv_bias)
-        x = concat_channels([x, grown])
+        reduced = bias_relu(conv1x1(x, reduce_kernel), per_channel(reduce_bias))
+        grown = bias_relu(conv3x3_by_rows(reduced, conv_kernel), per_channel(conv_bias))
+        x = concat([x, grown], axis=0)
     return x
 
 
@@ -123,12 +145,45 @@ def old_order_encode(enc, image):
     c = enc.config
     x = conv2d(Tensor(image), enc.params["stem.kernel"], stride=c.stem_stride,
                padding=c.stem_kernel // 2)
-    x = pool2d(bias_relu(x, enc.params["stem.bias"]), "max")
+    x = pool2d(bias_relu(x, per_channel(enc.params["stem.bias"])), "max")
     for block in range(BLOCKS):
         x = dense_block(x, enc._block_layers(block))
         if block < BLOCKS - 1:
             x = transition(x, enc.params[f"trans{block}.kernel"], enc.params[f"trans{block}.bias"])
-    return FeatureGrid(features=x)
+    return FeatureGrid(features=transposed(x, (1, 2, 0)))
+
+
+def pool_hwc(x, reduce):
+    """2x2 pooling at stride 2 of an H x W x C array, by ``reduce`` over each window."""
+    ho, wo = x.shape[0] // 2, x.shape[1] // 2
+    return reduce(x[:2 * ho, :2 * wo].reshape(ho, 2, wo, 2, -1), axis=(1, 3))
+
+
+def numpy_encode(enc, image):
+    """``encode`` in numpy alone, H x W x C throughout: the layout-independent oracle.
+
+    The stem and every 3x3 convolution are ``conv_oracle``'s direct sums,
+    each 1x1 convolution sums the products of every input channel with its
+    kernel row one channel at a time, and each layer's output is appended
+    with ``np.concatenate``.
+    """
+    c, p = enc.config, {name: t.data for name, t in enc.params.items()}
+
+    def conv1x1(x, kernel):
+        return sum(x[:, :, i:i + 1] * kernel[0, 0, i] for i in range(x.shape[2]))
+
+    x = conv_oracle(image, p["stem.kernel"], c.stem_stride, c.stem_kernel // 2)
+    x = pool_hwc(np.maximum(x + p["stem.bias"], 0.0), np.max)
+    for block in range(BLOCKS):
+        for layer in range(c.block_depth):
+            name = f"block{block}.layer{layer}"
+            reduced = np.maximum(conv1x1(x, p[f"{name}.reduce.kernel"]) + p[f"{name}.reduce.bias"], 0.0)
+            grown = conv_oracle(reduced, p[f"{name}.conv.kernel"], 1, 1) + p[f"{name}.conv.bias"]
+            x = np.concatenate([x, np.maximum(grown, 0.0)], axis=2)
+        if block < BLOCKS - 1:
+            x = np.maximum(conv1x1(x, p[f"trans{block}.kernel"]) + p[f"trans{block}.bias"], 0.0)
+            x = pool_hwc(x, np.mean)
+    return x
 
 
 def max_normalised(a, b):
@@ -182,12 +237,12 @@ class TestStem:
     def test_one_by_one_identity(self):
         x = np.random.default_rng(2).normal(size=(4, 5, 1))
         out = conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
-        assert np.array_equal(out.data, x)
+        assert np.array_equal(out.data, x.transpose(2, 0, 1))
 
     def test_padded_3x3_preserves_shape(self):
         out = conv2d(Tensor(np.zeros((6, 9, 1))), Tensor(np.zeros((3, 3, 1, 5))),
                      stride=1, padding=1)
-        assert out.shape == (6, 9, 5)
+        assert out.shape == (5, 6, 9)
 
     def test_against_direct_summation_oracle(self):
         rng = np.random.default_rng(3)
@@ -195,7 +250,7 @@ class TestStem:
             x = rng.normal(size=x_shape)
             k = rng.normal(size=k_shape)
             out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
-            expected = conv_oracle(x, k, stride, padding)
+            expected = conv_oracle(x, k, stride, padding).transpose(2, 0, 1)
             assert out.shape == expected.shape
             assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -213,26 +268,42 @@ class TestStem:
             assert image.grad is None
 
 
+    def test_recorded_stem_keeps_the_padded_page_not_its_tap_stack(self):
+        # backward cuts the (kh*kw) x cells stack again, so between the passes
+        # only the output and the padded page are held
+        image = Tensor(np.random.default_rng(5).uniform(size=(64, 48, 1)))
+        kernel = Tensor(np.random.default_rng(5).normal(size=(3, 3, 1, 4)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(image, kernel, stride=1, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 66 * 50 * 8 + 8 * 1024
+
+
 class TestDenseBlock:
     def test_empty_block_is_identity(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(4, 5, 3)))
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 5)))
         out = dense_block(x, [])
         assert np.array_equal(out.data, x.data)
 
     def test_channel_growth(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=16, block_depth=16), seed=1)
-        x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 48)))
+        x = Tensor(np.random.default_rng(1).normal(size=(48, 3, 4)))
         with no_grad():
             out = dense_block(x, enc._block_layers(0))
-        assert out.shape == (3, 4, 48 + 16 * 16)
+        assert out.shape == (48 + 16 * 16, 3, 4)
 
     def test_spatial_extents_preserved(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=2)
         for h, w in [(1, 1), (2, 7), (5, 3)]:
-            x = Tensor(np.random.default_rng(2).normal(size=(h, w, 48)))
+            x = Tensor(np.random.default_rng(2).normal(size=(48, h, w)))
             with no_grad():
                 out = dense_block(x, enc._block_layers(0))
-            assert out.shape[:2] == (h, w)
+            assert out.shape[1:] == (h, w)
 
 
 class TestBlockNode:
@@ -246,8 +317,8 @@ class TestBlockNode:
         rng = np.random.default_rng(h * w + depth)
         layers = block_layers(initial, growth, depth, seed=depth)
         params = [p for layer in layers for p in layer]
-        x = Tensor(rng.normal(size=(h, w, initial)), requires_grad=True)
-        weights = rng.normal(size=(h, w, initial + depth * growth))
+        x = Tensor(rng.normal(size=(initial, h, w)), requires_grad=True)
+        weights = rng.normal(size=(initial + depth * growth, h, w))
         grads = []
         for block in (dense_block, composed_block):
             zero_grads([x, *params])
@@ -264,7 +335,7 @@ class TestBlockNode:
     def test_records_one_node_with_an_edge_per_input(self):
         layers = block_layers(4, 3, 2, seed=1)
         params = [p for layer in layers for p in layer]
-        x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 4)), requires_grad=True)
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 4)), requires_grad=True)
         out = dense_block(x, layers)
         assert [t for t, _ in out._edges] == [x, *params]
         assert len(execution_order(out)) == 1 + len(params) + 1
@@ -274,8 +345,8 @@ class TestBlockNode:
         rng = np.random.default_rng(2)
         layers = block_layers(4, 3, 2, seed=2)
         params = [p for layer in layers for p in layer]
-        x = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=input_requires_grad)
-        weights = rng.normal(size=(3, 4, 4 + 2 * 3))
+        x = Tensor(rng.normal(size=(4, 3, 4)), requires_grad=input_requires_grad)
+        weights = rng.normal(size=(4 + 2 * 3, 3, 4))
         checked = [x, *params] if input_requires_grad else params
         assert grad_check(lambda: sum_all(dense_block(x, layers) * weights), checked) < 1e-6
         assert (x.grad is not None) == input_requires_grad
@@ -289,7 +360,7 @@ class TestBlockNode:
     def _traced_block(self, record):
         c = self.MEMORY_CASE
         layers = block_layers(c["initial"], c["growth"], c["depth"], seed=4)
-        x = Tensor(np.random.default_rng(4).uniform(size=(c["h"], c["w"], c["initial"])),
+        x = Tensor(np.random.default_rng(4).uniform(size=(c["initial"], c["h"], c["w"])),
                    requires_grad=record)
         tracemalloc.start()
         try:
@@ -305,29 +376,41 @@ class TestBlockNode:
         bottleneck = c["h"] * c["w"] * 4 * c["growth"] * 8
         return out, held - before, peak - before, bottleneck
 
-    def test_without_recording_peak_is_buffer_plus_three_bottlenecks(self):
+    def test_without_recording_peak_is_buffer_pad_bottleneck_and_one_row_product(self):
+        # besides the output buffer and the padded scratch bottleneck, a layer
+        # needs its 1x1 product and one 3x3 kernel-row product (3G rows over
+        # the padded cells); bottlenecks kept per layer would not fit
         out, _, peak, bottleneck = self._traced_block(record=False)
+        c = self.MEMORY_CASE
+        padded_cells = (c["h"] + 2) * (c["w"] + 2)
+        pad = 4 * c["growth"] * (padded_cells + 2) * 8
+        row_product = 3 * c["growth"] * padded_cells * 8
         assert out._edges == ()
-        assert peak <= out.data.nbytes + 3 * bottleneck + self.SLACK
+        assert peak <= out.data.nbytes + pad + bottleneck + row_product + self.SLACK
 
     def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self):
         out, held, _, bottleneck = self._traced_block(record=True)
         depth = self.MEMORY_CASE["depth"]
         assert held <= out.data.nbytes + depth * bottleneck + self.SLACK
 
-    def test_backward_adds_the_gradient_its_copy_and_one_patch_matrix(self):
+    # (h, w, input channels, growth, depth). At growth 8 from 8 channels the
+    # (9*G) x (h*w) window matrix (72 a cell) is wider than any layer's
+    # channel prefix (at most 32). From 48 channels at growth 4 the prefix
+    # (up to 68 a cell) is wider than the windows (36 a cell); its gradient
+    # is added in slabs through the windows' memory, so it adds nothing.
+    @pytest.mark.parametrize("h,w,initial,growth,depth", [(32, 32, 8, 8, 4), (32, 32, 48, 4, 6)],
+                             ids=["windows-wider", "prefix-wider"])
+    def test_backward_adds_the_gradient_its_copy_and_one_patch_matrix(self, h, w, initial,
+                                                                      growth, depth):
         # each layer's bottleneck gradient overwrites its kept bottleneck, so
         # besides the incoming gradient, the sweep's writable copy of it and
-        # the parameter gradients, the sweep needs one layer's (h*w) x (9*G)
-        # matrix of 3x3 windows, with the masked gradient slice and its
-        # padded copy it is cut from. At growth 8 from 8 input channels that
-        # matrix (72 a cell) is wider than any 1x1 input-gradient product
-        # (at most 32 a cell), so it sets the peak. Tracing starts before the
-        # forward pass so that what the sweep frees counts against its peak.
-        h, w, initial, growth, depth = 32, 32, 8, 8, 4
+        # the parameter gradients, the sweep needs one layer's matrix of 3x3
+        # windows, with the masked gradient slice and its padded copy it is
+        # cut from. Tracing starts before the forward pass so that what the
+        # sweep frees counts against its peak.
         layers = block_layers(initial, growth, depth, seed=6)
         params = [p for layer in layers for p in layer]
-        x = Tensor(np.random.default_rng(6).uniform(size=(h, w, initial)), requires_grad=True)
+        x = Tensor(np.random.default_rng(6).uniform(size=(initial, h, w)), requires_grad=True)
         tracemalloc.start()
         try:
             loss = sum_all(dense_block(x, layers))
@@ -348,31 +431,31 @@ class TestBlockNode:
 class TestTransition:
     def test_channel_compression(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=16, block_depth=16), seed=3)
-        x = Tensor(np.random.default_rng(3).normal(size=(4, 4, 304)))
+        x = Tensor(np.random.default_rng(3).normal(size=(304, 4, 4)))
         with no_grad():
             out = transition(x, enc.params["trans0.kernel"], enc.params["trans0.bias"])
-        assert out.shape == (2, 2, 152)
+        assert out.shape == (152, 2, 2)
 
     def test_spatial_halving(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=1), seed=4)
-        x = Tensor(np.random.default_rng(4).normal(size=(8, 8, 52)))
+        x = Tensor(np.random.default_rng(4).normal(size=(52, 8, 8)))
         with no_grad():
             out = transition(x, enc.params["trans0.kernel"], enc.params["trans0.bias"])
-        assert out.shape[:2] == (4, 4)
+        assert out.shape[1:] == (4, 4)
 
     def test_constant_input_identity_kernel(self):
         kernel = Tensor(np.array([1.0, 0.0]).reshape(1, 1, 2, 1))
         bias = Tensor(np.zeros(1))
-        x = Tensor(np.full((4, 4, 2), 0.75))
+        x = Tensor(np.full((2, 4, 4), 0.75))
         out = transition(x, kernel, bias)
         assert np.allclose(out.data, 0.75)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(4, 6, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 4, 6)), requires_grad=True)
         kernel = Tensor(rng.normal(size=(1, 1, 5, 3)), requires_grad=True)
         bias = Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
-        weights = rng.normal(size=(2, 3, 3))
+        weights = rng.normal(size=(3, 2, 3))
         error = grad_check(lambda: sum_all(transition(x, kernel, bias) * weights),
                            [x, kernel, bias])
         assert error < 1e-6
@@ -380,14 +463,14 @@ class TestTransition:
     def test_too_small_input(self):
         kernel = Tensor(np.ones((1, 1, 2, 1)))
         with pytest.raises(DimensionError):
-            transition(Tensor(np.ones((1, 4, 2))), kernel, Tensor(np.zeros(1)))
+            transition(Tensor(np.ones((2, 1, 4))), kernel, Tensor(np.zeros(1)))
 
     def test_unrecorded_peak_is_two_output_maps(self):
         # block-0 shapes of a 256 x 192 page; keeping the pre-activation map
         # alive through pooling adds a quarter map, about 3 MB here
         h, w, cin, cout = 128, 96, 240, 120
         rng = np.random.default_rng(16)
-        x = Tensor(rng.uniform(size=(h, w, cin)))
+        x = Tensor(rng.uniform(size=(cin, h, w)))
         kernel = Tensor(rng.normal(scale=cin ** -0.5, size=(1, 1, cin, cout)))
         bias = Tensor(np.zeros(cout))
         tracemalloc.start()
@@ -398,7 +481,7 @@ class TestTransition:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert out.shape == (h // 2, w // 2, cout)
+        assert out.shape == (cout, h // 2, w // 2)
         assert peak <= 2 * h * w * cout * 8 + 256 * 1024
 
 
@@ -467,6 +550,20 @@ class TestEncode:
         assert np.array_equal(features, want)
         for name in ("stem.kernel", "stem.bias"):
             assert max_normalised(params[name].grad, want_params[name].grad) <= 1e-12, name
+
+    def test_matches_the_numpy_reference(self):
+        config = EncoderConfig(growth_rate=3, block_depth=2, initial_channels=4)
+        enc = DenseEncoder(config, seed=17)
+        rng = np.random.default_rng(17)
+        for name, p in enc.params.items():
+            if name.endswith(".bias"):
+                p.data[:] = rng.normal(scale=0.1, size=p.shape)
+        image = rng.uniform(size=(16, 24, 1))
+        with no_grad():
+            features = enc.encode(image).features.data
+        want = numpy_encode(enc, image)
+        assert features.shape == want.shape == (2, 3, config.output_channels)
+        assert max_normalised(features, want) <= 1e-12
 
     def test_unrecorded_encode_peaks_under_two_stem_maps(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=12, block_depth=4), seed=15)

@@ -133,6 +133,19 @@ class TestEvaluate:
         again = EvalReport.from_json(report.to_json())
         assert again == report
 
+    @pytest.mark.parametrize("text,match", [
+        ("not json", "not JSON"),
+        ("{}", "no field 'cer'"),
+        ("[]", "JSON object"),
+        ('{"cer": 0.5, "ser": 1.0, "total_target_chars": 4, "num_sequences": 2, "distances": 5}',
+         "'distances' has the wrong type"),
+        ('{"cer": 0.5, "ser": 1.0, "total_target_chars": 4, "num_sequences": 2, "distances": ["2"]}',
+         "'distances' must hold integers"),
+    ], ids=["not-json", "empty-object", "array", "distances-not-a-list", "distance-not-an-integer"])
+    def test_malformed_json_raises_dataset_error(self, text, match):
+        with pytest.raises(DatasetError, match=match):
+            EvalReport.from_json(text)
+
     def test_text_report_lines(self):
         report = evaluate([((1, 2), (1, 2))])
         lines = report.to_text().strip().splitlines()
