@@ -1,15 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation hands ``_record`` its result and one edge per
-differentiable input: the input tensor and a vector-Jacobian product
-(vjp) that maps the result's gradient to that input's gradient.
-``_record`` keeps only the edges whose input requires a gradient, and none
-inside ``no_grad`` (per thread), so a constant input is never
-differentiated. ``backward`` replays the reachable part of the graph
-exactly once, children before parents, and is the only place that
-accumulates gradients into ``Tensor.grad``. It frees the graph as it
-sweeps: each interior node gives up its gradient and its edges (with the
-forward buffers their vjps hold) as soon as the sweep reaches it.
+Every operation hands ``_record`` its result, its inputs and one
+vector-Jacobian product (vjp): a function from the result's gradient to
+an iterable of gradients, one per input, in input order. A fused node
+computes what its inputs' gradients share once inside that one call.
+``_record`` keeps the inputs and the vjp only when some input requires a
+gradient, and never inside ``no_grad`` (per thread). ``backward`` replays
+the reachable part of the graph exactly once, children before parents,
+calls each node's vjp once, and is the only place that accumulates
+gradients into ``Tensor.grad``. It follows and accumulates into only the
+inputs that require a gradient, so a constant input gets no ``grad`` and
+is not in the execution order. It frees the graph as it sweeps: each
+interior node gives up its gradient, its inputs and its vjp (with the
+forward buffers the vjp holds) as soon as the sweep reaches it.
 
 Conventions, fixed once for the whole package:
 
@@ -53,8 +56,10 @@ class DimensionError(ValueError):
 
     Raised by the ops on mismatched shapes, by the model and generator
     settings on invalid sizes, by a decode step past ``max_decode_len`` or
-    given a previous token that is not an integer vocabulary index, and by
-    ``encode`` on an image that requires a gradient.
+    given a previous token that is not an integer vocabulary index, by
+    ``encode`` on an image that requires a gradient, by ``write_pgm`` on an
+    image that is not H x W or H x W x 1 or has no pixels, and by
+    ``make_split`` on a ratio that is not two values.
     """
 
 
@@ -75,15 +80,18 @@ class DatasetError(RuntimeError):
     holding a tab, a line break or a NUL byte, a graymap with no pixels, a
     vocabulary that breaks the file or dataset format, a token or token
     index missing from the vocabulary, a token index that is not an
-    integer, sample ids that cannot be split, an empty evaluation, and an
-    evaluation report that is not the JSON object ``EvalReport.to_json``
-    writes (a missing field or one of the wrong type).
+    integer, sample ids that cannot be split, an empty evaluation, an
+    evaluation report or split manifest that is not the JSON object its
+    ``to_json`` writes (a missing field or one of the wrong type), and a
+    vocabulary, labels or manifest file that is not UTF-8 text.
     """
 
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
-Vjp = Callable[[np.ndarray], np.ndarray]
+# a node's gradient -> one gradient per input, in input order; a generator may
+# yield them one at a time, so each is accumulated before the next exists
+Vjp = Callable[[np.ndarray], Iterable[np.ndarray]]
 
 
 @contextlib.contextmanager
@@ -99,14 +107,15 @@ def no_grad():
 class Tensor:
     """An n-dimensional float64 array, optionally tracked by the graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges", "_freed")
+    __slots__ = ("data", "grad", "requires_grad", "_inputs", "_vjp", "_freed")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._edges: tuple[tuple[Tensor, Vjp], ...] = ()
-        self._freed = False  # a backward sweep dropped this node's grad and edges
+        self._inputs: tuple[Tensor, ...] = ()
+        self._vjp: Vjp | None = None
+        self._freed = False  # a backward sweep dropped this node's grad, inputs and vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -144,23 +153,18 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _record(data: np.ndarray, *edges: tuple[Tensor, Vjp]) -> Tensor:
-    """Wrap an op result, keeping the ``(input, vjp)`` edges whose input needs a gradient."""
+def _record(data: np.ndarray, inputs: Sequence[Tensor], vjp: Vjp) -> Tensor:
+    """Wrap an op result, keeping its ``inputs`` and ``vjp`` when ``_recording(*inputs)``."""
     out = Tensor(data)
-    if _grad_enabled.get():
-        kept = tuple([edge for edge in edges if edge[0].requires_grad])
-        if kept:
-            out.requires_grad = True
-            out._edges = kept
+    if _recording(*inputs):
+        out.requires_grad = True
+        out._inputs = tuple(inputs)
+        out._vjp = vjp
     return out
 
 
 def _recording(*inputs: Tensor) -> bool:
-    """Whether an op over ``inputs`` records a node: grad is on and some input needs one.
-
-    A fused op checks this before it builds its vjps, so under ``no_grad``
-    it keeps no closures or backward buffers.
-    """
+    """Whether an op over ``inputs`` records a node: grad is on and some input needs one."""
     return _grad_enabled.get() and any(t.requires_grad for t in inputs)
 
 
@@ -169,23 +173,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     g = g if t.grad is None else t.grad + g
     g.flags.writeable = False
     t.grad = g
-
-
-def _per_gradient(fn: Vjp) -> Vjp:
-    """``fn`` with a one-slot cache keyed on the gradient array's identity.
-
-    A node's vjps all receive the same gradient array, so work they share
-    (a mask, a padded copy) runs once per sweep. The slot holds the array
-    itself, not its id, so the key cannot be recycled; it goes with the
-    node's edges.
-    """
-    slot: list = [None, None]
-
-    def cached(g: np.ndarray) -> np.ndarray:
-        if slot[0] is not g:
-            slot[:] = g, fn(g)
-        return slot[1]
-    return cached
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -199,16 +186,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def execution_order(root: Tensor) -> list[Tensor]:
-    """Each node reachable from ``root`` once, parents first (iterative post-order DFS)."""
+    """Each node reachable from ``root`` once, parents first (iterative post-order DFS).
+
+    It follows only inputs that require a gradient, so a constant input is
+    not in the order.
+    """
     seen = {id(root)}
     nodes: list[Tensor] = []
-    stack = [(root, iter(root._edges))]
+    stack = [(root, iter(root._inputs))]
     while stack:
-        node, edges = stack[-1]
-        for parent, _ in edges:
-            if id(parent) not in seen:
+        node, inputs = stack[-1]
+        for parent in inputs:
+            if parent.requires_grad and id(parent) not in seen:
                 seen.add(id(parent))
-                stack.append((parent, iter(parent._edges)))
+                stack.append((parent, iter(parent._inputs)))
                 break
         else:
             stack.pop()
@@ -220,12 +211,15 @@ def backward(root: Tensor) -> None:
     """Reverse-mode sweep from a scalar root that frees the graph behind it.
 
     Visits every recorded operation exactly once, children before
-    parents. A node comes off the execution order as the sweep reaches it,
-    and an interior node drops its ``grad`` and edges before its vjps run,
-    so each gradient and forward buffer goes as soon as nothing later
-    needs it. Leaves keep their gradients, which accumulate across graphs
-    until ``zero_grads`` is called. A sweep that would reach a node an
-    earlier sweep freed raises RuntimeError before touching any gradient.
+    parents, and calls its vjp once. A node comes off the execution order
+    as the sweep reaches it, and an interior node drops its ``grad``,
+    inputs and vjp before the vjp runs, so each gradient and forward
+    buffer goes as soon as nothing later needs it. Each gradient the vjp
+    gives is accumulated before the next is taken, and only into an input
+    that requires one. Leaves keep their gradients, which accumulate
+    across graphs until ``zero_grads`` is called. A sweep that would reach
+    a node an earlier sweep freed raises RuntimeError before touching any
+    gradient.
     """
     if root.data.size != 1:
         raise DimensionError(f"backward needs a scalar root, got shape {root.shape}")
@@ -238,12 +232,13 @@ def backward(root: Tensor) -> None:
     _accumulate(root, np.ones_like(root.data))
     while nodes:
         node = nodes.pop()  # every child has accumulated into node.grad
-        if not node._edges:
+        if node._vjp is None:
             continue  # a leaf keeps its gradient
-        g, edges = node.grad, node._edges
-        node.grad, node._edges, node._freed = None, (), True
-        for parent, vjp in edges:
-            _accumulate(parent, vjp(g))
+        g, inputs, vjp = node.grad, node._inputs, node._vjp
+        node.grad, node._inputs, node._vjp, node._freed = None, (), None, True
+        for parent, d in zip(inputs, vjp(g), strict=True):
+            if parent.requires_grad:
+                _accumulate(parent, d)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -257,32 +252,31 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _record(a.data + b.data,
-                   (a, lambda g: _unbroadcast(g, a.data.shape)),
-                   (b, lambda g: _unbroadcast(g, b.data.shape)))
+    return _record(a.data + b.data, (a, b),
+                   lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _record(-a.data, (a, lambda g: -g))
+    return _record(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _record(a.data * b.data,
-                   (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-                   (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
+    return _record(a.data * b.data, (a, b),
+                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                              _unbroadcast(g * a.data, b.data.shape)))
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-    return _record(np.asarray(a.data.sum()), (a, lambda g: np.full_like(a.data, g.reshape(()))))
+    return _record(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, g.reshape(())),))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
-    return _record(y, (a, lambda g: g * (1.0 - y * y)))
+    return _record(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -297,7 +291,7 @@ def sigmoid(a) -> Tensor:
     """Logistic function, overflow-safe (``_logistic``)."""
     a = _as_tensor(a)
     y = _logistic(a.data)
-    return _record(y, (a, lambda g: g * y * (1.0 - y)))
+    return _record(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def bias_relu(x, b) -> Tensor:
@@ -308,10 +302,12 @@ def bias_relu(x, b) -> Tensor:
     x, b = _as_tensor(x), _as_tensor(b)
     y = x.data + b.data
     np.maximum(y, 0.0, out=y)
-    masked = _per_gradient(lambda g: g * (y > 0.0))
-    return _record(y,
-                   (x, lambda g: _unbroadcast(masked(g), x.data.shape)),
-                   (b, lambda g: _unbroadcast(masked(g), b.data.shape)))
+
+    def vjp(g):
+        masked = g * (y > 0.0)
+        return _unbroadcast(masked, x.data.shape), _unbroadcast(masked, b.data.shape)
+
+    return _record(y, (x, b), vjp)
 
 
 def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -330,7 +326,7 @@ def softmax_flat(a) -> Tensor:
     """
     a = _as_tensor(a)
     y = _softmax(a.data)
-    return _record(y, (a, lambda g: y * (g - (g * y).sum())))
+    return _record(y, (a,), lambda g: (y * (g - (g * y).sum()),))
 
 
 def logsumexp(a) -> Tensor:
@@ -339,7 +335,7 @@ def logsumexp(a) -> Tensor:
     m = a.data.max()
     e = np.exp(a.data - m)
     s = e.sum()
-    return _record(np.asarray(m + np.log(s)), (a, lambda g: (e / s) * g.reshape(())))
+    return _record(np.asarray(m + np.log(s)), (a,), lambda g: ((e / s) * g.reshape(()),))
 
 
 def _scattered(like: np.ndarray, index, g: np.ndarray) -> np.ndarray:
@@ -356,7 +352,8 @@ def pick(a, flat_index: int) -> Tensor:
     if not 0 <= flat_index < a.data.size:
         raise DimensionError(f"pick index {flat_index} out of range for shape {a.shape}")
     index = np.unravel_index(flat_index, a.data.shape)
-    return _record(np.asarray(a.data[index]), (a, lambda g: _scattered(a.data, index, g.reshape(()))))
+    return _record(np.asarray(a.data[index]), (a,),
+                   lambda g: (_scattered(a.data, index, g.reshape(())),))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +365,7 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != a.data.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    return _record(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
+    return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -384,8 +381,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
     lead = (slice(None),) * (axis % data.ndim)
-    return _record(data, *[(t, lambda g, index=lead + (slice(start, stop),): g[index])
-                           for t, start, stop in zip(ts, offsets[:-1], offsets[1:])])
+    return _record(data, ts, lambda g: [g[lead + (slice(start, stop),)]
+                                        for start, stop in zip(offsets[:-1], offsets[1:])])
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -409,7 +406,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    return _record(a.data[index].copy(), (a, lambda g: _scattered(a.data, index, g)))
+    return _record(a.data[index].copy(), (a,), lambda g: (_scattered(a.data, index, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +419,7 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
-    return _record(a.data @ b.data,
-                   (a, lambda g: g @ b.data.T),
-                   (b, lambda g: a.data.T @ g))
+    return _record(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def pool2d(x, kind: str) -> Tensor:
@@ -459,7 +454,7 @@ def pool2d(x, kind: str) -> Tensor:
                 hit = free & (x.data[corner] == data)
                 np.copyto(dx[corner], g, where=hit)
                 free &= ~hit
-            return dx
+            return (dx,)
     else:
         data = (c00 + c01 + c10 + c11) / 4
 
@@ -468,9 +463,9 @@ def pool2d(x, kind: str) -> Tensor:
             share = g / 4
             for corner in corners:
                 dx[corner] = share
-            return dx
+            return (dx,)
 
-    return _record(data, (x, vjp))
+    return _record(data, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

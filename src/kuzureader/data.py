@@ -25,12 +25,12 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_origin
 
 import numpy as np
 
 from .autodiff import DatasetError, DimensionError, NumericError
-from .vocab import Vocabulary
+from .vocab import Vocabulary, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -51,12 +51,19 @@ def check_pixels(pixels: np.ndarray) -> None:
 
 
 def _pgm_bytes(image: np.ndarray) -> bytes:
-    """The P5 graymap of an H x W or H x W x 1 array of [0, 1] ink-high values."""
+    """The P5 graymap of an H x W or H x W x 1 array of [0, 1] ink-high values.
+
+    Any other shape, and an image with no pixels (which ``read_pgm`` would
+    refuse), raises ``DimensionError``.
+    """
     arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 3:
-        if arr.shape[2] != 1:
-            raise DimensionError(f"expected single-channel image, got {arr.shape}")
+    if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a single-channel H x W or H x W x 1 image, "
+                             f"got shape {np.shape(image)}")
+    if arr.size == 0:
+        raise DimensionError(f"image has no pixels: shape {np.shape(image)}")
     check_pixels(arr)
     gray = np.round((1.0 - arr) * 255.0).astype(np.uint8)  # ink -> dark
     h, w = gray.shape
@@ -66,8 +73,8 @@ def _pgm_bytes(image: np.ndarray) -> bytes:
 def write_pgm(path, image: np.ndarray) -> None:
     """Write an H x W or H x W x 1 array of [0, 1] ink-high values.
 
-    Pixels are checked before the file is opened, so a refused image
-    leaves no file.
+    The shape and the pixels are checked before the file is opened, so a
+    refused image leaves no file.
     """
     Path(path).write_bytes(_pgm_bytes(image))
 
@@ -251,7 +258,44 @@ def generate_document(spec: SynthSpec, seed: int) -> Sample:
 
 
 # ---------------------------------------------------------------------------
-# splits
+# splits and other JSON records
+
+
+def _is_json(value, kind) -> bool:
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
+_ITEM_NAMES = {int: "integers", str: "strings"}
+
+
+def parse_json_object(text: str, what: str, fields: dict) -> dict:
+    """The JSON object in ``text``, checked against the field table ``fields``.
+
+    ``fields`` maps every required field to its JSON type: a Python type,
+    a tuple of them, or ``list[item]``, a list of ``int`` or ``str`` items.
+    A boolean is never a number. Anything else raises ``DatasetError``
+    naming ``what`` and the fault.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DatasetError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    for name, kind in fields.items():
+        if name not in payload:
+            raise DatasetError(f"{what} has no field {name!r}")
+        value = payload[name]
+        if not _is_json(value, get_origin(kind) or kind):
+            raise DatasetError(f"{what} field {name!r} has the wrong type: {value!r}")
+        for item in get_args(kind):
+            if not all(_is_json(v, item) for v in value):
+                raise DatasetError(f"{what} field {name!r} must hold {_ITEM_NAMES[item]}: {value!r}")
+    return payload
+
+
+_SPLIT_FIELDS = {"train": list[str], "validation": list[str], "test": list[str],
+                 "ratio": list[int], "holdout_rule": str}  # JSON types of SplitManifest's fields
 
 
 @dataclass
@@ -269,7 +313,11 @@ class SplitManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitManifest":
-        payload = json.loads(text)
+        """Read back ``to_json``'s text; anything else raises ``DatasetError`` naming the fault."""
+        payload = parse_json_object(text, "split manifest", _SPLIT_FIELDS)
+        if len(payload["ratio"]) != 2:
+            raise DatasetError(f"split manifest field 'ratio' must hold two integers: "
+                               f"{payload['ratio']!r}")
         return cls(train=payload["train"], validation=payload["validation"],
                    test=payload["test"], ratio=tuple(payload["ratio"]),
                    holdout_rule=payload["holdout_rule"])
@@ -279,7 +327,7 @@ class SplitManifest:
 
     @classmethod
     def load(cls, path) -> "SplitManifest":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(read_text(path))
 
 
 def make_split(ids: Sequence[str], ratio: tuple[int, int] = (9, 1),
@@ -289,13 +337,14 @@ def make_split(ids: Sequence[str], ratio: tuple[int, int] = (9, 1),
     Ids whose first path segment equals ``holdout_tag`` form the test
     set; the remainder is shuffled (seeded) and split train:validation
     by ``ratio``. Empty, duplicate or all-holdout ids raise
-    ``DatasetError``; a negative or all-zero ratio raises ``DimensionError``.
+    ``DatasetError``; a ratio that is not two values, or is negative or
+    all zero, raises ``DimensionError``.
     """
     if not ids:
         raise DatasetError("cannot split an empty id list")
     if len(set(ids)) != len(ids):
         raise DatasetError("sample ids must be unique")
-    if min(ratio) < 0 or ratio[0] + ratio[1] <= 0:
+    if len(ratio) != 2 or min(ratio) < 0 or ratio[0] + ratio[1] <= 0:
         raise DimensionError(f"bad ratio {ratio}")
 
     if holdout_tag is None:
@@ -404,7 +453,7 @@ def load_dataset(root, vocabulary: Vocabulary) -> list[Sample]:
     samples: list[Sample] = []
     problems: list[str] = []
     first_line: dict[str, int] = {}  # sample id -> the line that named it first
-    lines = labels.read_text(encoding="utf-8").splitlines()
+    lines = read_text(labels).splitlines()
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue

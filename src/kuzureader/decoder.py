@@ -17,7 +17,9 @@ the cell, the coverage and the trace.
 A step is a few fused graph nodes. Each computes its forward in place, in
 the order of the composition of ``autodiff`` ops it replaces (so the map,
 context, cell, hidden state and coverage are bit-equal to it, and only the
-logits' sum is regrouped), and records no vjps under ``no_grad``:
+logits' sum is regrouped), and records one vjp for all its inputs, which
+computes what their gradients share once (``_record`` keeps none under
+``no_grad``):
 
 * ``_attention_weights``: the map, softmax(tanh(keys + h U_h + coverage
   u_c) e) over all cells. It keeps the tanh (cells x att) and the map;
@@ -51,9 +53,7 @@ from .autodiff import (
     DimensionError,
     Tensor,
     _logistic,
-    _per_gradient,
     _record,
-    _recording,
     _scattered,
     _softmax,
     matmul,
@@ -165,32 +165,17 @@ def _attention_weights(keys: Tensor, h: Tensor, hidden_proj: Tensor, coverage: T
     np.tanh(act, out=act)
     scores = act @ energy.data
     y = _softmax(scores, out=scores)
-    alpha = y.reshape(gh, gw)
-    if not _recording(keys, h, hidden_proj, coverage, coverage_proj, energy):
-        return Tensor(alpha)
 
-    @_per_gradient
-    def dscores(g):
+    def vjp(g):
         g = g.reshape(cells, 1)
-        return y * (g - (g * y).sum())
+        dscores = y * (g - (g * y).sum())
+        dpre = dscores @ energy.data.T
+        dpre *= 1.0 - act * act
+        dquery = dpre.sum(axis=0, keepdims=True)
+        return (dpre, dquery @ hidden_proj.data.T, h.data.T @ dquery,
+                (dpre @ coverage_proj.data.T).reshape(gh, gw), column.T @ dpre, act.T @ dscores)
 
-    @_per_gradient
-    def dpre(g):
-        d = dscores(g) @ energy.data.T
-        d *= 1.0 - act * act
-        return d
-
-    @_per_gradient
-    def dquery(g):
-        return dpre(g).sum(axis=0, keepdims=True)
-
-    return _record(alpha,
-                   (keys, dpre),
-                   (h, lambda g: dquery(g) @ hidden_proj.data.T),
-                   (hidden_proj, lambda g: h.data.T @ dquery(g)),
-                   (coverage, lambda g: (dpre(g) @ coverage_proj.data.T).reshape(gh, gw)),
-                   (coverage_proj, lambda g: column.T @ dpre(g)),
-                   (energy, lambda g: act.T @ dscores(g)))
+    return _record(y.reshape(gh, gw), (keys, h, hidden_proj, coverage, coverage_proj, energy), vjp)
 
 
 def _row_plus_products(x1: Tensor, w1: Tensor, table: Tensor, row: int, x2: Tensor,
@@ -198,19 +183,21 @@ def _row_plus_products(x1: Tensor, w1: Tensor, table: Tensor, row: int, x2: Tens
     """``x1 w1 + table[row] + x2 w2``, summed in that order, as one flat node.
 
     ``x1`` and ``x2`` are 1 x n rows; the result has ``table``'s row width.
+    The vjp yields its gradients one at a time, so the two weight
+    gradients, the largest in a step, never exist at once.
     """
     y = x1.data @ w1.data
     y += table.data[row]
     y += x2.data @ w2.data
-    flat = y.reshape(-1)
-    if not _recording(table, x1, w1, x2, w2):
-        return Tensor(flat)
-    return _record(flat,
-                   (table, lambda g: _scattered(table.data, row, g)),
-                   (x1, lambda g: g[None] @ w1.data.T),
-                   (w1, lambda g: x1.data.T @ g[None]),
-                   (x2, lambda g: g[None] @ w2.data.T),
-                   (w2, lambda g: x2.data.T @ g[None]))
+
+    def vjp(g):
+        yield _scattered(table.data, row, g)
+        yield g[None] @ w1.data.T
+        yield x1.data.T @ g[None]
+        yield g[None] @ w2.data.T
+        yield x2.data.T @ g[None]
+
+    return _record(y.reshape(-1), (table, x1, w1, x2, w2), vjp)
 
 
 def _lstm(gates: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
@@ -229,26 +216,23 @@ def _lstm(gates: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
     memory += in_gate * candidate
     squashed = np.tanh(memory)
     output = out_gate * squashed
-    if not _recording(gates, cell):
-        return Tensor(memory), Tensor(output)
 
-    def dgates_of_memory(g):
+    def memory_vjp(g):
         d = np.zeros_like(gates.data)  # the output gate's block stays zero
         d[:hidden] = g * candidate
         d[hidden:2 * hidden] = g * cell.data
         d[:3 * hidden] *= ifo
         d[:3 * hidden] *= 1.0 - ifo
         d[3 * hidden:] = g * in_gate * (1.0 - candidate * candidate)
-        return d
+        return d, g * forget_gate
 
-    def dgates_of_output(g):
+    def output_vjp(g):
         d = np.zeros_like(gates.data)
         d[2 * hidden:3 * hidden] = g * squashed * out_gate * (1.0 - out_gate)
-        return d
+        return d, g * out_gate * (1.0 - squashed * squashed)
 
-    memory_node = _record(memory, (gates, dgates_of_memory), (cell, lambda g: g * forget_gate))
-    return memory_node, _record(output, (gates, dgates_of_output),
-                                (memory_node, lambda g: g * out_gate * (1.0 - squashed * squashed)))
+    memory_node = _record(memory, (gates, cell), memory_vjp)
+    return memory_node, _record(output, (gates, memory_node), output_vjp)
 
 
 class AttentionDecoder:

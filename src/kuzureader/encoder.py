@@ -43,8 +43,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import (DimensionError, Tensor, _per_gradient, _record, _recording, bias_relu,
-                       pool2d, reshape)
+from .autodiff import DimensionError, Tensor, _record, _recording, bias_relu, pool2d, reshape
 from .data import check_pixels
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
@@ -120,9 +119,9 @@ def _conv1x1(x: Tensor, kernel: Tensor) -> Tensor:
     cout = kernel.shape[3]
     k = kernel.data.reshape(cin, cout)
     cells = x.data.reshape(cin, h * w)
-    return _record((k.T @ cells).reshape(cout, h, w),
-                   (kernel, lambda g: (cells @ g.reshape(cout, -1).T).reshape(kernel.shape)),
-                   (x, lambda g: (k @ g.reshape(cout, -1)).reshape(x.shape)))
+    return _record((k.T @ cells).reshape(cout, h, w), (kernel, x),
+                   lambda g: ((cells @ g.reshape(cout, -1).T).reshape(kernel.shape),
+                              (k @ g.reshape(cout, -1)).reshape(x.shape)))
 
 
 def _per_channel(bias: Tensor) -> Tensor:
@@ -148,8 +147,8 @@ def conv2d(image: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
         return windows.transpose(2, 3, 0, 1).reshape(kh * kw, ho * wo)
 
     k = kernel.data.reshape(kh * kw, cout)
-    return _record((k.T @ taps()).reshape(cout, ho, wo),
-                   (kernel, lambda g: (taps() @ g.reshape(cout, -1).T).reshape(kernel.shape)))
+    return _record((k.T @ taps()).reshape(cout, ho, wo), (kernel,),
+                   lambda g: ((taps() @ g.reshape(cout, -1).T).reshape(kernel.shape),))
 
 
 def _conv3x3(pad: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
@@ -216,13 +215,14 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     buffer is built. When recording, the node holds the output buffer and
     each layer's unpadded bottleneck activation, which grows linearly with
     depth where a graph of per-layer concatenations grows quadratically;
-    without recording nothing is kept per layer. One reverse sweep over a
-    single gradient buffer serves every edge. It cuts each layer's output
-    gradient into one (9*G) x (H*W) matrix of 3x3 windows, so the 3x3
-    kernel gradient and the bottleneck gradient are one product each; the
-    bottleneck gradient overwrites that layer's kept bottleneck, and the
-    prefix's gradient is added in slabs of 9*G channels through the
-    windows' memory.
+    without recording nothing is kept per layer. The node's one vjp is a
+    reverse sweep over a single gradient buffer that gives the input's and
+    every parameter's gradient, so it pops each kept bottleneck once. It
+    cuts each layer's output gradient into one (9*G) x (H*W) matrix of 3x3
+    windows, so the 3x3 kernel gradient and the bottleneck gradient are one
+    product each; the bottleneck gradient overwrites that layer's kept
+    bottleneck, and the prefix's gradient is added in slabs of 9*G channels
+    through the windows' memory.
     """
     if not layers:
         return x
@@ -250,12 +250,9 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
         _conv3x3(pad, ck.data, grown)
         grown += cb.data[:, None, None]
         np.maximum(grown, 0.0, out=grown)
-    if not recording:
-        return Tensor(buf)
 
-    @_per_gradient
     def sweep(g):
-        """Input gradient, then each parameter's, in ``params`` order; runs once."""
+        """Input gradient, then each parameter's, in ``params`` order."""
         grad = np.array(g).reshape(ctot, cells)  # writable; layers add into its prefix
         dparams = []
         for (rk, rb, ck, cb), c, end in reversed(list(zip(layers, starts, starts[1:]))):
@@ -276,12 +273,12 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
             del patches  # before the next layer's windows exist
         return [grad[:c0].reshape(c0, h, w), *dparams]
 
-    return _record(buf, *[(t, lambda g, k=k: sweep(g)[k]) for k, t in enumerate((x, *params))])
+    return _record(buf, (x, *params), sweep)
 
 
 def _channels_last(x: Tensor) -> Tensor:
     """A C x H x W map as the H x W x C grid the decoder reads: one transposed copy."""
-    return _record(x.data.transpose(1, 2, 0), (x, lambda g: g.transpose(2, 0, 1)))
+    return _record(x.data.transpose(1, 2, 0), (x,), lambda g: (g.transpose(2, 0, 1),))
 
 
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .autodiff import DatasetError
+from .data import parse_json_object
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -33,7 +34,7 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 
 
 _REPORT_FIELDS = {"cer": (int, float), "ser": (int, float), "total_target_chars": int,
-                  "num_sequences": int, "distances": list}  # JSON types of EvalReport's fields
+                  "num_sequences": int, "distances": list[int]}  # JSON types of EvalReport's fields
 
 
 @dataclass
@@ -51,21 +52,7 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         """Read back ``to_json``'s text; anything else raises ``DatasetError`` naming the fault."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"evaluation report is not JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise DatasetError(f"evaluation report must be a JSON object, got {type(payload).__name__}")
-        for name, kinds in _REPORT_FIELDS.items():
-            if name not in payload:
-                raise DatasetError(f"evaluation report has no field {name!r}")
-            value = payload[name]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise DatasetError(f"evaluation report field {name!r} has the wrong type: {value!r}")
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in payload["distances"]):
-            raise DatasetError(f"evaluation report field 'distances' must hold integers: "
-                               f"{payload['distances']!r}")
+        payload = parse_json_object(text, "evaluation report", _REPORT_FIELDS)
         return cls(**{name: payload[name] for name in _REPORT_FIELDS})
 
     def to_text(self) -> str:

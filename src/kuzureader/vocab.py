@@ -22,6 +22,14 @@ START = 0
 END = 1
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; other bytes raise ``DatasetError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 class Vocabulary:
     def __init__(self, tokens: Sequence[str]):
         tokens = tuple(tokens)
@@ -71,4 +79,4 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        return cls(read_text(path).splitlines())

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 
 import numpy as np
@@ -25,6 +26,10 @@ from kuzureader.data import (
 from kuzureader.vocab import Vocabulary
 
 
+GOOD_MANIFEST = {"train": ["a"], "validation": [], "test": [], "ratio": [9, 1],
+                 "holdout_rule": "no holdout tag; test set empty"}
+
+
 class TestPgm:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -43,9 +48,16 @@ class TestPgm:
         raw = path.read_bytes()
         assert raw.endswith(bytes([0, 255]))
 
-    def test_write_rejects_multichannel_image(self, tmp_path):
-        with pytest.raises(DimensionError, match="single-channel"):
-            write_pgm(tmp_path / "img.pgm", np.zeros((2, 2, 3)))
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 2, 3), "single-channel"), ((4,), "single-channel"), ((1, 2, 1, 1), "single-channel"),
+        ((0, 3), "no pixels"), ((2, 0, 1), "no pixels"),
+    ], ids=["three-channels", "1-d", "4-d", "0x3", "2x0x1"])
+    def test_write_refuses_a_shape_it_cannot_store_and_creates_no_file(self, tmp_path, shape,
+                                                                       message):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(DimensionError, match=message):
+            write_pgm(path, np.zeros(shape))
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad, message", [
         (2.0, "outside"), (255.0, "outside"), (-0.5, "outside"), (np.nan, "non-finite"),
@@ -231,7 +243,7 @@ class TestSplit:
         with pytest.raises(DatasetError, match="unique"):
             make_split(["a", "b", "a"], seed=4)
 
-    @pytest.mark.parametrize("ratio", [(-1, 2), (0, 0)])
+    @pytest.mark.parametrize("ratio", [(-1, 2), (0, 0), (1,), (1, 1, 1)])
     def test_bad_ratio_is_a_dimension_error(self, ratio):
         with pytest.raises(DimensionError, match="bad ratio"):
             make_split(["a", "b"], ratio=ratio, seed=5)
@@ -257,6 +269,22 @@ class TestSplit:
         manifest.save(path)
         assert SplitManifest.load(path) == manifest
 
+    @pytest.mark.parametrize("text, match", [
+        ("nope", "not JSON"),
+        ("[]", "JSON object"),
+        ("{}", "no field 'train'"),
+        (json.dumps({**GOOD_MANIFEST, "ratio": [1]}), "'ratio' must hold two integers"),
+        (json.dumps({**GOOD_MANIFEST, "ratio": [9, True]}), "'ratio' must hold integers"),
+        (json.dumps({**GOOD_MANIFEST, "test": "b"}), "'test' has the wrong type"),
+        (json.dumps({**GOOD_MANIFEST, "train": ["a", 2]}), "'train' must hold strings"),
+        (json.dumps({**GOOD_MANIFEST, "holdout_rule": None}), "'holdout_rule' has the wrong type"),
+    ], ids=["not-json", "array", "empty-object", "one-ratio", "boolean-ratio", "test-not-a-list",
+            "id-not-a-string", "rule-null"])
+    def test_malformed_manifest_is_a_dataset_error_naming_the_field(self, text, match):
+        assert SplitManifest.from_json(json.dumps(GOOD_MANIFEST)).ratio == (9, 1)
+        with pytest.raises(DatasetError, match=match):
+            SplitManifest.from_json(text)
+
 
 class TestDatasetIO:
     def test_save_load_roundtrip(self, tmp_path):
@@ -269,6 +297,17 @@ class TestDatasetIO:
         for original, again in zip(samples, loaded):
             assert again.target == original.target
             assert np.array_equal(again.image, original.image)
+
+    @pytest.mark.parametrize("name, load", [
+        ("vocab.txt", Vocabulary.load),
+        ("labels.tsv", lambda path: load_dataset(path.parent, Vocabulary.from_characters("a"))),
+        ("split.json", SplitManifest.load),
+    ], ids=["vocabulary", "labels", "split-manifest"])
+    def test_text_that_is_not_utf8_is_a_dataset_error(self, tmp_path, name, load):
+        path = tmp_path / name
+        path.write_bytes(b"<S>\n<E>\n\xff\n")
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            load(path)
 
     def test_empty_labels_warns(self, tmp_path, caplog):
         (tmp_path / "labels.tsv").write_text("", encoding="utf-8")

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,28 @@ class TestFusedNodes:
         unread = [row for row in range(vocab_size) if row not in rows]
         assert np.all(table.grad[unread] == 0.0)
         assert np.all(table.grad[sorted(set(rows))] != 0.0)
+
+    def test_gate_sum_backward_adds_one_weight_gradient_at_a_time(self):
+        # Two gate sums share their weights, as consecutive steps share lstm.context_w
+        # and lstm.hidden_w. When the second node's sweep runs, both weights hold a
+        # gradient; adding one contribution at a time peaks at those two, the
+        # contribution and its sum: four weight sizes. A vjp that gives all five
+        # gradients at once also holds the other weight's contribution: five.
+        rng = np.random.default_rng(39)
+        n, width = 512, 256
+        w1, w2 = (Tensor(rng.normal(size=(n, width)), requires_grad=True) for _ in range(2))
+        table = Tensor(rng.normal(size=(4, width)), requires_grad=True)
+        x = [Tensor(rng.normal(size=(1, n)), requires_grad=True) for _ in range(4)]
+        loss = sum_all(_row_plus_products(x[0], w1, table, 1, x[1], w2)
+                       + _row_plus_products(x[2], w1, table, 2, x[3], w2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / w1.data.nbytes <= 4.5
 
     def test_lstm_gradients(self):
         rng = np.random.default_rng(36)

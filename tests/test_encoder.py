@@ -21,6 +21,7 @@ from kuzureader.autodiff import (
     tanh,
     zero_grads,
 )
+from kuzureader import encoder
 from kuzureader.encoder import (BLOCKS, DenseEncoder, EncoderConfig, FeatureGrid, conv2d,
                                 dense_block, transition)
 
@@ -37,7 +38,7 @@ def channel_oracle(initial, growth, depth, blocks, compression):
 
 def transposed(t, axes):
     """``t`` with its axes permuted, as a graph node."""
-    return _record(np.transpose(t.data, axes), (t, lambda g: np.transpose(g, np.argsort(axes))))
+    return _record(np.transpose(t.data, axes), (t,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def per_channel(bias):
@@ -332,13 +333,26 @@ class TestBlockNode:
         for a, b in zip(fused_grads, composed_grads):
             assert max_normalised(a, b) < 1e-12
 
-    def test_records_one_node_with_an_edge_per_input(self):
+    def test_records_one_node_over_every_input(self):
         layers = block_layers(4, 3, 2, seed=1)
         params = [p for layer in layers for p in layer]
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 4)), requires_grad=True)
         out = dense_block(x, layers)
-        assert [t for t, _ in out._edges] == [x, *params]
+        assert out._inputs == (x, *params)
         assert len(execution_order(out)) == 1 + len(params) + 1
+
+    def test_backward_runs_the_sweep_once(self, monkeypatch):
+        layers = block_layers(4, 3, 2, seed=3)
+        params = [p for layer in layers for p in layer]
+        x = Tensor(np.random.default_rng(3).normal(size=(4, 3, 4)), requires_grad=True)
+        out = dense_block(x, layers)
+        sweeps, windows = [], []
+        sweep, patches = out._vjp, encoder._gradient_patches
+        out._vjp = lambda g: sweeps.append(g) or sweep(g)
+        monkeypatch.setattr(encoder, "_gradient_patches", lambda d: windows.append(d) or patches(d))
+        backward(sum_all(out))
+        assert len(sweeps) == 1 and len(windows) == len(layers)
+        assert all(t.grad is not None for t in (x, *params))
 
     @pytest.mark.parametrize("input_requires_grad", [True, False])
     def test_gradients_match_finite_differences(self, input_requires_grad):
@@ -385,7 +399,7 @@ class TestBlockNode:
         padded_cells = (c["h"] + 2) * (c["w"] + 2)
         pad = 4 * c["growth"] * (padded_cells + 2) * 8
         row_product = 3 * c["growth"] * padded_cells * 8
-        assert out._edges == ()
+        assert out._inputs == ()
         assert peak <= out.data.nbytes + pad + bottleneck + row_product + self.SLACK
 
     def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self):
