@@ -54,12 +54,13 @@ import numpy as np
 class DimensionError(ValueError):
     """Operand shapes are incompatible, or a size or setting is out of range.
 
-    Raised by the ops on mismatched shapes, by the model and generator
-    settings on invalid sizes, by a decode step past ``max_decode_len`` or
-    given a previous token that is not an integer vocabulary index, by
-    ``encode`` on an image that requires a gradient, by ``write_pgm`` on an
-    image that is not H x W or H x W x 1 or has no pixels, and by
-    ``make_split`` on a ratio that is not two values.
+    Raised by the ops on mismatched shapes; by a size, seed, token index,
+    ratio entry or padding factor that is not an integer (a bool is not) or
+    is below its minimum; by glyphs that do not fit their layout or share
+    one bitmap; by a decode step past ``max_decode_len`` or given a token
+    outside the vocabulary; by ``encode`` on an image that requires a
+    gradient; by ``write_pgm`` on an image that is not H x W or H x W x 1 or
+    has no pixels; and by ``make_split`` on a ratio that is not two values.
     """
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin
@@ -40,6 +41,24 @@ GLYPH_ALPHABET = tuple("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJ")
 
 # ---------------------------------------------------------------------------
 # portable graymap IO (binary P5), bit-exact round trip
+
+
+def check_size(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integer >= ``minimum``, else ``DimensionError`` naming it."""
+    try:
+        if isinstance(value, bool):  # True is an int to Python, but no size or seed
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise DimensionError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
+def seeded_rng(*entropy) -> np.random.Generator:
+    """The generator of one seeded draw; every entropy value must be an integer >= 0."""
+    return np.random.default_rng(np.random.SeedSequence([check_size("seed", v, 0) for v in entropy]))
 
 
 def check_pixels(pixels: np.ndarray) -> None:
@@ -141,30 +160,39 @@ class SynthSpec:
     """Layout ranges whose every document fits, proved at build (else ``DimensionError``).
 
     Each glyph must fit the smallest cell, ``canvas[0] // chars[1]`` by
-    ``canvas[1] // lines[1]``, with ``(cell - glyph) // 2 >= jitter`` on both axes.
+    ``canvas[1] // lines[1]``, with ``(cell - glyph) // 2 >= jitter`` on both
+    axes, and no two tokens may share one bitmap. ``build_spec`` holds the defaults.
     """
     canvas: tuple[int, int]                  # (height, width) pixels
     glyphs: dict[str, np.ndarray]            # token -> binary glyph bitmap
     lines: tuple[int, int]                   # columns per document, inclusive
     chars: tuple[int, int]                   # characters per column, inclusive
-    jitter: int = 0                          # max +/- pixel offset per glyph
-    noise: float = 0.0                       # per-pixel speckle probability
-    seed: int = 0
+    jitter: int                              # max +/- pixel offset per glyph
+    noise: float                             # per-pixel speckle probability
+    seed: int
 
     def __post_init__(self):
-        if self.lines[0] < 1 or self.lines[0] > self.lines[1]:
-            raise DimensionError(f"empty lines range {self.lines}")
-        if self.chars[0] < 1 or self.chars[0] > self.chars[1]:
-            raise DimensionError(f"empty chars range {self.chars}")
+        for name, pair in (("canvas", self.canvas), ("lines", self.lines), ("chars", self.chars)):
+            if len(pair) != 2:
+                raise DimensionError(f"{name} must be two integers, got {pair!r}")
+            low, high = (check_size(name, value, 1) for value in pair)
+            if name != "canvas" and low > high:
+                raise DimensionError(f"empty {name} range {pair}")
+        check_size("jitter", self.jitter, 0)
+        check_size("seed", self.seed, 0)
+        if not 0 <= self.noise <= 1:
+            raise DimensionError(f"noise must be within [0, 1], got {self.noise}")
         if not self.glyphs:
             raise DimensionError("glyph set is empty")
-        if self.jitter < 0 or not 0 <= self.noise <= 1:
-            raise DimensionError("jitter must be >= 0 and noise within [0, 1]")
         cell = (self.canvas[0] // self.chars[1], self.canvas[1] // self.lines[1])
+        first_token: dict[tuple, str] = {}  # a bitmap's (shape, bytes) -> its first token
         for token, glyph in self.glyphs.items():
             if min((c - g) // 2 for c, g in zip(cell, glyph.shape)) < self.jitter:
                 raise DimensionError(f"glyph {token!r} {glyph.shape} with jitter {self.jitter} "
                                      f"does not fit the smallest {cell[0]}x{cell[1]} cell")
+            first = first_token.setdefault((glyph.shape, glyph.tobytes()), token)
+            if first != token:
+                raise DimensionError(f"glyphs {first!r} and {token!r} share one bitmap")
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -175,12 +203,11 @@ class SynthSpec:
 
 
 def make_glyphs(tokens: Sequence[str], size: int, seed: int) -> dict[str, np.ndarray]:
-    """Distinct binary stroke bitmaps, one per token, deterministic per seed."""
-    if size < 3:  # strokes run between interior pixels 1..size-2
-        raise DimensionError(f"glyph_size must be >= 3, got {size}")
+    """Binary stroke bitmaps, one per token, deterministic per seed (``SynthSpec`` refuses twins)."""
+    check_size("glyph_size", size, 3)  # strokes run between interior pixels 1..size-2
     glyphs: dict[str, np.ndarray] = {}
     for class_index, token in enumerate(tokens):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x617, class_index]))
+        rng = seeded_rng(seed, 0x617, class_index)
         bitmap = np.zeros((size, size))
         for _ in range(rng.integers(3, 6)):
             y0, x0, y1, x1 = rng.integers(1, size - 1, size=4)
@@ -198,7 +225,7 @@ def build_spec(num_classes: int = 10, canvas: tuple[int, int] = (96, 64),
                glyph_size: int = 20, jitter: int = 2, noise: float = 0.0,
                seed: int = 0) -> SynthSpec:
     """Convenience factory: procedural glyphs over the default alphabet."""
-    if not 1 <= num_classes <= len(GLYPH_ALPHABET):
+    if check_size("num_classes", num_classes, 1) > len(GLYPH_ALPHABET):
         raise DimensionError(f"num_classes must be within 1..{len(GLYPH_ALPHABET)}")
     tokens = GLYPH_ALPHABET[:num_classes]
     glyphs = make_glyphs(tokens, glyph_size, seed)
@@ -212,7 +239,7 @@ def generate_document_with_layout(spec: SynthSpec, seed: int) -> tuple[Sample, l
     Columns are laid out right to left; characters run top to bottom
     within a column, and the transcription follows the same order.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xD0C, seed]))
+    rng = seeded_rng(spec.seed, 0xD0C, seed)
     height, width = spec.canvas
     vocabulary = spec.vocabulary()
     tokens = spec.tokens
@@ -337,14 +364,14 @@ def make_split(ids: Sequence[str], ratio: tuple[int, int] = (9, 1),
     Ids whose first path segment equals ``holdout_tag`` form the test
     set; the remainder is shuffled (seeded) and split train:validation
     by ``ratio``. Empty, duplicate or all-holdout ids raise
-    ``DatasetError``; a ratio that is not two values, or is negative or
+    ``DatasetError``; a ratio that is not two integers, or is negative or
     all zero, raises ``DimensionError``.
     """
     if not ids:
         raise DatasetError("cannot split an empty id list")
     if len(set(ids)) != len(ids):
         raise DatasetError("sample ids must be unique")
-    if len(ratio) != 2 or min(ratio) < 0 or ratio[0] + ratio[1] <= 0:
+    if len(ratio) != 2 or sum(check_size("ratio", part, 0) for part in ratio) == 0:
         raise DimensionError(f"bad ratio {ratio}")
 
     if holdout_tag is None:
@@ -356,7 +383,7 @@ def make_split(ids: Sequence[str], ratio: tuple[int, int] = (9, 1),
         raise DatasetError(f"every sample matches holdout tag {holdout_tag!r}; "
                            "nothing left to train on")
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B7]))
+    rng = seeded_rng(seed, 0x5B7)
     order = rng.permutation(len(rest))
     shuffled = [rest[i] for i in order]
     n_val = int(len(shuffled) * ratio[1] / (ratio[0] + ratio[1]))

@@ -43,8 +43,7 @@ marker, the step limit, or a step whose logits are not finite.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,7 +61,8 @@ from .autodiff import (
 )
 # not called here: module attributes that bench/spans.py wraps by name, like matmul
 from .autodiff import narrow, sigmoid, softmax_flat, tanh  # noqa: F401
-from .encoder import FeatureGrid, _uniform, check_integer_fields
+from .data import check_size, seeded_rng
+from .encoder import FeatureGrid, _uniform
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,8 @@ class DecoderConfig:
     max_decode_len: int = 128
 
     def __post_init__(self):
-        check_integer_fields(self)
-        for name in ("hidden_size", "embed_size", "attention_size", "max_decode_len"):
-            if getattr(self, name) < 1:
-                raise DimensionError(f"{name} must be >= 1")
+        for f in fields(self):
+            check_size(f.name, getattr(self, f.name), 1)
 
 
 @dataclass(frozen=True)
@@ -245,12 +243,11 @@ class AttentionDecoder:
 
     def __init__(self, feature_channels: int, vocab_size: int,
                  config: DecoderConfig = DecoderConfig(), seed: int = 0):
-        if vocab_size < 2:
-            raise DimensionError("vocabulary must contain at least the start/end markers")
+        check_size("vocab_size", vocab_size, 2)  # the start and end markers at least
         self.config = config
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC]))
+        rng = seeded_rng(seed, 0xDEC)
         hidden, embed, att = config.hidden_size, config.embed_size, config.attention_size
-        channels = feature_channels
+        channels = check_size("feature_channels", feature_channels, 1)
 
         lstm_in = channels + embed
         lstm_bias = np.zeros((1, 4 * hidden))
@@ -328,11 +325,7 @@ class AttentionDecoder:
         if grid.features is not tables.features:
             raise DimensionError("step got a feature grid other than the one "
                                  "its state was built from")
-        try:
-            prev_token = operator.index(prev_token)
-        except TypeError:
-            raise DimensionError(f"token index {prev_token!r} is not an integer") from None
-        if prev_token < 0 or prev_token >= self.vocab_size:
+        if check_size("token index", prev_token, 0) >= self.vocab_size:
             raise DimensionError(f"token index {prev_token} out of range "
                                  f"for vocabulary of {self.vocab_size}")
         if state.t > self.config.max_decode_len:

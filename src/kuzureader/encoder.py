@@ -9,6 +9,8 @@ every row of a shifted 3x3 tap are contiguous runs of memory. ``encode``
 hands the decoder the H x W x C grid through one transposed copy of the
 last block's output.
 
+The stem is fixed, 3x3 at stride 1; ``conv2d`` keeps a ``stride``, which
+``bench/spans.py`` passes by keyword.
 The page is a constant, so the stem is one product of the flattened
 kernel with the page's kh*kw shifted planes, and only the kernel is
 differentiated. Inside a dense block (``dense_block``, one graph node)
@@ -35,8 +37,7 @@ normalization, which keeps runs bit-deterministic.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -44,19 +45,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import DimensionError, Tensor, _record, _recording, bias_relu, pool2d, reshape
-from .data import check_pixels
+from .data import check_pixels, check_size, seeded_rng
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
-
-
-def check_integer_fields(config) -> None:
-    """Raise ``DimensionError`` unless every field of ``config`` is an integer (numpy's too)."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise DimensionError(f"{f.name} must be an integer, got {value!r}") from None
+STEM_KERNEL, STEM_STRIDE = 3, 1  # the stem's odd kernel extent and its stride
 
 
 @dataclass(frozen=True)
@@ -64,26 +56,15 @@ class EncoderConfig:
     growth_rate: int
     block_depth: int
     initial_channels: int = 48
-    stem_kernel: int = 3
-    stem_stride: int = 1
 
     def __post_init__(self):
-        check_integer_fields(self)
-        if self.growth_rate < 1:
-            raise DimensionError(f"growth_rate must be >= 1, got {self.growth_rate}")
-        if self.block_depth < 0:
-            raise DimensionError(f"block_depth must be >= 0, got {self.block_depth}")
-        if self.initial_channels < 1:
-            raise DimensionError(f"initial_channels must be >= 1, got {self.initial_channels}")
-        if self.stem_kernel < 1 or self.stem_kernel % 2 == 0:
-            raise DimensionError(f"stem_kernel must be odd and >= 1, got {self.stem_kernel}")
-        if self.stem_stride < 1:
-            raise DimensionError(f"stem_stride must be >= 1, got {self.stem_stride}")
+        for name, minimum in (("growth_rate", 1), ("block_depth", 0), ("initial_channels", 1)):
+            check_size(name, getattr(self, name), minimum)
 
     @property
     def downsample_factor(self) -> int:
         """Input pixels per feature cell along each axis."""
-        return self.stem_stride * 2 ** BLOCKS
+        return STEM_STRIDE * 2 ** BLOCKS
 
     def channel_plan(self) -> list[int]:
         """Channel counts after the stem and after each block/transition."""
@@ -298,7 +279,7 @@ class DenseEncoder:
     def __init__(self, config: EncoderConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE0C]))
+        rng = seeded_rng(seed, 0xE0C)
         c = config
 
         def add_conv(name, kh, kw, cin, cout):
@@ -307,7 +288,7 @@ class DenseEncoder:
             self.params[f"{name}.bias"] = Tensor(np.zeros(cout), requires_grad=True)
 
         plan = c.channel_plan()  # block b: plan[2b] -> plan[2b+1]; trans b: -> plan[2b+2]
-        add_conv("stem", c.stem_kernel, c.stem_kernel, 1, plan[0])
+        add_conv("stem", STEM_KERNEL, STEM_KERNEL, 1, plan[0])
         for block in range(BLOCKS):
             for layer in range(c.block_depth):
                 cin = plan[2 * block] + layer * c.growth_rate
@@ -348,9 +329,7 @@ class DenseEncoder:
             raise DimensionError(f"image {(h, w)} too small for downsample factor {factor}")
         check_pixels(image.data)
 
-        c = self.config
-        x = conv2d(image, self.params["stem.kernel"], stride=c.stem_stride,
-                   padding=c.stem_kernel // 2)
+        x = conv2d(image, self.params["stem.kernel"], stride=STEM_STRIDE, padding=STEM_KERNEL // 2)
         # fl(x + b) and relu are monotone, so pooling first is exact and rectifies 1/4 the cells
         x = bias_relu(pool2d(x, "max"), _per_channel(self.params["stem.bias"]))
         for block in range(BLOCKS):

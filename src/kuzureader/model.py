@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import DimensionError, NumericError, Tensor, no_grad
+from .data import check_size
 from .decoder import AttentionDecoder, DecoderConfig, GreedyResult
 from .encoder import DenseEncoder, EncoderConfig, FeatureGrid
 from .vocab import Vocabulary
@@ -60,8 +61,7 @@ class Recognizer:
 
 def pad_to_factor(image: np.ndarray, factor: int, background: float = 0.0) -> np.ndarray:
     """Pad an H x W x C image at the bottom/right to multiples of ``factor`` (at least 1)."""
-    if factor < 1:
-        raise DimensionError(f"padding factor must be >= 1, got {factor}")
+    check_size("padding factor", factor, 1)
     h, w = image.shape[:2]
     ph = (-h) % factor
     pw = (-w) % factor

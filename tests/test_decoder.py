@@ -146,8 +146,13 @@ class TestConfig:
         grid = make_grid(2, 2, 6)
         assert len(AttentionDecoder(6, 5, config).decode_greedy(grid).trace) <= 3
 
+    @pytest.mark.parametrize("channels", [0, 2.5, True], ids=["zero", "float", "bool"])
+    def test_feature_channels_that_are_not_a_positive_integer_raise_dimension_error(self, channels):
+        with pytest.raises(DimensionError, match="feature_channels"):
+            AttentionDecoder(channels, 5, DecoderConfig(4, 4, 2, 3))
+
     def test_vocabulary_without_both_markers_raises_dimension_error(self):
-        with pytest.raises(DimensionError, match="start/end markers"):
+        with pytest.raises(DimensionError, match="vocab_size must be >= 2"):
             make_decoder(vocab_size=1)
 
     def test_sizes_are_read_from_the_parameter_shapes(self):
@@ -304,8 +309,8 @@ class TestStep:
         expected, _ = dec.step(grid, state, 2)
         logits, _ = dec.step(grid, state, np.int64(2))
         assert np.array_equal(logits.data, expected.data)
-        for prev in (1.0, np.float64(2.0), "2", None):
-            with pytest.raises(DimensionError, match="not an integer"):
+        for prev in (1.0, np.float64(2.0), "2", None, True):
+            with pytest.raises(DimensionError, match="token index must be an integer"):
                 dec.step(grid, state, prev)
 
     def test_step_rejects_a_grid_other_than_the_states(self):

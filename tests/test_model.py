@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from kuzureader import data, vocab
 from kuzureader.autodiff import DimensionError, NumericError, backward, logsumexp, pick
+from kuzureader.data import check_size
 from kuzureader.decoder import AttentionDecoder, DecoderConfig
-from kuzureader.encoder import BLOCKS, EncoderConfig
+from kuzureader.encoder import BLOCKS, DenseEncoder, EncoderConfig
 from kuzureader.model import Recognizer, pad_to_factor
 from kuzureader.vocab import Vocabulary
 
@@ -201,3 +203,49 @@ class TestTrainingStep:
             tracemalloc.stop()
         assert all(p.grad is not None for p in model.parameters().values())
         assert held <= param_bytes + 1_000_000, (held, param_bytes)
+
+
+SMALL_DECODER = DecoderConfig(hidden_size=4, embed_size=4, attention_size=2, max_decode_len=3)
+
+# each takes a seed and makes one seeded draw
+SEEDED = {
+    "generate_document": lambda seed: data.generate_document(data.build_spec(), seed),
+    "build_spec": lambda seed: data.build_spec(seed=seed),
+    "make_glyphs": lambda seed: data.make_glyphs(("a",), 10, seed),
+    "DenseEncoder": lambda seed: DenseEncoder(EncoderConfig(2, 1, 4), seed=seed),
+    "AttentionDecoder": lambda seed: AttentionDecoder(6, 4, SMALL_DECODER, seed=seed),
+    "Recognizer": lambda seed: Recognizer(EncoderConfig(2, 1, 4), SMALL_DECODER,
+                                          Vocabulary.from_characters("ab"), seed=seed),
+    "make_split": lambda seed: data.make_split(["a", "b"], seed=seed),
+    "SynthSpec": lambda seed: dataclasses.replace(data.build_spec(), seed=seed),
+}
+
+# each sets a size that is not an integer, which is refused where it is set, not later
+NON_INTEGER_SETTINGS = {
+    "split-ratio": (lambda: data.make_split(["a", "b"], ratio=(0.5, 0.5)), "ratio"),
+    "num-classes": (lambda: data.build_spec(num_classes=2.0), "num_classes"),
+    "canvas": (lambda: data.build_spec(canvas=(96.0, 64)), "canvas"),
+    "one-value-lines": (lambda: dataclasses.replace(data.build_spec(), lines=(2,)), "lines"),
+    "bool-jitter": (lambda: data.build_spec(jitter=True), "jitter"),
+    "factor-1.5": (lambda: pad_to_factor(np.zeros((5, 8, 1)), 1.5), "factor"),
+    "factor-2.5": (lambda: pad_to_factor(np.zeros((5, 8, 1)), 2.5), "factor"),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    @pytest.mark.parametrize("name", list(SEEDED))
+    def test_every_seeded_draw_refuses_a_seed_that_is_not_a_non_negative_integer(self, name, seed):
+        with pytest.raises(DimensionError, match="seed"):
+            SEEDED[name](seed)
+
+    @pytest.mark.parametrize("name", list(NON_INTEGER_SETTINGS))
+    def test_a_size_that_is_not_an_integer_is_refused_where_it_is_set(self, name):
+        build, setting = NON_INTEGER_SETTINGS[name]
+        with pytest.raises(DimensionError, match=setting):
+            build()
+
+    def test_numpy_integers_pass_as_ints_and_numpy_bools_are_refused(self):
+        assert type(check_size("n", np.int64(3), 1)) is int
+        with pytest.raises(DimensionError, match="n must be an integer"):
+            check_size("n", np.True_, 0)
