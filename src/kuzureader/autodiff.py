@@ -54,13 +54,14 @@ import numpy as np
 class DimensionError(ValueError):
     """Operand shapes are incompatible, or a size or setting is out of range.
 
-    Raised by the ops on mismatched shapes; by a size, seed, token index,
-    ratio entry or padding factor that is not an integer (a bool is not) or
-    is below its minimum; by glyphs that do not fit their layout or share
-    one bitmap; by a decode step past ``max_decode_len`` or given a token
-    outside the vocabulary; by ``encode`` on an image that requires a
-    gradient; by ``write_pgm`` on an image that is not H x W or H x W x 1 or
-    has no pixels; and by ``make_split`` on a ratio that is not two values.
+    Raised by the ops on mismatched shapes; by a size, seed, token index or
+    padding factor that is not an integer (a bool is not) or is below its
+    minimum; by a generator setting of the wrong kind (a range that is not
+    a pair, a noise level that is not a real number in [0, 1]); by glyphs
+    that do not fit their layout or share one bitmap; by a decode step past
+    ``max_decode_len`` or given a token outside the vocabulary; by
+    ``encode`` on an image that requires a gradient; and by ``write_pgm``
+    on an image that is not H x W or H x W x 1 or has no pixels.
     """
 
 
@@ -76,15 +77,12 @@ class NumericError(ArithmeticError):
 class DatasetError(RuntimeError):
     """Stored or supplied content is malformed.
 
-    Raised on a malformed dataset directory or graymap, a dataset image path
-    or sample id outside the dataset root, a sample id saved twice or one
-    holding a tab, a line break or a NUL byte, a graymap with no pixels, a
-    vocabulary that breaks the file or dataset format, a token or token
-    index missing from the vocabulary, a token index that is not an
-    integer, sample ids that cannot be split, an empty evaluation, an
-    evaluation report or split manifest that is not the JSON object its
-    ``to_json`` writes (a missing field or one of the wrong type), and a
-    vocabulary, labels or manifest file that is not UTF-8 text.
+    Raised on a malformed graymap or one with no pixels, a vocabulary that
+    breaks the file format, a token or token index missing from the
+    vocabulary, a token index that is not an integer, an empty evaluation,
+    an evaluation report that is not the JSON object its ``to_json`` writes
+    (a missing field or one of the wrong type), and a vocabulary file that
+    is not UTF-8 text.
     """
 
 
@@ -142,7 +140,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
+        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -257,9 +255,10 @@ def add(a, b) -> Tensor:
                    lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _record(-a.data, (a,), lambda g: (-g,))
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    return _record(a.data - b.data, (a, b),
+                   lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:

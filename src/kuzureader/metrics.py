@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_args, get_origin
 
 from .autodiff import DatasetError
-from .data import parse_json_object
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -31,6 +30,39 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
             ))
         previous = current
     return previous[len(b)]
+
+
+def _is_json(value, kind) -> bool:
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
+_ITEM_NAMES = {int: "integers"}
+
+
+def parse_json_object(text: str, what: str, fields: dict) -> dict:
+    """The JSON object in ``text``, checked against the field table ``fields``.
+
+    ``fields`` maps every required field to its JSON type: a Python type,
+    a tuple of them, or ``list[int]``, a list of integers. A boolean is
+    never a number. Anything else raises ``DatasetError`` naming ``what``
+    and the fault.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DatasetError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    for name, kind in fields.items():
+        if name not in payload:
+            raise DatasetError(f"{what} has no field {name!r}")
+        value = payload[name]
+        if not _is_json(value, get_origin(kind) or kind):
+            raise DatasetError(f"{what} field {name!r} has the wrong type: {value!r}")
+        for item in get_args(kind):
+            if not all(_is_json(v, item) for v in value):
+                raise DatasetError(f"{what} field {name!r} must hold {_ITEM_NAMES[item]}: {value!r}")
+    return payload
 
 
 _REPORT_FIELDS = {"cer": (int, float), "ser": (int, float), "total_target_chars": int,

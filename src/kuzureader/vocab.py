@@ -3,8 +3,8 @@
 On disk a vocabulary is UTF-8 text with one token per line: line 1 is the
 literal ``<S>``, line 2 is ``<E>``, and every following line is one
 character token. A token's index is its line number minus one. A token
-holds no whitespace, because a dataset's ``labels.tsv`` separates a
-target's tokens by it.
+is one word: it holds no whitespace, so a transcription written as
+space-separated tokens splits back into the same tokens.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Vocabulary:
             raise DatasetError(f"vocabulary must begin with {START_TOKEN!r}, {END_TOKEN!r}")
         if len(set(tokens)) != len(tokens):
             raise DatasetError("vocabulary tokens must be unique")
-        if any(t.split() != [t] for t in tokens):  # one token as load and labels.tsv read it
+        if any(t.split() != [t] for t in tokens):  # one line to load, one word to split
             raise DatasetError("tokens must be non-empty, newline-free and hold no other whitespace")
         self.tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}

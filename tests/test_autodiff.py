@@ -461,7 +461,8 @@ class TestGraph:
         (ad.mul, [(2, 3), (2, 1)]),
         (matmul, [(2, 3), (3, 4)]),
         (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
-    ], ids=["add", "mul", "matmul", "concat"])
+        (lambda a, b: a - b, [(2, 3), (3,)]),
+    ], ids=["add", "mul", "matmul", "concat", "sub"])
     def test_only_the_live_operand_is_linked_and_differentiated(self, op, shapes, live):
         rng = np.random.default_rng(12)
         operands = [Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=i == live)

@@ -1,33 +1,22 @@
 import dataclasses
-import json
-import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kuzureader.autodiff import DimensionError, NumericError
 from kuzureader.data import (
     DatasetError,
-    Sample,
-    SplitManifest,
     SynthSpec,
     build_spec,
+    check_pixels,
+    check_size,
     generate_document,
     generate_document_with_layout,
-    load_dataset,
     make_glyphs,
-    make_split,
     read_pgm,
-    save_dataset,
+    seeded_rng,
     write_pgm,
 )
-from kuzureader.vocab import Vocabulary
-
-
-GOOD_MANIFEST = {"train": ["a"], "validation": [], "test": [], "ratio": [9, 1],
-                 "holdout_rule": "no holdout tag; test set empty"}
 
 
 class TestPgm:
@@ -94,6 +83,63 @@ class TestPgm:
         with pytest.raises(DatasetError, match="no pixels"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n2 1\n15\n\x00\x0f", "unsupported maxval 15"),
+        (b"P5\n2 1\n65535\n\x00\x00\xff\xff", "unsupported maxval 65535"),
+        (b"P5\n2 2\n255\n\x00\x00\x00", "truncated pixel data"),
+        (b"P5\n2 2", "truncated header"),
+        (b"P5\n# only a comment\n", "truncated header"),
+        (b"P5\n-2 1\n255\n\x00\x00", "non-numeric"),
+    ], ids=["maxval-15", "maxval-65535", "short-pixels", "no-maxval", "comment-only",
+            "negative-width"])
+    def test_unreadable_graymap_is_a_dataset_error_naming_the_fault(self, tmp_path, raw, message):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(DatasetError, match=message):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5 2 1 255\n", b"P5\n# made by hand\n2 1\n255\n", b"P5\t2\r\n1 255\n",
+        b"P5\n2 1 # width height\n255\n",
+    ], ids=["one-line", "comment-line", "tab-and-crlf", "trailing-comment"])
+    def test_header_whitespace_and_comments_are_skipped(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes([0, 255]))
+        assert np.array_equal(read_pgm(path), np.array([[[1.0], [0.0]]]))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["clean", "speckled"])
+    def test_generated_pages_round_trip_bit_exact(self, tmp_path, noise):
+        spec = build_spec(num_classes=6, noise=noise, seed=12)
+        path = tmp_path / "page.pgm"
+        for seed in range(5):
+            page = generate_document(spec, seed=seed).image
+            write_pgm(path, page)
+            assert np.array_equal(read_pgm(path), page)
+
+
+class TestChecks:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1.0 + 2 ** -52, -2 ** -1074],
+                             ids=["inf", "minus-inf", "just-above-one", "just-below-zero"])
+    def test_a_pixel_outside_the_closed_unit_range_is_a_numeric_error(self, bad):
+        pixels = np.zeros((2, 2, 1))
+        pixels[0, 1, 0] = bad
+        with pytest.raises(NumericError):
+            check_pixels(pixels)
+
+    def test_pixels_at_zero_and_one_pass(self):
+        check_pixels(np.array([[0.0, 1.0], [-0.0, 0.5]]))
+
+    @pytest.mark.parametrize("value, message", [
+        (0, r"n must be >= 1, got 0"), ("3", "n must be an integer"), (3.0, "n must be an integer"),
+    ], ids=["below-minimum", "string", "float"])
+    def test_check_size_names_the_setting_it_refuses(self, value, message):
+        with pytest.raises(DimensionError, match=message):
+            check_size("n", value, 1)
+
+    def test_seeded_rng_draws_as_a_seed_sequence_of_its_entropy(self):
+        expected = np.random.default_rng(np.random.SeedSequence([0xD0C, 7])).random(4)
+        assert np.array_equal(seeded_rng(0xD0C, np.int64(7)).random(4), expected)
+
 
 class TestGlyphs:
     def test_deterministic_and_distinct(self):
@@ -144,7 +190,6 @@ class TestGenerate:
         b = generate_document(spec, seed=11)
         assert np.array_equal(a.image, b.image)
         assert a.target == b.target
-        assert a.id == b.id
         c = generate_document(spec, seed=12)
         assert not np.array_equal(a.image, c.image) or a.target != c.target
 
@@ -221,201 +266,16 @@ class TestGenerate:
         with pytest.raises(DimensionError):
             SynthSpec(**kwargs)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("noise", True), ("noise", np.True_), ("noise", "0.1"), ("noise", None),
+        ("canvas", 96), ("lines", 3), ("chars", 3),
+    ], ids=["bool-noise", "numpy-bool-noise", "string-noise", "no-noise", "one-value-canvas",
+            "one-value-lines", "one-value-chars"])
+    def test_a_setting_of_the_wrong_kind_is_a_dimension_error_naming_it(self, setting, value):
+        with pytest.raises(DimensionError, match=setting):
+            build_spec(**{setting: value})
+
     @pytest.mark.parametrize("num_classes", [0, 10_000])
     def test_class_count_out_of_range(self, num_classes):
         with pytest.raises(DimensionError, match="num_classes"):
             build_spec(num_classes=num_classes)
-
-
-class TestSplit:
-    def test_untagged_ninety_ten(self):
-        ids = [f"doc{i:03d}" for i in range(100)]
-        manifest = make_split(ids, ratio=(9, 1), holdout_tag=None, seed=0)
-        assert len(manifest.train) == 90
-        assert len(manifest.validation) == 10
-        assert manifest.test == []
-
-    def test_holdout_tag_goes_to_test(self):
-        ids = [f"book{b}/doc{i}" for b in (1, 2, 3) for i in range(10)]
-        manifest = make_split(ids, ratio=(9, 1), holdout_tag="book3", seed=1)
-        assert sorted(manifest.test) == sorted(i for i in ids if i.startswith("book3/"))
-        assert all(not i.startswith("book3/") for i in manifest.train + manifest.validation)
-        assert "book3" in manifest.holdout_rule
-
-    def test_all_holdout_is_an_error(self):
-        with pytest.raises(DatasetError, match="holdout"):
-            make_split(["b/1", "b/2"], holdout_tag="b", seed=2)
-
-    def test_empty_ids_rejected(self):
-        with pytest.raises(DatasetError, match="empty"):
-            make_split([], seed=3)
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(DatasetError, match="unique"):
-            make_split(["a", "b", "a"], seed=4)
-
-    @pytest.mark.parametrize("ratio", [(-1, 2), (0, 0), (1,), (1, 1, 1)])
-    def test_bad_ratio_is_a_dimension_error(self, ratio):
-        with pytest.raises(DimensionError, match="ratio"):
-            make_split(["a", "b"], ratio=ratio, seed=5)
-
-    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2 ** 31))
-    @settings(max_examples=50, deadline=None)
-    def test_disjoint_and_covering(self, count, seed):
-        ids = [f"s{i}" for i in range(count)]
-        manifest = make_split(ids, ratio=(9, 1), holdout_tag=None, seed=seed)
-        combined = manifest.train + manifest.validation + manifest.test
-        assert sorted(combined) == sorted(ids)
-        assert len(set(combined)) == len(combined)
-
-    def test_seeded_shuffle_deterministic(self):
-        ids = [f"d{i}" for i in range(50)]
-        a = make_split(ids, seed=7)
-        b = make_split(ids, seed=7)
-        assert a == b
-
-    def test_manifest_json_roundtrip(self, tmp_path):
-        manifest = make_split([f"d{i}" for i in range(20)], seed=8)
-        path = tmp_path / "split.json"
-        manifest.save(path)
-        assert SplitManifest.load(path) == manifest
-
-    @pytest.mark.parametrize("text, match", [
-        ("nope", "not JSON"),
-        ("[]", "JSON object"),
-        ("{}", "no field 'train'"),
-        (json.dumps({**GOOD_MANIFEST, "ratio": [1]}), "'ratio' must hold two integers"),
-        (json.dumps({**GOOD_MANIFEST, "ratio": [9, True]}), "'ratio' must hold integers"),
-        (json.dumps({**GOOD_MANIFEST, "test": "b"}), "'test' has the wrong type"),
-        (json.dumps({**GOOD_MANIFEST, "train": ["a", 2]}), "'train' must hold strings"),
-        (json.dumps({**GOOD_MANIFEST, "holdout_rule": None}), "'holdout_rule' has the wrong type"),
-    ], ids=["not-json", "array", "empty-object", "one-ratio", "boolean-ratio", "test-not-a-list",
-            "id-not-a-string", "rule-null"])
-    def test_malformed_manifest_is_a_dataset_error_naming_the_field(self, text, match):
-        assert SplitManifest.from_json(json.dumps(GOOD_MANIFEST)).ratio == (9, 1)
-        with pytest.raises(DatasetError, match=match):
-            SplitManifest.from_json(text)
-
-
-class TestDatasetIO:
-    def test_save_load_roundtrip(self, tmp_path):
-        spec = build_spec(num_classes=6, seed=12)
-        vocabulary = spec.vocabulary()
-        samples = [generate_document(spec, seed=i) for i in range(5)]
-        save_dataset(samples, tmp_path, vocabulary)
-        loaded = load_dataset(tmp_path, vocabulary)
-        assert [s.id for s in loaded] == [s.id for s in samples]
-        for original, again in zip(samples, loaded):
-            assert again.target == original.target
-            assert np.array_equal(again.image, original.image)
-
-    @pytest.mark.parametrize("name, load", [
-        ("vocab.txt", Vocabulary.load),
-        ("labels.tsv", lambda path: load_dataset(path.parent, Vocabulary.from_characters("a"))),
-        ("split.json", SplitManifest.load),
-    ], ids=["vocabulary", "labels", "split-manifest"])
-    def test_text_that_is_not_utf8_is_a_dataset_error(self, tmp_path, name, load):
-        path = tmp_path / name
-        path.write_bytes(b"<S>\n<E>\n\xff\n")
-        with pytest.raises(DatasetError, match="not UTF-8"):
-            load(path)
-
-    def test_empty_labels_warns(self, tmp_path, caplog):
-        (tmp_path / "labels.tsv").write_text("", encoding="utf-8")
-        with caplog.at_level(logging.WARNING):
-            samples = load_dataset(tmp_path, Vocabulary.from_characters("ab"))
-        assert samples == []
-        assert any("no samples" in record.message for record in caplog.records)
-
-    def test_unknown_token_reports_line(self, tmp_path):
-        spec = build_spec(num_classes=3, seed=13)
-        vocabulary = spec.vocabulary()
-        save_dataset([generate_document(spec, seed=0)], tmp_path, vocabulary)
-        labels = tmp_path / "labels.tsv"
-        labels.write_text(labels.read_text() + "images/doc00000.pgm\tQ Q\n",
-                          encoding="utf-8")
-        with pytest.raises(DatasetError, match=r"line 2.*'Q'"):
-            load_dataset(tmp_path, vocabulary)
-
-    def test_missing_image_reports_line(self, tmp_path):
-        (tmp_path / "labels.tsv").write_text("images/nope.pgm\ta\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="line 1.*missing"):
-            load_dataset(tmp_path, Vocabulary.from_characters("a"))
-
-    def test_image_path_outside_the_root_reports_line(self, tmp_path):
-        root = tmp_path / "data"
-        root.mkdir()
-        outside = tmp_path / "outside.pgm"
-        write_pgm(outside, np.zeros((2, 2, 1)))
-        (root / "labels.tsv").write_text(f"../outside.pgm\ta\n{outside}\ta\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="line 1: .*leaves the dataset root.*"
-                                              "line 2: .*leaves the dataset root"):
-            load_dataset(root, Vocabulary.from_characters("a"))
-
-    def test_id_that_leaves_the_root_is_refused_and_nothing_is_written(self, tmp_path):
-        image = np.zeros((2, 2, 1))
-        root = tmp_path / "a" / "ds"
-        samples = [Sample(image, (0,), "good"), Sample(image, (0,), "../../escaped")]
-        with pytest.raises(DatasetError, match="leaves the dataset root"):
-            save_dataset(samples, root, Vocabulary.from_characters("a"))
-        assert sorted(tmp_path.rglob("*")) == []
-
-    @pytest.mark.parametrize("ids", [("x", "x"), ("x", "./x"), ("sub/x", "sub//x")],
-                             ids=["same", "dot-segment", "double-slash"])
-    def test_ids_naming_one_image_are_refused_and_nothing_is_written(self, tmp_path, ids):
-        samples = [Sample(np.full((2, 2, 1), k / 2), (0,), i) for k, i in enumerate(ids)]
-        with pytest.raises(DatasetError, match="same image"):
-            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
-        assert sorted(tmp_path.rglob("*")) == []
-
-    @pytest.mark.parametrize("sample_id, loaded", [("/abs", "abs"), ("./x", "x"), ("a//b", "a/b"),
-                                                   ("c/", "c/.pgm")])
-    def test_id_that_would_load_as_another_is_refused_and_nothing_is_written(self, tmp_path,
-                                                                            sample_id, loaded):
-        image = np.zeros((2, 2, 1))
-        samples = [Sample(image, (0,), "good"), Sample(image, (0,), sample_id)]
-        with pytest.raises(DatasetError, match=f"would load back as '{loaded}'"):
-            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
-        assert sorted(tmp_path.rglob("*")) == []
-
-    def test_rows_naming_one_image_report_both_lines(self, tmp_path):
-        vocabulary = Vocabulary.from_characters("a")
-        save_dataset([Sample(np.zeros((2, 2, 1)), (2,), "x")], tmp_path, vocabulary)
-        labels = tmp_path / "labels.tsv"
-        labels.write_text(labels.read_text() + "images/y.pgm\ta\nimages/./x.pgm\ta\n",
-                          encoding="utf-8")
-        write_pgm(tmp_path / "images" / "y.pgm", np.zeros((2, 2, 1)))
-        with pytest.raises(DatasetError, match=r"line 3: .*'x', as line 1 does"):
-            load_dataset(tmp_path, vocabulary)
-
-    @pytest.mark.parametrize("sample_id", ["x\ty", "x\ny", "x\r", "x\u2028y"])
-    def test_id_the_labels_file_cannot_hold_is_refused_and_nothing_is_written(self, tmp_path,
-                                                                             sample_id):
-        image = np.zeros((2, 2, 1))
-        samples = [Sample(image, (0,), "good"), Sample(image, (0,), sample_id)]
-        with pytest.raises(DatasetError, match="tab or a line break"):
-            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
-        assert sorted(tmp_path.rglob("*")) == []
-
-    def test_id_holding_a_nul_byte_is_refused_and_nothing_is_written(self, tmp_path):
-        image = np.zeros((2, 2, 1))
-        samples = [Sample(image, (0,), "good"), Sample(image, (0,), "a\x00b")]
-        with pytest.raises(DatasetError, match="NUL byte"):
-            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
-        assert sorted(tmp_path.rglob("*")) == []
-
-    def test_refused_target_writes_nothing(self, tmp_path):
-        image = np.zeros((2, 2, 1))
-        samples = [Sample(image, (0,), "good"), Sample(image, (-1,), "bad")]
-        with pytest.raises(DatasetError, match="token index -1"):
-            save_dataset(samples, tmp_path, Vocabulary.from_characters("a"))
-        assert sorted(tmp_path.rglob("*")) == []
-
-    def test_malformed_row_reports_line(self, tmp_path):
-        (tmp_path / "labels.tsv").write_text("no-tab-here\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="line 1"):
-            load_dataset(tmp_path, Vocabulary.from_characters("a"))
-
-    def test_missing_labels_file(self, tmp_path):
-        with pytest.raises(DatasetError, match="not found"):
-            load_dataset(tmp_path / "nowhere", Vocabulary.from_characters("a"))

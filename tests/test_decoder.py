@@ -102,6 +102,12 @@ class TestVocabulary:
         with pytest.raises(DatasetError, match="unique"):
             Vocabulary(["<S>", "<E>", "a", "a"])
 
+    def test_file_that_is_not_utf8_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<S>\n<E>\n\xff\n")
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            Vocabulary.load(path)
+
     def test_blank_line_in_file_is_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("<S>\n<E>\n\na\nb\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,30 @@ class TestEvaluate:
     def test_malformed_json_raises_dataset_error(self, text, match):
         with pytest.raises(DatasetError, match=match):
             EvalReport.from_json(text)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("distances", [1, True], "'distances' must hold integers"),
+        ("cer", None, "'cer' has the wrong type"),
+        ("cer", True, "'cer' has the wrong type"),
+        ("ser", "1.0", "'ser' has the wrong type"),
+        ("total_target_chars", 4.0, "'total_target_chars' has the wrong type"),
+        ("num_sequences", False, "'num_sequences' has the wrong type"),
+        ("distances", "missing", "no field 'distances'"),
+    ], ids=["distance-a-boolean", "cer-null", "cer-a-boolean", "ser-a-string", "count-a-float",
+            "sequences-a-boolean", "no-distances"])
+    def test_a_field_of_the_wrong_kind_is_a_dataset_error_naming_it(self, field, value, match):
+        payload = json.loads(evaluate([((1, 2, 3), (1, 2)), ((4,), (4,))]).to_json())
+        if value == "missing":
+            del payload[field]
+        else:
+            payload[field] = value
+        with pytest.raises(DatasetError, match=match):
+            EvalReport.from_json(json.dumps(payload))
+
+    def test_integer_rates_read_back_as_numbers(self):
+        text = ('{"cer": 0, "ser": 1, "total_target_chars": 4, "num_sequences": 2,'
+                ' "distances": [0, 0]}')
+        assert EvalReport.from_json(text) == EvalReport(0, 1, 4, 2, [0, 0])
 
     def test_text_report_lines(self):
         report = evaluate([((1, 2), (1, 2))])

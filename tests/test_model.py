@@ -216,13 +216,11 @@ SEEDED = {
     "AttentionDecoder": lambda seed: AttentionDecoder(6, 4, SMALL_DECODER, seed=seed),
     "Recognizer": lambda seed: Recognizer(EncoderConfig(2, 1, 4), SMALL_DECODER,
                                           Vocabulary.from_characters("ab"), seed=seed),
-    "make_split": lambda seed: data.make_split(["a", "b"], seed=seed),
     "SynthSpec": lambda seed: dataclasses.replace(data.build_spec(), seed=seed),
 }
 
 # each sets a size that is not an integer, which is refused where it is set, not later
 NON_INTEGER_SETTINGS = {
-    "split-ratio": (lambda: data.make_split(["a", "b"], ratio=(0.5, 0.5)), "ratio"),
     "num-classes": (lambda: data.build_spec(num_classes=2.0), "num_classes"),
     "canvas": (lambda: data.build_spec(canvas=(96.0, 64)), "canvas"),
     "one-value-lines": (lambda: dataclasses.replace(data.build_spec(), lines=(2,)), "lines"),

@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "kuzureader"
+TESTS = ROOT / "tests"
 
 
 def test_every_declared_script_target_imports():
@@ -82,3 +83,22 @@ def test_only_the_three_typed_errors_are_defined():
             break
         defined = found
     assert defined == {"DimensionError", "NumericError", "DatasetError"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_every_module_level_import_is_used(path):
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue  # kept on purpose, for a module that looks the name up here
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            assert name in used, f"{path.parent.name}/{path.name}:{node.lineno} imports {name}, unused"
