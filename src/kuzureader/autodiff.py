@@ -17,12 +17,6 @@ forward buffers the vjp holds) as soon as the sweep reaches it.
 Conventions, fixed once for the whole package:
 
 * buffers are row-major ``numpy`` float64 arrays;
-* pages and the decoder's feature grids are laid out height x width x
-  channels; the encoder's maps in between are channel-major, channels x
-  height x width, so a channel prefix is one contiguous slab;
-* pooling (``pool2d``) is a fixed 2x2 window at stride 2 over a C x H x W
-  map's trailing two axes, and max-pool ties break toward the first
-  corner in row-major scan order;
 * ``backward`` frees the graph it sweeps. Leaves keep their ``grad``
   (accumulated across sweeps until ``zero_grads``); an interior node's
   ``grad`` is not readable afterwards. A later sweep that reaches a freed
@@ -38,7 +32,7 @@ Conventions, fixed once for the whole package:
   seed may differ in their last bits between thread counts; compare
   outputs byte for byte with ``OPENBLAS_NUM_THREADS=1``.
 
-No convolution lives here; the encoder's convolutions are in ``encoder``.
+No convolution or pooling lives here; the encoder's are in ``encoder``.
 """
 
 from __future__ import annotations
@@ -60,8 +54,9 @@ class DimensionError(ValueError):
     a pair, a noise level that is not a real number in [0, 1]); by glyphs
     that do not fit their layout or share one bitmap; by a decode step past
     ``max_decode_len`` or given a token outside the vocabulary; by
-    ``encode`` on an image that requires a gradient; and by ``write_pgm``
-    on an image that is not H x W or H x W x 1 or has no pixels.
+    ``encode`` on an image that requires a gradient; and by an image that
+    ``pad_to_factor`` (H x W x C) or ``write_pgm`` (H x W or H x W x 1,
+    with pixels) cannot take.
     """
 
 
@@ -294,22 +289,6 @@ def sigmoid(a) -> Tensor:
     return _record(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
-def bias_relu(x, b) -> Tensor:
-    """``relu(x + b)`` as one node, with ``b`` broadcast against ``x``.
-
-    The sum is rectified in place, so no unrectified copy is kept.
-    """
-    x, b = _as_tensor(x), _as_tensor(b)
-    y = x.data + b.data
-    np.maximum(y, 0.0, out=y)
-
-    def vjp(g):
-        masked = g * (y > 0.0)
-        return _unbroadcast(masked, x.data.shape), _unbroadcast(masked, b.data.shape)
-
-    return _record(y, (x, b), vjp)
-
-
 def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(x - max(x)) / sum over all entries, into ``out`` (which may be ``x``) or a new array."""
     y = np.subtract(x, x.max(), out=out)
@@ -410,7 +389,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra and spatial ops
+# linear algebra
 
 
 def matmul(a, b) -> Tensor:
@@ -420,52 +399,6 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
     return _record(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def pool2d(x, kind: str) -> Tensor:
-    """Max or average pooling of a C x H x W map over 2x2 windows at stride 2.
-
-    The window is fixed and slides over the trailing two axes: a C x H x W
-    input gives C x H//2 x W//2, and a trailing odd row or column is
-    dropped. Max pooling routes the gradient to the first window corner, in
-    row-major scan order, that holds the max.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise DimensionError(f"pool2d expects a C x H x W input, got {x.shape}")
-    if kind not in ("max", "average"):
-        raise DimensionError(f"pool2d kind must be 'max' or 'average', got {kind!r}")
-    ho, wo = x.data.shape[1] // 2, x.data.shape[2] // 2
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"pool2d needs extents >= 2, got {x.shape[1:]}")
-    corners = [(slice(None), slice(i, 2 * ho, 2), slice(j, 2 * wo, 2))
-               for i in (0, 1) for j in (0, 1)]
-    c00, c01, c10, c11 = (x.data[corner] for corner in corners)
-
-    if kind == "max":
-        data = np.maximum(c00, c01)  # each later corner goes in place: one output-sized array
-        np.maximum(data, c10, out=data)
-        np.maximum(data, c11, out=data)
-
-        def vjp(g):
-            dx = np.zeros_like(x.data)
-            free = np.ones(data.shape, dtype=bool)  # windows whose max is not yet taken
-            for corner in corners:
-                hit = free & (x.data[corner] == data)
-                np.copyto(dx[corner], g, where=hit)
-                free &= ~hit
-            return (dx,)
-    else:
-        data = (c00 + c01 + c10 + c11) / 4
-
-        def vjp(g):
-            dx = np.zeros_like(x.data)
-            share = g / 4
-            for corner in corners:
-                dx[corner] = share
-            return (dx,)
-
-    return _record(data, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -9,30 +9,27 @@ every row of a shifted 3x3 tap are contiguous runs of memory. ``encode``
 hands the decoder the H x W x C grid through one transposed copy of the
 last block's output.
 
-The stem is fixed, 3x3 at stride 1; ``conv2d`` keeps a ``stride``, which
-``bench/spans.py`` passes by keyword.
-The page is a constant, so the stem is one product of the flattened
-kernel with the page's kh*kw shifted planes, and only the kernel is
-differentiated. Inside a dense block (``dense_block``, one graph node)
-every layer sees the channel-concatenation of all previous outputs; a 1x1
-bottleneck (4x the growth rate) precedes each 3x3 convolution, which runs
-as three products, one per kernel row. The node keeps each layer's
-unpadded bottleneck, and its backward pass takes a 3x3 convolution's
-kernel and bottleneck gradients each as one product with a single matrix
-of the output gradient's 3x3 windows. Transitions halve the channel count
-with a 1x1 convolution and 2x2 average pooling; that convolution only
-mixes channels, so it runs as one product of the transposed kernel with
-the C x (H*W) map.
+The stem is fixed, 3x3 at stride 1 (``conv2d`` keeps a ``stride``, which
+``bench/spans.py`` passes by keyword). The page is a constant, so the
+stem is one product of the flattened kernel with the page's kh*kw
+shifted planes, and only the kernel is differentiated. Inside a dense
+block every layer sees the channel-concatenation of all previous
+outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
+convolution, which runs as three products, one per kernel row. The
+block keeps each layer's unpadded bottleneck, and its backward pass
+takes a 3x3 convolution's kernel and bottleneck gradients each as one
+product with a single matrix of the output gradient's 3x3 windows.
 
-Channel bookkeeping from an initial 48: a block adds depth * growth_rate
-channels, a transition keeps floor(channels / 2). The stem and transition
-convolutions take their per-channel bias and rectifier from ``bias_relu``
-as one graph node, so the unrectified sum is never kept. The stem
-max-pools before that node, which is exact: ``fl(x + b)`` is monotone in
-``x`` and ReLU is monotone, so ``max(relu(x + b)) == relu(max(x) + b)``
-bit for bit; bias and ReLU then run on a quarter-size grid instead of
-copying the largest map in the model at full size. There is no batch
-normalization, which keeps runs bit-deterministic.
+After its convolution each stage is one graph node: ``pool2d`` (the stem's
+2x2 max pool, bias and ReLU), ``dense_block``, and ``transition`` (a 1x1
+convolution that halves the channels, bias, ReLU and 2x2 average pool); from
+an initial 48, a block adds depth * growth_rate channels and a transition
+keeps floor(channels / 2). Pooling windows are 2x2 at stride 2 over a map's
+trailing two axes; a trailing odd row or column is dropped, and a max-pool
+tie goes to the first corner in row-major order. Max-pooling before bias and
+ReLU is exact: ``fl(x + b)`` and ReLU are monotone, so
+``max(relu(x + b)) == relu(max(x) + b)`` bit for bit, and bias and ReLU run
+on a quarter-size grid. No batch normalization: runs are bit-deterministic.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import DimensionError, Tensor, _record, _recording, bias_relu, pool2d, reshape
+from .autodiff import DimensionError, Tensor, _record, _recording
 from .data import check_pixels, check_size, seeded_rng
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
@@ -89,25 +86,6 @@ class FeatureGrid:
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def _conv1x1(x: Tensor, kernel: Tensor) -> Tensor:
-    """A 1x1 convolution of a Cin x H x W map with a 1 x 1 x Cin x Cout kernel, as one node.
-
-    It is one product of the transposed kernel with the Cin x (H*W) map.
-    """
-    cin, h, w = x.shape
-    cout = kernel.shape[3]
-    k = kernel.data.reshape(cin, cout)
-    cells = x.data.reshape(cin, h * w)
-    return _record((k.T @ cells).reshape(cout, h, w), (kernel, x),
-                   lambda g: ((cells @ g.reshape(cout, -1).T).reshape(kernel.shape),
-                              (k @ g.reshape(cout, -1)).reshape(x.shape)))
-
-
-def _per_channel(bias: Tensor) -> Tensor:
-    """C biases as a C x 1 x 1 tensor, which broadcasts over a C x H x W map's rows."""
-    return reshape(bias, (bias.shape[0], 1, 1))
 
 
 def conv2d(image: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
@@ -262,15 +240,71 @@ def _channels_last(x: Tensor) -> Tensor:
     return _record(x.data.transpose(1, 2, 0), (x,), lambda g: (g.transpose(2, 0, 1),))
 
 
-def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Compress channels with a 1x1 convolution, then 2x2 average pool.
+def _window_corners(x: Tensor) -> list[tuple[slice, slice, slice]]:
+    """The corners of a C x H x W map's 2x2 windows at stride 2, in row-major scan order."""
+    if x.data.ndim != 3:
+        raise DimensionError(f"pooling expects a C x H x W input, got {x.shape}")
+    ho, wo = x.data.shape[1] // 2, x.data.shape[2] // 2
+    if ho < 1 or wo < 1:
+        raise DimensionError(f"pooling needs extents >= 2, got {x.shape[1:]}")
+    return [(slice(None), slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
 
-    The convolution is one Cout x Cin by Cin x (H*W) product, and the bias
-    is added per channel row. It stays nested inside ``bias_relu`` so the
-    pre-activation map is freed before pooling starts (a named local would
-    keep it alive through ``pool2d``).
+
+def pool2d(x: Tensor, bias: Tensor) -> Tensor:
+    """The stem's node after ``conv2d``: ``relu(maxpool(x) + bias)``, in one output-sized array.
+
+    It keeps only that output: its vjp recomputes the window max from ``x``.
     """
-    return pool2d(bias_relu(_conv1x1(x, kernel), _per_channel(bias)), "average")
+    corners = _window_corners(x)
+
+    def window_max() -> np.ndarray:  # each later corner goes in place: one output-sized array
+        out = np.maximum(x.data[corners[0]], x.data[corners[1]])
+        for corner in corners[2:]:
+            np.maximum(out, x.data[corner], out=out)
+        return out
+
+    y = window_max()
+    y += bias.data[:, None, None]
+    np.maximum(y, 0.0, out=y)
+
+    def vjp(g):
+        masked, peak = g * (y > 0.0), window_max()
+        dx = np.zeros_like(x.data)
+        for corner in corners:
+            hit = x.data[corner] == peak
+            np.copyto(dx[corner], masked, where=hit)
+            peak[hit] = np.nan  # a taken max matches no later corner
+        return dx, masked.sum(axis=1).sum(axis=1)
+
+    return _record(y, (x, bias), vjp)
+
+
+def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """``avgpool(relu(conv1x1(x) + bias))`` of a Cin x H x W map as one node.
+
+    The 1x1 convolution is one ``kernel.T @ x`` product, rectified in place
+    and kept as the mask. The vjp spreads g/4 over each window, masks it,
+    and takes the input's and the kernel's gradients as one product each.
+    """
+    corners = _window_corners(x)
+    cin, h, w = x.data.shape
+    k = kernel.data.reshape(cin, -1)
+    cells = x.data.reshape(cin, h * w)
+    rectified = (k.T @ cells).reshape(-1, h, w)
+    rectified += bias.data[:, None, None]
+    np.maximum(rectified, 0.0, out=rectified)
+
+    def vjp(g):
+        masked, share = np.zeros_like(rectified), g / 4
+        for corner in corners:
+            masked[corner] = share
+        masked *= rectified > 0.0
+        rows = masked.reshape(-1, h * w)
+        return ((k @ rows).reshape(x.data.shape), (cells @ rows.T).reshape(kernel.data.shape),
+                masked.sum(axis=1).sum(axis=1))
+
+    c00, c01, c10, c11 = (rectified[corner] for corner in corners)
+    return _record((c00 + c01 + c10 + c11) / 4, (x, kernel, bias), vjp)
 
 
 class DenseEncoder:
@@ -331,7 +365,7 @@ class DenseEncoder:
 
         x = conv2d(image, self.params["stem.kernel"], stride=STEM_STRIDE, padding=STEM_KERNEL // 2)
         # fl(x + b) and relu are monotone, so pooling first is exact and rectifies 1/4 the cells
-        x = bias_relu(pool2d(x, "max"), _per_channel(self.params["stem.bias"]))
+        x = pool2d(x, self.params["stem.bias"])
         for block in range(BLOCKS):
             x = dense_block(x, self._block_layers(block))
             if block < BLOCKS - 1:

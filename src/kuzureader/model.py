@@ -62,6 +62,8 @@ class Recognizer:
 def pad_to_factor(image: np.ndarray, factor: int, background: float = 0.0) -> np.ndarray:
     """Pad an H x W x C image at the bottom/right to multiples of ``factor`` (at least 1)."""
     check_size("padding factor", factor, 1)
+    if image.ndim != 3:
+        raise DimensionError(f"pad_to_factor expects an H x W x C image, got shape {image.shape}")
     h, w = image.shape[:2]
     ph = (-h) % factor
     pw = (-w) % factor

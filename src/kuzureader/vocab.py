@@ -35,10 +35,10 @@ class Vocabulary:
         tokens = tuple(tokens)
         if len(tokens) < 2 or tokens[0] != START_TOKEN or tokens[1] != END_TOKEN:
             raise DatasetError(f"vocabulary must begin with {START_TOKEN!r}, {END_TOKEN!r}")
+        if any(not isinstance(t, str) or t.split() != [t] for t in tokens):  # one line, one word
+            raise DatasetError("tokens must be non-empty, newline-free strings with no other whitespace")
         if len(set(tokens)) != len(tokens):
             raise DatasetError("vocabulary tokens must be unique")
-        if any(t.split() != [t] for t in tokens):  # one line to load, one word to split
-            raise DatasetError("tokens must be non-empty, newline-free and hold no other whitespace")
         self.tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}
 

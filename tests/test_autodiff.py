@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,6 @@ from kuzureader.autodiff import (
     NumericError,
     Tensor,
     backward,
-    bias_relu,
     concat_channels,
     grad_check,
     logsumexp,
@@ -22,7 +20,6 @@ from kuzureader.autodiff import (
     narrow,
     no_grad,
     pick,
-    pool2d,
     reshape,
     sigmoid,
     softmax_flat,
@@ -30,7 +27,7 @@ from kuzureader.autodiff import (
     tanh,
     zero_grads,
 )
-from kuzureader.encoder import dense_block
+from kuzureader.encoder import dense_block, pool2d
 
 
 def matmul_oracle(a, b):
@@ -93,122 +90,6 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
-
-
-def sliding_pool2d(x, kind, window=2, stride=2):
-    """The earlier sliding-window pool2d on a C x H x W map, any window and stride: the oracle."""
-    x = ad._as_tensor(x)
-    c, h, w = x.data.shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    windows = sliding_window_view(x.data, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-    patches = windows.reshape(c, ho, wo, window * window)
-    if kind == "max":
-        flat_arg = patches.argmax(axis=3)
-        data = np.take_along_axis(patches, flat_arg[..., None], axis=3)[..., 0]
-
-        def vjp(g):
-            cs = np.arange(c)[:, None, None]
-            ys = (np.arange(ho) * stride)[None, :, None] + flat_arg // window
-            xs = (np.arange(wo) * stride)[None, None, :] + flat_arg % window
-            dx = np.zeros_like(x.data)
-            np.add.at(dx, (np.broadcast_to(cs, flat_arg.shape), ys, xs), g)
-            return (dx,)
-    else:
-        data = patches.mean(axis=3)
-
-        def vjp(g):
-            dx = np.zeros_like(x.data)
-            share = g / (window * window)
-            for i in range(window):
-                for j in range(window):
-                    dx[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += share
-            return (dx,)
-    return ad._record(np.ascontiguousarray(data), (x,), vjp)
-
-
-class TestPool2d:
-    def test_constant_input(self):
-        x = Tensor(np.full((2, 4, 6), 3.25))
-        for kind in ("max", "average"):
-            out = pool2d(x, kind)
-            assert out.shape == (2, 2, 3)
-            assert np.all(out.data == 3.25)
-
-    def test_average_of_2x2(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2))
-        out = pool2d(x, "average")
-        assert out.data.reshape(()) == 2.5
-
-    def test_pools_the_trailing_axes_of_each_channel(self):
-        x = np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4)
-        out = pool2d(Tensor(x), "max")
-        assert np.array_equal(out.data, x[:, 1::2, 1::2])
-
-    def test_max_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(1, 4, 4)), requires_grad=True)
-
-        def loss():
-            return sum_all(pool2d(x, "max"))
-
-        backward(loss())
-        numeric = fd_gradient(loss, x)
-        rel = np.abs(x.grad - numeric) / np.maximum(np.abs(numeric), 1.0)
-        assert rel.max() < 1e-5
-
-    def test_max_tie_routes_to_first_in_scan_order(self):
-        x = Tensor(np.full((1, 2, 2), 7.0), requires_grad=True)
-        backward(sum_all(pool2d(x, "max")))
-        assert np.array_equal(x.grad[0], [[1.0, 0.0], [0.0, 0.0]])
-
-    @pytest.mark.parametrize("kind", ["max", "average"])
-    @pytest.mark.parametrize("shape", [(3, 6, 8), (3, 5, 7)])
-    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
-    def test_matches_the_sliding_window_oracle_bitwise(self, kind, shape, ties):
-        rng = np.random.default_rng(7)
-        data = rng.integers(0, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
-        g = rng.normal(size=(shape[0], shape[1] // 2, shape[2] // 2))
-        results = []
-        for op in (pool2d, sliding_pool2d):
-            x = Tensor(data.copy(), requires_grad=True)
-            out = op(x, kind)
-            backward(sum_all(out * g))
-            results.append((out.data, x.grad))
-        (values, grad), (want_values, want_grad) = results
-        assert np.array_equal(values, want_values)
-        assert np.array_equal(grad, want_grad)
-
-    def test_average_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(3, 5, 7)), requires_grad=True)
-        weights = rng.normal(size=(3, 2, 3))
-        assert grad_check(lambda: sum_all(pool2d(x, "average") * weights), [x]) < 1e-6
-
-    @pytest.mark.parametrize("kind", ["max", "average"])
-    def test_unrecorded_peak_is_one_output(self, kind):
-        # the corners are folded into the output in place (numpy elides the
-        # average's temporaries); the slack covers the ufunc buffers for two
-        # strided operands (8192 float64 each) and small objects
-        x = Tensor(np.random.default_rng(8).uniform(size=(8, 128, 128)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            with no_grad():
-                out = pool2d(x, kind)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.data.nbytes + 2 * 64 * 1024 + 8 * 1024
-
-    @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 4, 1), (1, 1, 1)])
-    def test_input_smaller_than_the_window_raises(self, shape):
-        with pytest.raises(DimensionError, match="extents"):
-            pool2d(Tensor(np.zeros(shape)), "max")
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(DimensionError, match="kind"):
-            pool2d(Tensor(np.zeros((1, 2, 2))), "min")
 
 
 def mul_square(t):
@@ -295,29 +176,6 @@ class TestElementwise:
         expected = np.zeros((4, 3))
         expected[2] = [1.0, 2.0, 3.0]
         assert np.array_equal(table.grad, expected)
-
-    def test_bias_relu_gradient_with_bias_broadcast_over_the_grid(self):
-        rng = np.random.default_rng(13)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
-        # keep every pre-activation at least 0.1 from the kink at zero
-        target = rng.choice([-1.0, 1.0], size=(3, 5, 4)) * rng.uniform(0.1, 1.0, size=(3, 5, 4))
-        x = Tensor(target - b.data, requires_grad=True)
-        weights = rng.normal(size=(3, 5, 4))
-
-        def loss():
-            return sum_all(bias_relu(x, b) * weights)
-
-        assert grad_check(loss, [x, b]) < 1e-6
-
-    def test_bias_relu_is_relu_of_the_sum_bitwise(self):
-        rng = np.random.default_rng(14)
-        x = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=5), requires_grad=True)
-        assert np.array_equal(bias_relu(x, b).data, np.maximum(x.data + b.data, 0))
-        with no_grad():
-            y = bias_relu(x, b)
-        assert not y.requires_grad
-        assert y._inputs == ()
 
     def test_concat_channels_mismatch(self):
         with pytest.raises(DimensionError, match="spatial"):
@@ -484,7 +342,7 @@ class TestGraph:
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = sum_all(softmax_flat(pool2d(dense_block(t, [layer]), "max")))
+            out = sum_all(softmax_flat(pool2d(dense_block(t, [layer]), Tensor(np.zeros(5)))))
             backward(out)
             return out.item(), t.grad.copy()
 

@@ -134,6 +134,13 @@ class TestVocabulary:
         with pytest.raises(DatasetError, match="newline-free"):
             Vocabulary(["<S>", "<E>", "a", token])
 
+    @pytest.mark.parametrize("token", [1, None, b"a", ("a",)], ids=["int", "none", "bytes", "tuple"])
+    def test_rejects_a_token_that_is_not_a_string(self, token):
+        with pytest.raises(DatasetError, match="strings"):
+            Vocabulary(["<S>", "<E>", token])
+        with pytest.raises(DatasetError, match="strings"):
+            Vocabulary.from_characters(["a", token])
+
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["hidden_size", "embed_size", "attention_size",

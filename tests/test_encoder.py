@@ -2,20 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kuzureader.autodiff import (
     DimensionError,
     Tensor,
     _record,
     backward,
-    bias_relu,
     concat,
     execution_order,
     grad_check,
     matmul,
     narrow,
     no_grad,
-    pool2d,
     reshape,
     sum_all,
     tanh,
@@ -23,7 +22,7 @@ from kuzureader.autodiff import (
 )
 from kuzureader import encoder
 from kuzureader.encoder import (BLOCKS, DenseEncoder, EncoderConfig, FeatureGrid, conv2d,
-                                dense_block, transition)
+                                dense_block, pool2d, transition)
 
 
 def channel_oracle(initial, growth, depth, blocks, compression):
@@ -41,8 +40,46 @@ def transposed(t, axes):
     return _record(np.transpose(t.data, axes), (t,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
-def per_channel(bias):
-    return reshape(bias, (bias.shape[0], 1, 1))
+def bias_relu(x, bias):
+    """``relu(x + bias)`` of a C x H x W map with C biases, as one node."""
+    y = np.maximum(x.data + bias.data[:, None, None], 0.0)
+
+    def vjp(g):
+        masked = g * (y > 0.0)
+        return masked, masked.sum(axis=1).sum(axis=1)
+
+    return _record(y, (x, bias), vjp)
+
+
+def sliding_pool2d(x, kind, window=2, stride=2):
+    """Sliding-window max or average pooling of a C x H x W map, any window and stride: the oracle."""
+    c, h, w = x.data.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    windows = sliding_window_view(x.data, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+    patches = windows.reshape(c, ho, wo, window * window)
+    if kind == "max":
+        flat_arg = patches.argmax(axis=3)
+        data = np.take_along_axis(patches, flat_arg[..., None], axis=3)[..., 0]
+
+        def vjp(g):
+            cs = np.arange(c)[:, None, None]
+            ys = (np.arange(ho) * stride)[None, :, None] + flat_arg // window
+            xs = (np.arange(wo) * stride)[None, None, :] + flat_arg % window
+            dx = np.zeros_like(x.data)
+            np.add.at(dx, (np.broadcast_to(cs, flat_arg.shape), ys, xs), g)
+            return (dx,)
+    else:
+        data = patches.mean(axis=3)
+
+        def vjp(g):
+            dx = np.zeros_like(x.data)
+            share = g / (window * window)
+            for i in range(window):
+                for j in range(window):
+                    dx[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += share
+            return (dx,)
+    return _record(np.ascontiguousarray(data), (x,), vjp)
 
 
 def conv1x1(x, kernel):
@@ -89,8 +126,8 @@ def conv3x3_by_rows(x, kernel):
 def composed_block(x, layers):
     """The dense block as the per-layer composition of public ops: the oracle."""
     for reduce_kernel, reduce_bias, conv_kernel, conv_bias in layers:
-        reduced = bias_relu(conv1x1(x, reduce_kernel), per_channel(reduce_bias))
-        grown = bias_relu(conv3x3_by_rows(reduced, conv_kernel), per_channel(conv_bias))
+        reduced = bias_relu(conv1x1(x, reduce_kernel), reduce_bias)
+        grown = bias_relu(conv3x3_by_rows(reduced, conv_kernel), conv_bias)
         x = concat([x, grown], axis=0)
     return x
 
@@ -141,15 +178,21 @@ STEM_CASES = [
 ]
 
 
+def composed_transition(x, kernel, bias):
+    """The transition as the composition of 1x1 convolution, bias and ReLU, and pooling."""
+    return sliding_pool2d(bias_relu(conv1x1(x, kernel), bias), "average")
+
+
 def old_order_encode(enc, image):
-    """``encode`` with the stem rectified before it is pooled: the oracle."""
+    """``encode`` with the stem rectified before it is pooled and composed transitions: the oracle."""
     x = conv2d(Tensor(image), enc.params["stem.kernel"], stride=encoder.STEM_STRIDE,
                padding=encoder.STEM_KERNEL // 2)
-    x = pool2d(bias_relu(x, per_channel(enc.params["stem.bias"])), "max")
+    x = sliding_pool2d(bias_relu(x, enc.params["stem.bias"]), "max")
     for block in range(BLOCKS):
         x = dense_block(x, enc._block_layers(block))
         if block < BLOCKS - 1:
-            x = transition(x, enc.params[f"trans{block}.kernel"], enc.params[f"trans{block}.bias"])
+            x = composed_transition(x, enc.params[f"trans{block}.kernel"],
+                                    enc.params[f"trans{block}.bias"])
     return FeatureGrid(features=transposed(x, (1, 2, 0)))
 
 
@@ -282,6 +325,138 @@ class TestStem:
             tracemalloc.stop()
         assert out.requires_grad
         assert held <= out.data.nbytes + 66 * 50 * 8 + 8 * 1024
+
+
+def max_pool(x):
+    """2x2 max pooling through the stem node with zero bias: ``relu`` of the window max."""
+    return pool2d(x, Tensor(np.zeros(x.shape[0])))
+
+
+def relu_of_sliding_max(x):
+    return bias_relu(sliding_pool2d(x, "max"), Tensor(np.zeros(x.shape[0])))
+
+
+def average_pool(x):
+    """2x2 average pooling through a transition with an identity kernel and zero bias.
+
+    The identity product is exact, so on a non-negative map this is the
+    average pool bit for bit; on a positive one its gradient is too.
+    """
+    c = x.shape[0]
+    return transition(x, Tensor(np.eye(c).reshape(1, 1, c, c)), Tensor(np.zeros(c)))
+
+
+POOLS = {"max": (max_pool, relu_of_sliding_max),
+         "average": (average_pool, lambda x: sliding_pool2d(x, "average"))}
+
+
+class TestPool2d:
+    """2x2 pooling at stride 2: ``pool2d``'s max and ``transition``'s average."""
+
+    def test_constant_input(self):
+        x = Tensor(np.full((2, 4, 6), 3.25))
+        for pool, _ in POOLS.values():
+            out = pool(x)
+            assert out.shape == (2, 2, 3)
+            assert np.all(out.data == 3.25)
+
+    def test_average_of_2x2(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2))
+        assert average_pool(x).data.reshape(()) == 2.5
+
+    def test_pools_the_trailing_axes_of_each_channel(self):
+        x = np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4)
+        assert np.array_equal(max_pool(Tensor(x)).data, x[:, 1::2, 1::2])
+
+    def test_max_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(1, 4, 4)), requires_grad=True)
+        assert grad_check(lambda: sum_all(max_pool(x)), [x]) < 1e-6
+
+    def test_max_tie_routes_to_first_in_scan_order(self):
+        x = Tensor(np.full((1, 2, 2), 7.0), requires_grad=True)
+        backward(sum_all(max_pool(x)))
+        assert np.array_equal(x.grad[0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("kind", ["max", "average"])
+    @pytest.mark.parametrize("shape", [(3, 6, 8), (3, 5, 7)])
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
+    def test_matches_the_sliding_window_oracle_bitwise(self, kind, shape, ties):
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
+        if kind == "average":
+            data = np.abs(data) + 1.0  # the identity transition rectifies no cell
+        g = rng.normal(size=(shape[0], shape[1] // 2, shape[2] // 2))
+        results = []
+        for op in POOLS[kind]:
+            x = Tensor(data.copy(), requires_grad=True)
+            out = op(x)
+            backward(sum_all(out * g))
+            results.append((out.data, x.grad))
+        (values, grad), (want_values, want_grad) = results
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(grad, want_grad)
+
+    def test_average_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.uniform(0.5, 1.5, size=(3, 5, 7)), requires_grad=True)
+        weights = rng.normal(size=(3, 2, 3))
+        assert grad_check(lambda: sum_all(average_pool(x) * weights), [x]) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["max", "average"])
+    def test_unrecorded_peak_is_the_output_and_the_transition_product(self, kind):
+        # max pool, bias and ReLU fold into the output in place; the average
+        # pool also holds the transition's full-size product. The slack covers
+        # the ufunc buffers for two strided operands (8192 float64 each) and
+        # small objects
+        x = Tensor(np.random.default_rng(8).uniform(size=(8, 128, 128)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = POOLS[kind][0](x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        product = x.data.nbytes if kind == "average" else 0
+        assert peak <= out.data.nbytes + product + 2 * 64 * 1024 + 8 * 1024
+
+    @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 4, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("kind", ["max", "average"])
+    def test_input_smaller_than_the_window_raises(self, shape, kind):
+        with pytest.raises(DimensionError, match="extents"):
+            POOLS[kind][0](Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("kind", ["max", "average"])
+    def test_input_that_is_not_channels_by_height_by_width_raises(self, kind):
+        with pytest.raises(DimensionError, match="C x H x W"):
+            POOLS[kind][0](Tensor(np.zeros((4, 4))))
+
+    def test_stem_node_is_relu_of_the_biased_max_bitwise(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(5, 4, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        out = pool2d(x, b)
+        want = np.maximum(sliding_pool2d(x, "max").data + b.data[:, None, None], 0)
+        assert np.array_equal(out.data, want)
+        assert out._inputs == (x, b)
+        with no_grad():
+            y = pool2d(x, b)
+        assert not y.requires_grad
+        assert y._inputs == ()
+
+    def test_stem_node_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(13)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        # keep every pooled pre-activation at least 0.1 from the kink at zero,
+        # and each window's max (its first corner) 0.1 above its other corners
+        target = rng.choice([-1.0, 1.0], size=(3, 2, 3)) * rng.uniform(0.1, 1.0, size=(3, 2, 3))
+        offsets = rng.uniform(0.1, 1.0, size=(3, 4, 6))
+        offsets[:, ::2, ::2] = 0.0
+        peaks = (target - b.data[:, None, None]).repeat(2, axis=1).repeat(2, axis=2)
+        x = Tensor(peaks - offsets, requires_grad=True)
+        weights = rng.normal(size=(3, 2, 3))
+        assert grad_check(lambda: sum_all(pool2d(x, b) * weights), [x, b]) < 1e-6
 
 
 class TestDenseBlock:
@@ -473,6 +648,26 @@ class TestTransition:
                            [x, kernel, bias])
         assert error < 1e-6
 
+    @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (2, 2)])
+    def test_one_node_that_matches_the_composed_ops(self, h, w):
+        rng = np.random.default_rng(h * w)
+        x = Tensor(rng.normal(size=(6, h, w)), requires_grad=True)
+        kernel = Tensor(rng.normal(scale=6 ** -0.5, size=(1, 1, 6, 3)), requires_grad=True)
+        bias = Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
+        weights = rng.normal(size=(3, h // 2, w // 2))
+        runs = []
+        for op in (transition, composed_transition):
+            zero_grads([x, kernel, bias])
+            out = op(x, kernel, bias)
+            inputs = out._inputs
+            backward(sum_all(out * weights))
+            runs.append((out.data, inputs, [t.grad for t in (x, kernel, bias)]))
+        (fused, inputs, grads), (composed, _, want_grads) = runs
+        assert inputs == (x, kernel, bias)
+        assert np.array_equal(fused, composed)
+        for a, b in zip(grads, want_grads):
+            assert max_normalised(a, b) <= 1e-12
+
     def test_too_small_input(self):
         kernel = Tensor(np.ones((1, 1, 2, 1)))
         with pytest.raises(DimensionError):
@@ -575,6 +770,13 @@ class TestEncode:
         want = numpy_encode(enc, image)
         assert features.shape == want.shape == (2, 3, config.output_channels)
         assert max_normalised(features, want) <= 1e-12
+
+    def test_recorded_encode_is_one_node_per_stage(self):
+        # stem convolution, stem pooling, three blocks, two transitions and the layout copy
+        enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=16)
+        grid = enc.encode(np.random.default_rng(16).uniform(size=(16, 24, 1)))
+        nodes = [t for t in execution_order(grid.features) if t._vjp is not None]
+        assert len(nodes) == 8
 
     def test_unrecorded_encode_peaks_under_two_stem_maps(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=12, block_depth=4), seed=15)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -173,6 +174,11 @@ class TestPadToFactor:
     def test_factor_below_one_is_a_dimension_error(self, factor):
         with pytest.raises(DimensionError, match="factor"):
             pad_to_factor(np.zeros((5, 8, 1)), factor)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (8, 8), (8,), (5, 8, 1, 1)])
+    def test_image_that_is_not_h_by_w_by_c_is_a_dimension_error_naming_its_shape(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(f"H x W x C image, got shape {shape}")):
+            pad_to_factor(np.zeros(shape), 4)
 
 
 class TestTrainingStep:
