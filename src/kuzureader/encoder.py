@@ -10,26 +10,31 @@ hands the decoder the H x W x C grid through one transposed copy of the
 last block's output.
 
 The stem is fixed, 3x3 at stride 1 (``conv2d`` keeps a ``stride``, which
-``bench/spans.py`` passes by keyword). The page is a constant, so the
-stem is one product of the flattened kernel with the page's kh*kw
-shifted planes, and only the kernel is differentiated. Inside a dense
-block every layer sees the channel-concatenation of all previous
-outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
-convolution, which runs as three products, one per kernel row. The
-block keeps each layer's unpadded bottleneck, and its backward pass
-takes a 3x3 convolution's kernel and bottleneck gradients each as one
-product with a single matrix of the output gradient's 3x3 windows.
+``bench/spans.py`` passes by keyword; it wraps ``conv2d`` and ``pool2d`` by
+name, so ``stem`` calls both by module name). The page is a constant, so the
+stem's convolution is one product of the flattened kernel with the page's
+kh*kw shifted planes, and only the kernel and bias are differentiated.
+Inside a dense block every layer sees the channel-concatenation of all
+previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
+convolution, which runs as three products, one per kernel row.
 
-After its convolution each stage is one graph node: ``pool2d`` (the stem's
-2x2 max pool, bias and ReLU), ``dense_block``, and ``transition`` (a 1x1
-convolution that halves the channels, bias, ReLU and 2x2 average pool); from
-an initial 48, a block adds depth * growth_rate channels and a transition
-keeps floor(channels / 2). Pooling windows are 2x2 at stride 2 over a map's
+Each stage is one graph node: ``stem`` (convolution, 2x2 max pool, bias
+and ReLU), ``dense_block``, and ``transition`` (a 1x1 convolution that
+halves the channels, bias, ReLU and 2x2 average pool); from an initial 48,
+a block adds depth * growth_rate channels and a transition keeps
+floor(channels / 2). Pooling windows are 2x2 at stride 2 over a map's
 trailing two axes; a trailing odd row or column is dropped, and a max-pool
-tie goes to the first corner in row-major order. Max-pooling before bias and
-ReLU is exact: ``fl(x + b)`` and ReLU are monotone, so
-``max(relu(x + b)) == relu(max(x) + b)`` bit for bit, and bias and ReLU run
-on a quarter-size grid. No batch normalization: runs are bit-deterministic.
+tie goes to the first corner in row-major order. Max-pooling before bias
+and ReLU is exact: ``fl(x + b)`` and ReLU are monotone, so
+``max(relu(x + b)) == relu(max(x) + b)`` bit for bit, and bias and ReLU
+run on a quarter-size grid. No batch normalization: runs are
+bit-deterministic.
+
+A recorded node keeps only what its vjp reads, besides its output: the
+stem keeps the padded page and a one-byte index of each window's max
+corner, a dense block its layers' bottlenecks in one stacked array, and a
+transition one byte per pre-pool cell, the sign of its rectified map.
+Under ``no_grad`` none of these is made.
 """
 
 from __future__ import annotations
@@ -88,26 +93,23 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def conv2d(image: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
-    """The stem: cross-correlate a constant H x W x 1 page with a kh x kw x 1 x Cout kernel.
+def _taps(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """A padded page's (kh*kw) x (Ho*Wo) stack of shifted pixels, one row per kernel tap."""
+    windows = sliding_window_view(padded, (kh, kw))[::stride, ::stride]
+    return windows.transpose(2, 3, 0, 1).reshape(kh * kw, -1)
 
-    The zero-padded page is cut into a (kh*kw) x (Ho*Wo) stack of shifted
-    pixels, one row per kernel tap, and the transposed kernel maps that
-    stack to the Cout x Ho x Wo output in one product. The page gets no
-    gradient. Backward cuts the stack again from the padded page instead
-    of keeping it through the whole forward pass.
+
+def conv2d(image: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Cross-correlate an H x W x 1 page with a kh x kw x 1 x Cout kernel: the stem's product.
+
+    The zero-padded page is cut into its tap stack (``_taps``), and the
+    transposed kernel maps that stack to the Cout x Ho x Wo output in one
+    product.
     """
     kh, kw, _, cout = kernel.shape
-    padded = np.pad(image.data[:, :, 0], padding)
+    padded = np.pad(image[:, :, 0], padding)
     ho, wo = (padded.shape[0] - kh) // stride + 1, (padded.shape[1] - kw) // stride + 1
-
-    def taps() -> np.ndarray:
-        windows = sliding_window_view(padded, (kh, kw))[::stride, ::stride]
-        return windows.transpose(2, 3, 0, 1).reshape(kh * kw, ho * wo)
-
-    k = kernel.data.reshape(kh * kw, cout)
-    return _record((k.T @ taps()).reshape(cout, ho, wo), (kernel,),
-                   lambda g: ((taps() @ g.reshape(cout, -1).T).reshape(kernel.shape),))
+    return (kernel.reshape(kh * kw, cout).T @ _taps(padded, kh, kw, stride)).reshape(cout, ho, wo)
 
 
 def _conv3x3(pad: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
@@ -172,38 +174,38 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     convolution is three products, one per kernel row, over one flattened,
     zero-padded scratch copy of the bottleneck (``_conv3x3``), so no im2col
     buffer is built. When recording, the node holds the output buffer and
-    each layer's unpadded bottleneck activation, which grows linearly with
-    depth where a graph of per-layer concatenations grows quadratically;
-    without recording nothing is kept per layer. The node's one vjp is a
-    reverse sweep over a single gradient buffer that gives the input's and
-    every parameter's gradient, so it pops each kept bottleneck once. It
-    cuts each layer's output gradient into one (9*G) x (H*W) matrix of 3x3
-    windows, so the 3x3 kernel gradient and the bottleneck gradient are one
-    product each; the bottleneck gradient overwrites that layer's kept
-    bottleneck, and the prefix's gradient is added in slabs of 9*G channels
-    through the windows' memory.
+    one depth x B x (H*W) stack of the layers' unpadded bottleneck
+    activations, which grows linearly with depth where a graph of per-layer
+    concatenations grows quadratically; without recording nothing is kept
+    per layer. The node's one vjp is a reverse sweep that reads the
+    incoming gradient in place and gives the input's and every parameter's
+    gradient. It pulls each layer's output gradient: its slab of the
+    incoming gradient plus one product of the later layers' stacked 1x1
+    kernel rows for that slab with their stacked bottleneck gradients. It
+    cuts that gradient into one (9*G) x (H*W) matrix of 3x3 windows, so the
+    3x3 kernel gradient and the bottleneck gradient are one product each;
+    the bottleneck gradient overwrites that layer's kept bottleneck. The
+    input's gradient is pulled the same way, as one product over every
+    layer's bottleneck gradient.
     """
     if not layers:
         return x
     c0, h, w = x.data.shape
     starts = list(accumulate((cb.data.size for *_, cb in layers), initial=c0))
     params = [p for layer in layers for p in layer]
-    cells, ctot = h * w, starts[-1]
+    cells, ctot, depth = h * w, starts[-1], len(layers)
     buf = np.empty((ctot, h, w))
     buf[:c0] = x.data
     rows = buf.reshape(ctot, cells)
-    recording = _recording(x, *params)
     b = layers[0][0].data.shape[3]
+    kept = np.empty((depth, b, cells)) if _recording(x, *params) else None
     pad = np.zeros((b, (h + 2) * (w + 2) + 2))
     interior = pad[:, :(h + 2) * (w + 2)].reshape(b, h + 2, w + 2)[:, 1:h + 1, 1:w + 1]
-    bottlenecks: list[np.ndarray] = []
-    for (rk, rb, ck, cb), c, end in zip(layers, starts, starts[1:]):
-        reduced = rk.data[0, 0].T @ rows[:c]
+    for i, ((rk, rb, ck, cb), c, end) in enumerate(zip(layers, starts, starts[1:])):
+        reduced = np.matmul(rk.data[0, 0].T, rows[:c], out=None if kept is None else kept[i])
         reduced += rb.data[:, None]
         np.maximum(reduced, 0.0, out=reduced)
         interior[...] = reduced.reshape(b, h, w)
-        if recording:
-            bottlenecks.append(reduced)
         del reduced  # the pad holds a copy, so no_grad frees it before the 3x3's row product
         grown = buf[c:end]
         _conv3x3(pad, ck.data, grown)
@@ -212,12 +214,23 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
 
     def sweep(g):
         """Input gradient, then each parameter's, in ``params`` order."""
-        grad = np.array(g).reshape(ctot, cells)  # writable; layers add into its prefix
+        g = g.reshape(ctot, cells)  # read-only (``backward`` locks it); nothing writes into it
+
+        def pulled(channels: slice, first: int) -> np.ndarray:
+            """``g[channels]`` plus what layers ``first``.. send those channels through their 1x1s."""
+            if first == depth:
+                return np.array(g[channels])
+            kernels = np.concatenate([rk.data[0, 0, channels] for rk, *_ in layers[first:]], axis=1)
+            total = kernels @ kept[first:].reshape(-1, cells)
+            total += g[channels]
+            return total
+
         dparams = []
-        for (rk, rb, ck, cb), c, end in reversed(list(zip(layers, starts, starts[1:]))):
-            bottleneck = bottlenecks.pop()
-            growth = end - c
-            dgrown = grad[c:end] * (rows[c:end] > 0.0)
+        for i in reversed(range(depth)):
+            (rk, rb, ck, cb), c, end = layers[i], starts[i], starts[i + 1]
+            bottleneck, growth = kept[i], end - c
+            dgrown = pulled(slice(c, end), i + 1)
+            dgrown *= rows[c:end] > 0.0
             patches = _gradient_patches(dgrown.reshape(growth, h, w))
             dkernel = (bottleneck @ patches.T).reshape(b, 3, 3, growth).transpose(1, 2, 0, 3)
             active = bottleneck > 0.0
@@ -226,11 +239,8 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
             dreduced *= active
             dparams[:0] = [(rows[:c] @ dreduced.T).reshape(rk.data.shape),
                            dreduced.sum(axis=1), dkernel[::-1, ::-1], dgrown.sum(axis=1)]
-            for s in range(0, c, 9 * growth):  # the windows are spent; their memory takes each slab
-                slab = slice(s, min(s + 9 * growth, c))
-                grad[slab] += np.matmul(rk.data[0, 0, slab], dreduced, out=patches[:slab.stop - s])
             del patches  # before the next layer's windows exist
-        return [grad[:c0].reshape(c0, h, w), *dparams]
+        return [pulled(slice(0, c0), 0).reshape(c0, h, w), *dparams]
 
     return _record(buf, (x, *params), sweep)
 
@@ -240,65 +250,82 @@ def _channels_last(x: Tensor) -> Tensor:
     return _record(x.data.transpose(1, 2, 0), (x,), lambda g: (g.transpose(2, 0, 1),))
 
 
-def _window_corners(x: Tensor) -> list[tuple[slice, slice, slice]]:
+def _window_corners(x: np.ndarray) -> list[tuple[slice, slice, slice]]:
     """The corners of a C x H x W map's 2x2 windows at stride 2, in row-major scan order."""
-    if x.data.ndim != 3:
+    if x.ndim != 3:
         raise DimensionError(f"pooling expects a C x H x W input, got {x.shape}")
-    ho, wo = x.data.shape[1] // 2, x.data.shape[2] // 2
+    ho, wo = x.shape[1] // 2, x.shape[2] // 2
     if ho < 1 or wo < 1:
         raise DimensionError(f"pooling needs extents >= 2, got {x.shape[1:]}")
     return [(slice(None), slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
 
 
-def pool2d(x: Tensor, bias: Tensor) -> Tensor:
-    """The stem's node after ``conv2d``: ``relu(maxpool(x) + bias)``, in one output-sized array.
-
-    It keeps only that output: its vjp recomputes the window max from ``x``.
-    """
+def pool2d(x: np.ndarray) -> np.ndarray:
+    """The 2x2 window max of a C x H x W map; each later corner goes in place into one array."""
     corners = _window_corners(x)
+    out = np.maximum(x[corners[0]], x[corners[1]])
+    for corner in corners[2:]:
+        np.maximum(out, x[corner], out=out)
+    return out
 
-    def window_max() -> np.ndarray:  # each later corner goes in place: one output-sized array
-        out = np.maximum(x.data[corners[0]], x.data[corners[1]])
-        for corner in corners[2:]:
-            np.maximum(out, x.data[corner], out=out)
-        return out
 
-    y = window_max()
+def stem(page: np.ndarray, kernel: Tensor, bias: Tensor) -> Tensor:
+    """``relu(maxpool(conv(page, kernel)) + bias)`` of a constant H x W x 1 page as one node.
+
+    ``conv2d`` takes the convolution and ``pool2d`` its window max; bias and
+    ReLU then go in place on the pooled map. A recorded stem keeps its
+    output, the zero-padded page and, per output cell, one byte that names
+    the window's first max corner in row-major order; it does not keep the
+    convolution map. Its vjp scatters the masked gradient through that
+    index into a convolution-sized map and takes the kernel's gradient as
+    one product with the tap stack, cut again from the padded page.
+    """
+    kh, kw, _, cout = kernel.shape
+    padding = STEM_KERNEL // 2
+    conv = conv2d(page, kernel.data, stride=STEM_STRIDE, padding=padding)
+    y = pool2d(conv)
+    shape, corners = conv.shape, _window_corners(conv)
+    first = padded = None  # what the vjp reads, made only when recording
+    if _recording(kernel, bias):
+        first = np.zeros(y.shape, np.uint8)
+        for n, corner in reversed(list(enumerate(corners))):  # the first max corner writes last
+            np.copyto(first, n, where=conv[corner] == y)
+        padded = np.pad(page[:, :, 0], padding)
     y += bias.data[:, None, None]
     np.maximum(y, 0.0, out=y)
 
     def vjp(g):
-        masked, peak = g * (y > 0.0), window_max()
-        dx = np.zeros_like(x.data)
-        for corner in corners:
-            hit = x.data[corner] == peak
-            np.copyto(dx[corner], masked, where=hit)
-            peak[hit] = np.nan  # a taken max matches no later corner
-        return dx, masked.sum(axis=1).sum(axis=1)
+        masked, dconv = g * (y > 0.0), np.zeros(shape)
+        for n, corner in enumerate(corners):
+            np.copyto(dconv[corner], masked, where=first == n)
+        dkernel = _taps(padded, kh, kw, STEM_STRIDE) @ dconv.reshape(cout, -1).T
+        return dkernel.reshape(kernel.shape), masked.sum(axis=1).sum(axis=1)
 
-    return _record(y, (x, bias), vjp)
+    return _record(y, (kernel, bias), vjp)
 
 
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """``avgpool(relu(conv1x1(x) + bias))`` of a Cin x H x W map as one node.
 
-    The 1x1 convolution is one ``kernel.T @ x`` product, rectified in place
-    and kept as the mask. The vjp spreads g/4 over each window, masks it,
-    and takes the input's and the kernel's gradients as one product each.
+    The 1x1 convolution is one ``kernel.T @ x`` product, rectified in place.
+    A recorded transition keeps one byte per cell of that map, its sign,
+    and not the map. The vjp writes each corner's share g/4, masked by that
+    sign, into a zeroed map, and takes the input's and the kernel's
+    gradients as one product each.
     """
-    corners = _window_corners(x)
+    corners = _window_corners(x.data)
     cin, h, w = x.data.shape
     k = kernel.data.reshape(cin, -1)
     cells = x.data.reshape(cin, h * w)
     rectified = (k.T @ cells).reshape(-1, h, w)
     rectified += bias.data[:, None, None]
     np.maximum(rectified, 0.0, out=rectified)
+    active = rectified > 0.0 if _recording(x, kernel, bias) else None
 
     def vjp(g):
-        masked, share = np.zeros_like(rectified), g / 4
+        masked, share = np.zeros(active.shape), g / 4
         for corner in corners:
-            masked[corner] = share
-        masked *= rectified > 0.0
+            np.multiply(share, active[corner], out=masked[corner])
         rows = masked.reshape(-1, h * w)
         return ((k @ rows).reshape(x.data.shape), (cells @ rows.T).reshape(kernel.data.shape),
                 masked.sum(axis=1).sum(axis=1))
@@ -344,9 +371,9 @@ class DenseEncoder:
 
         Image extents must be divisible by the downsample factor (pad with
         the background value beforehand) and every pixel must be a finite
-        value in [0, 1]. The image is a constant: the stem is a patch product
-        that differentiates only its kernel, so an image that requires a
-        gradient is refused.
+        value in [0, 1]. The image is a constant: the stem differentiates
+        only its kernel and bias, so an image that requires a gradient is
+        refused.
         """
         if not isinstance(image, Tensor):
             image = Tensor(image)
@@ -363,9 +390,7 @@ class DenseEncoder:
             raise DimensionError(f"image {(h, w)} too small for downsample factor {factor}")
         check_pixels(image.data)
 
-        x = conv2d(image, self.params["stem.kernel"], stride=STEM_STRIDE, padding=STEM_KERNEL // 2)
-        # fl(x + b) and relu are monotone, so pooling first is exact and rectifies 1/4 the cells
-        x = pool2d(x, self.params["stem.bias"])
+        x = stem(image.data, self.params["stem.kernel"], self.params["stem.bias"])
         for block in range(BLOCKS):
             x = dense_block(x, self._block_layers(block))
             if block < BLOCKS - 1:

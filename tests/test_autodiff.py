@@ -27,7 +27,7 @@ from kuzureader.autodiff import (
     tanh,
     zero_grads,
 )
-from kuzureader.encoder import dense_block, pool2d
+from kuzureader.encoder import dense_block, transition
 
 
 def matmul_oracle(a, b):
@@ -339,10 +339,11 @@ class TestGraph:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 6, 6))
         layer = [Tensor(rng.normal(size=shape)) for shape in [(1, 1, 2, 4), (4,), (3, 3, 4, 3), (3,)]]
+        kernel = Tensor(rng.normal(size=(1, 1, 5, 3)))
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = sum_all(softmax_flat(pool2d(dense_block(t, [layer]), Tensor(np.zeros(5)))))
+            out = sum_all(softmax_flat(transition(dense_block(t, [layer]), kernel, Tensor(np.zeros(3)))))
             backward(out)
             return out.item(), t.grad.copy()
 

@@ -17,12 +17,11 @@ from kuzureader.autodiff import (
     no_grad,
     reshape,
     sum_all,
-    tanh,
     zero_grads,
 )
 from kuzureader import encoder
 from kuzureader.encoder import (BLOCKS, DenseEncoder, EncoderConfig, FeatureGrid, conv2d,
-                                dense_block, pool2d, transition)
+                                dense_block, pool2d, stem, transition)
 
 
 def channel_oracle(initial, growth, depth, blocks, compression):
@@ -178,6 +177,25 @@ STEM_CASES = [
 ]
 
 
+def recorded_conv(page, kernel, stride, padding):
+    """``conv2d`` of a constant H x W x 1 page as a graph node over its kernel.
+
+    Its vjp is the kernel gradient ``stem`` takes: one product of the page's
+    tap stack with the output gradient.
+    """
+    kh, kw, _, cout = kernel.shape
+    windows = sliding_window_view(np.pad(page[:, :, 0], padding), (kh, kw))[::stride, ::stride]
+    taps = windows.transpose(2, 3, 0, 1).reshape(kh * kw, -1)
+    out = conv2d(page, kernel.data, stride=stride, padding=padding)
+    return _record(out, (kernel,), lambda g: ((taps @ g.reshape(cout, -1).T).reshape(kernel.shape),))
+
+
+def composed_stem(page, kernel, bias):
+    """The stem as convolution, then bias and ReLU, then the sliding max: the oracle."""
+    x = recorded_conv(page, kernel, encoder.STEM_STRIDE, encoder.STEM_KERNEL // 2)
+    return sliding_pool2d(bias_relu(x, bias), "max")
+
+
 def composed_transition(x, kernel, bias):
     """The transition as the composition of 1x1 convolution, bias and ReLU, and pooling."""
     return sliding_pool2d(bias_relu(conv1x1(x, kernel), bias), "average")
@@ -185,9 +203,7 @@ def composed_transition(x, kernel, bias):
 
 def old_order_encode(enc, image):
     """``encode`` with the stem rectified before it is pooled and composed transitions: the oracle."""
-    x = conv2d(Tensor(image), enc.params["stem.kernel"], stride=encoder.STEM_STRIDE,
-               padding=encoder.STEM_KERNEL // 2)
-    x = sliding_pool2d(bias_relu(x, enc.params["stem.bias"]), "max")
+    x = composed_stem(image, enc.params["stem.kernel"], enc.params["stem.bias"])
     for block in range(BLOCKS):
         x = dense_block(x, enc._block_layers(block))
         if block < BLOCKS - 1:
@@ -274,17 +290,25 @@ class TestConfig:
         assert config.channel_plan() == EncoderConfig(8, 4).channel_plan()
 
 
+@pytest.fixture(params=[(3, 1), (7, 2)], ids=["3x3-stride1", "7x7-stride2"])
+def stem_extent(request, monkeypatch):
+    """The module's stem kernel extent and stride: the default, then DenseWAP's."""
+    kernel, stride = request.param
+    monkeypatch.setattr(encoder, "STEM_KERNEL", kernel)
+    monkeypatch.setattr(encoder, "STEM_STRIDE", stride)
+    return kernel, stride
+
+
 class TestStem:
-    """``conv2d``: the stem as one patch product over a constant page."""
+    """``stem``: ``conv2d``'s patch product, ``pool2d``'s max, bias and ReLU as one node."""
 
     def test_one_by_one_identity(self):
         x = np.random.default_rng(2).normal(size=(4, 5, 1))
-        out = conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
-        assert np.array_equal(out.data, x.transpose(2, 0, 1))
+        out = conv2d(x, np.ones((1, 1, 1, 1)), stride=1, padding=0)
+        assert np.array_equal(out, x.transpose(2, 0, 1))
 
     def test_padded_3x3_preserves_shape(self):
-        out = conv2d(Tensor(np.zeros((6, 9, 1))), Tensor(np.zeros((3, 3, 1, 5))),
-                     stride=1, padding=1)
+        out = conv2d(np.zeros((6, 9, 1)), np.zeros((3, 3, 1, 5)), stride=1, padding=1)
         assert out.shape == (5, 6, 9)
 
     def test_against_direct_summation_oracle(self):
@@ -292,48 +316,81 @@ class TestStem:
         for x_shape, k_shape, stride, padding in STEM_CASES:
             x = rng.normal(size=x_shape)
             k = rng.normal(size=k_shape)
-            out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
+            out = conv2d(x, k, stride=stride, padding=padding)
             expected = conv_oracle(x, k, stride, padding).transpose(2, 0, 1)
             assert out.shape == expected.shape
-            assert np.max(np.abs(out.data - expected)) < 1e-12
+            assert np.max(np.abs(out - expected)) < 1e-12
 
-    def test_kernel_gradient_matches_finite_differences_and_the_image_gets_none(self):
-        rng = np.random.default_rng(4)
-        for x_shape, k_shape, stride, padding in STEM_CASES:
-            image = Tensor(rng.normal(size=x_shape), requires_grad=True)
-            kernel = Tensor(rng.normal(size=k_shape), requires_grad=True)
+    # odd convolution extents, so a trailing row and column are dropped; with
+    # ties, a half-integer page and an integer kernel give equal window corners
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
+    def test_stem_node_is_relu_of_the_biased_max_bitwise(self, stem_extent, ties):
+        extent, stride = stem_extent
+        rng = np.random.default_rng(14)
+        size = (5 * stride, 7 * stride, 1)
+        page = rng.integers(0, 3, size=size) / 2 if ties else rng.uniform(size=size)
+        k_shape = (extent, extent, 1, 4)
+        kernel = Tensor(rng.integers(-1, 2, size=k_shape).astype(float) if ties
+                        else rng.normal(size=k_shape), requires_grad=True)
+        bias = Tensor(rng.normal(scale=0.5, size=4), requires_grad=True)
+        g = rng.normal(size=(4, 2, 3))
+        runs = []
+        for op in (stem, composed_stem):
+            zero_grads([kernel, bias])
+            out = op(page, kernel, bias)
+            backward(sum_all(out * g))
+            runs.append((out, kernel.grad, bias.grad))
+        (out, dkernel, dbias), (want, want_dkernel, want_dbias) = runs
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(dkernel, want_dkernel)
+        assert np.array_equal(dbias, want_dbias)
+        with no_grad():
+            y = stem(page, kernel, bias)
+        assert np.array_equal(y.data, out.data)
+        assert not y.requires_grad and y._inputs == ()
 
-            def loss():
-                return sum_all(tanh(conv2d(image, kernel, stride=stride, padding=padding)))
+    def test_stem_node_gradients_match_finite_differences(self, stem_extent):
+        extent, stride = stem_extent
+        rng = np.random.default_rng(13)
+        page = rng.uniform(size=(8 * stride, 12 * stride, 1))
+        kernel = Tensor(rng.normal(size=(extent, extent, 1, 3)), requires_grad=True)
+        bias = Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
+        weights = rng.normal(size=(3, 4, 6))
+        out = stem(page, kernel, bias)
+        assert out._inputs == (kernel, bias)
+        assert grad_check(lambda: sum_all(stem(page, kernel, bias) * weights), [kernel, bias]) < 1e-6
 
-            assert all(t is not image for t in execution_order(loss()))
-            assert grad_check(loss, [kernel]) < 1e-6
-            assert image.grad is None
-
+    def test_max_tie_routes_to_first_in_scan_order(self):
+        # a centre-only kernel copies a constant 2 x 2 page into one window of
+        # four equal maxima; the kernel's gradient is the 3 x 3 patch of the
+        # padded page around the corner the window's gradient went to
+        k = np.zeros((3, 3, 1, 1))
+        k[1, 1] = 1.0
+        kernel = Tensor(k, requires_grad=True)
+        backward(sum_all(stem(np.full((2, 2, 1), 0.5), kernel, Tensor(np.zeros(1)))))
+        assert np.array_equal(kernel.grad[:, :, 0, 0], [[0.0, 0.0, 0.0], [0.0, 0.5, 0.5],
+                                                        [0.0, 0.5, 0.5]])
 
     def test_recorded_stem_keeps_the_padded_page_not_its_tap_stack(self):
-        # backward cuts the (kh*kw) x cells stack again, so between the passes
-        # only the output and the padded page are held
-        image = Tensor(np.random.default_rng(5).uniform(size=(64, 48, 1)))
+        # backward cuts the (kh*kw) x cells stack again and scatters through a
+        # one-byte corner index, so between the passes only the output, that
+        # index and the padded page are held: not the convolution map
+        page = np.random.default_rng(5).uniform(size=(64, 48, 1))
         kernel = Tensor(np.random.default_rng(5).normal(size=(3, 3, 1, 4)), requires_grad=True)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = conv2d(image, kernel, stride=1, padding=1)
+            out = stem(page, kernel, Tensor(np.zeros(4)))
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        assert held <= out.data.nbytes + 66 * 50 * 8 + 8 * 1024
+        assert held <= out.data.nbytes + out.data.size + 66 * 50 * 8 + 8 * 1024
 
 
 def max_pool(x):
-    """2x2 max pooling through the stem node with zero bias: ``relu`` of the window max."""
-    return pool2d(x, Tensor(np.zeros(x.shape[0])))
-
-
-def relu_of_sliding_max(x):
-    return bias_relu(sliding_pool2d(x, "max"), Tensor(np.zeros(x.shape[0])))
+    """2x2 max pooling of a C x H x W tensor's values by ``pool2d``; it records no node."""
+    return Tensor(pool2d(x.data))
 
 
 def average_pool(x):
@@ -346,7 +403,7 @@ def average_pool(x):
     return transition(x, Tensor(np.eye(c).reshape(1, 1, c, c)), Tensor(np.zeros(c)))
 
 
-POOLS = {"max": (max_pool, relu_of_sliding_max),
+POOLS = {"max": (max_pool, lambda x: sliding_pool2d(x, "max")),
          "average": (average_pool, lambda x: sliding_pool2d(x, "average"))}
 
 
@@ -368,20 +425,11 @@ class TestPool2d:
         x = np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4)
         assert np.array_equal(max_pool(Tensor(x)).data, x[:, 1::2, 1::2])
 
-    def test_max_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(1, 4, 4)), requires_grad=True)
-        assert grad_check(lambda: sum_all(max_pool(x)), [x]) < 1e-6
-
-    def test_max_tie_routes_to_first_in_scan_order(self):
-        x = Tensor(np.full((1, 2, 2), 7.0), requires_grad=True)
-        backward(sum_all(max_pool(x)))
-        assert np.array_equal(x.grad[0], [[1.0, 0.0], [0.0, 0.0]])
-
     @pytest.mark.parametrize("kind", ["max", "average"])
     @pytest.mark.parametrize("shape", [(3, 6, 8), (3, 5, 7)])
     @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
     def test_matches_the_sliding_window_oracle_bitwise(self, kind, shape, ties):
+        # the max records no node: its gradient is the stem's, tested in TestStem
         rng = np.random.default_rng(7)
         data = rng.integers(0, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
         if kind == "average":
@@ -391,11 +439,13 @@ class TestPool2d:
         for op in POOLS[kind]:
             x = Tensor(data.copy(), requires_grad=True)
             out = op(x)
-            backward(sum_all(out * g))
+            if kind == "average":
+                backward(sum_all(out * g))
             results.append((out.data, x.grad))
         (values, grad), (want_values, want_grad) = results
         assert np.array_equal(values, want_values)
-        assert np.array_equal(grad, want_grad)
+        if kind == "average":
+            assert np.array_equal(grad, want_grad)
 
     def test_average_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -405,7 +455,7 @@ class TestPool2d:
 
     @pytest.mark.parametrize("kind", ["max", "average"])
     def test_unrecorded_peak_is_the_output_and_the_transition_product(self, kind):
-        # max pool, bias and ReLU fold into the output in place; the average
+        # the max takes each later corner in place into the output; the average
         # pool also holds the transition's full-size product. The slack covers
         # the ufunc buffers for two strided operands (8192 float64 each) and
         # small objects
@@ -431,32 +481,6 @@ class TestPool2d:
     def test_input_that_is_not_channels_by_height_by_width_raises(self, kind):
         with pytest.raises(DimensionError, match="C x H x W"):
             POOLS[kind][0](Tensor(np.zeros((4, 4))))
-
-    def test_stem_node_is_relu_of_the_biased_max_bitwise(self):
-        rng = np.random.default_rng(14)
-        x = Tensor(rng.normal(size=(5, 4, 6)), requires_grad=True)
-        b = Tensor(rng.normal(size=5), requires_grad=True)
-        out = pool2d(x, b)
-        want = np.maximum(sliding_pool2d(x, "max").data + b.data[:, None, None], 0)
-        assert np.array_equal(out.data, want)
-        assert out._inputs == (x, b)
-        with no_grad():
-            y = pool2d(x, b)
-        assert not y.requires_grad
-        assert y._inputs == ()
-
-    def test_stem_node_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(13)
-        b = Tensor(rng.normal(size=3), requires_grad=True)
-        # keep every pooled pre-activation at least 0.1 from the kink at zero,
-        # and each window's max (its first corner) 0.1 above its other corners
-        target = rng.choice([-1.0, 1.0], size=(3, 2, 3)) * rng.uniform(0.1, 1.0, size=(3, 2, 3))
-        offsets = rng.uniform(0.1, 1.0, size=(3, 4, 6))
-        offsets[:, ::2, ::2] = 0.0
-        peaks = (target - b.data[:, None, None]).repeat(2, axis=1).repeat(2, axis=2)
-        x = Tensor(peaks - offsets, requires_grad=True)
-        weights = rng.normal(size=(3, 2, 3))
-        assert grad_check(lambda: sum_all(pool2d(x, b) * weights), [x, b]) < 1e-6
 
 
 class TestDenseBlock:
@@ -583,15 +607,15 @@ class TestBlockNode:
 
     # (h, w, input channels, growth, depth). At growth 8 from 8 channels the
     # (9*G) x (h*w) window matrix (72 a cell) is wider than any layer's
-    # channel prefix (at most 32). From 48 channels at growth 4 the prefix
-    # (up to 68 a cell) is wider than the windows (36 a cell); its gradient
-    # is added in slabs through the windows' memory, so it adds nothing.
+    # channel prefix (at most 32); from 48 channels at growth 4 the prefix
+    # (up to 68 a cell) is wider than the windows (36 a cell).
     @pytest.mark.parametrize("h,w,initial,growth,depth", [(32, 32, 8, 8, 4), (32, 32, 48, 4, 6)],
                              ids=["windows-wider", "prefix-wider"])
-    def test_backward_adds_the_gradient_its_copy_and_one_patch_matrix(self, h, w, initial,
-                                                                      growth, depth):
-        # each layer's bottleneck gradient overwrites its kept bottleneck, so
-        # besides the incoming gradient, the sweep's writable copy of it and
+    def test_backward_reads_the_gradient_in_place_and_adds_one_patch_matrix(self, h, w, initial,
+                                                                           growth, depth):
+        # each layer's bottleneck gradient overwrites its kept bottleneck and
+        # each slab's gradient is pulled from the incoming one, which is read in
+        # place, not copied. So besides that gradient, the input's gradient and
         # the parameter gradients, the sweep needs one layer's matrix of 3x3
         # windows, with the masked gradient slice and its padded copy it is
         # cut from. Tracing starts before the forward pass so that what the
@@ -609,11 +633,12 @@ class TestBlockNode:
         finally:
             tracemalloc.stop()
         gradient = h * w * (initial + depth * growth) * 8
+        input_gradient = h * w * initial * 8
         patches = h * w * 9 * growth * 8
         slices = (h * w + (h + 2) * (w + 2)) * growth * 8
         param_grads = sum(p.data.nbytes for p in params)
         assert all(t.grad is not None for t in [x, *params])
-        assert peak <= 2 * gradient + patches + slices + param_grads + self.SLACK
+        assert peak <= gradient + input_gradient + patches + slices + param_grads + self.SLACK
 
 
 class TestTransition:
@@ -772,11 +797,44 @@ class TestEncode:
         assert max_normalised(features, want) <= 1e-12
 
     def test_recorded_encode_is_one_node_per_stage(self):
-        # stem convolution, stem pooling, three blocks, two transitions and the layout copy
+        # the stem, three blocks, two transitions and the layout copy
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=16)
         grid = enc.encode(np.random.default_rng(16).uniform(size=(16, 24, 1)))
         nodes = [t for t in execution_order(grid.features) if t._vjp is not None]
-        assert len(nodes) == 8
+        assert len(nodes) == 7
+
+    def test_recorded_encode_holds_only_what_backward_reads(self):
+        # between the passes a recorded encode holds each stage's output (the
+        # stem's, each block's, each transition's and the H x W x C copy), each
+        # block's stacked bottlenecks, one byte per transition pre-pool cell and
+        # per stem output cell, and the padded page: not the stem's convolution
+        # map (192 KiB here) nor a transition's float map. The slack covers the
+        # nodes, their closures and small arrays
+        slack = 32 * 1024
+        config = EncoderConfig(growth_rate=4, block_depth=2, initial_channels=8)
+        enc = DenseEncoder(config, seed=18)
+        h, w = 64, 48
+        image = np.random.default_rng(18).uniform(size=(h, w, 1))
+        enc.encode(image)  # first calls allocate numpy's and the interpreter's caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grid = enc.encode(image)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        plan = config.channel_plan()
+        bottleneck = 4 * config.growth_rate
+        cells = (h // 2) * (w // 2)  # after the stem
+        pad = encoder.STEM_KERNEL // 2
+        keep = (h + 2 * pad) * (w + 2 * pad) * 8 + plan[0] * cells * (8 + 1)
+        for block in range(BLOCKS):
+            keep += (plan[2 * block + 1] + config.block_depth * bottleneck) * cells * 8
+            if block < BLOCKS - 1:
+                keep += plan[2 * block + 2] * cells * (1 + 8 // 4)
+                cells //= 4
+        keep += grid.features.data.nbytes
+        assert abs(held - keep) <= slack
 
     def test_unrecorded_encode_peaks_under_two_stem_maps(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=12, block_depth=4), seed=15)
