@@ -11,12 +11,22 @@ last block's output.
 
 The stem is fixed, 3x3 at stride 1 (``conv2d`` keeps a ``stride``, which
 ``bench/spans.py`` passes by keyword; it wraps ``conv2d`` and ``pool2d`` by
-name, so ``stem`` calls both by module name). The page is a constant, so the
-stem's convolution is one product of the flattened kernel with the page's
-kh*kw shifted planes, and only the kernel and bias are differentiated.
-Inside a dense block every layer sees the channel-concatenation of all
-previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each 3x3
-convolution, which runs as three products, one per kernel row.
+name, so ``stem`` calls both by module name). The page is a constant, so
+only the stem's kernel and bias are differentiated. The stem never builds
+its full convolution map: it folds the four 2x2 window corners one at a
+time, each corner's map one product of the flattened kernel with the
+padded page's kh*kw shifted planes at twice the stride, into the running
+max. Inside a dense block every layer sees the channel-concatenation of
+all previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each
+3x3 convolution, which runs as three products, one per kernel row.
+
+Each stage writes its result where the next one reads it. ``encode``
+allocates each block's output buffer: the stem pools straight into block
+0's first channels, and a transition's pooled map is copied into the next
+block's once the transition's full-size map is gone. A block's 1x1
+bottleneck is written straight into one flat scratch per block, each
+channel (h+2)*w + 2 values with a zero row above and below the map and a
+zero at each end, which the 3x3's kernel-row products read in place.
 
 Each stage is one graph node: ``stem`` (convolution, 2x2 max pool, bias
 and ReLU), ``dense_block``, and ``transition`` (a 1x1 convolution that
@@ -30,10 +40,11 @@ and ReLU is exact: ``fl(x + b)`` and ReLU are monotone, so
 run on a quarter-size grid. No batch normalization: runs are
 bit-deterministic.
 
-A recorded node keeps only what its vjp reads, besides its output: the
-stem keeps the padded page and a one-byte index of each window's max
-corner, a dense block its layers' bottlenecks in one stacked array, and a
-transition one byte per pre-pool cell, the sign of its rectified map.
+A recorded node keeps only what its vjp reads, besides its output (the
+stem's is a view of block 0's buffer): the stem keeps the padded page and
+a one-byte index of each window's max corner, a dense block its layers'
+bottlenecks in one stacked array, and a transition one byte per pre-pool
+cell, the sign of its rectified map.
 Under ``no_grad`` none of these is made.
 """
 
@@ -102,41 +113,47 @@ def _taps(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 def conv2d(image: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Cross-correlate an H x W x 1 page with a kh x kw x 1 x Cout kernel: the stem's product.
 
-    The zero-padded page is cut into its tap stack (``_taps``), and the
-    transposed kernel maps that stack to the Cout x Ho x Wo output in one
-    product.
+    The page, zero-padded when ``padding`` is positive and read in place
+    when it is 0, is cut into its tap stack (``_taps``), and the transposed
+    kernel maps that stack to the Cout x Ho x Wo output in one product. The
+    stem passes one window corner's cut of its padded page at a time, at
+    twice its stride and without padding, so the output is that corner's map.
     """
     kh, kw, _, cout = kernel.shape
-    padded = np.pad(image[:, :, 0], padding)
+    padded = np.pad(image[:, :, 0], padding) if padding else image[:, :, 0]
     ho, wo = (padded.shape[0] - kh) // stride + 1, (padded.shape[1] - kw) // stride + 1
     return (kernel.reshape(kh * kw, cout).T @ _taps(padded, kh, kw, stride)).reshape(cout, ho, wo)
 
 
-def _conv3x3(pad: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
-    """Write a 3x3 convolution (pad 1) of a padded, flattened bottleneck into ``out``.
+def _conv3x3(scratch: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
+    """Write a 3x3 convolution (pad 1) of a flat bottleneck scratch into ``out``.
 
-    ``pad`` holds the B x (h+2) x (w+2) zero-padded bottleneck as B rows of
-    (h+2)*(w+2) + 2 values (two trailing zeros), ``kernel`` is 3 x 3 x B x G
-    and ``out`` is the G x h x w output. Output pixel (u, v) reads padded
-    value ``u*wp + v + i*wp + j`` at tap (i, j), with ``wp = w + 2``. So
-    kernel row i is one (3G x B) product with the columns from ``i*wp``,
-    and its j-th G rows, shifted by j columns, are tap (i, j). The taps are
-    added in row-major order; the columns that wrap into the next row are
-    never read.
+    ``scratch`` holds each of the B bottleneck channels as (h+2)*w + 2
+    values: a zero, a zero row, the h x w map row by row, a zero row and a
+    zero. ``kernel`` is 3 x 3 x B x G and ``out`` the G x h x w output.
+    Output pixel (u, v) reads scratch value ``u*w + v + i*w + j`` at tap
+    (i, j). So kernel row i is one (3G x B) product over the h*w + 2
+    columns from ``i*w``, and its j-th G rows, shifted by j columns, are tap
+    (i, j). At the map's side edges that read wraps into the neighbouring
+    row, where the zero padding belongs, so tap j = 0's column v = 0 and
+    tap j = 2's column v = w - 1 are zeroed in the product. The taps are
+    added in row-major order, each in one pass over ``out``.
     """
     g, h, w = out.shape
-    wp = w + 2
-    n = h * wp
+    n = h * w
     product = np.empty((3 * g, n + 2))
     for i in range(3):
-        np.matmul(kernel[i].transpose(0, 2, 1).reshape(3 * g, -1), pad[:, i * wp:i * wp + n + 2],
+        np.matmul(kernel[i].transpose(0, 2, 1).reshape(3 * g, -1), scratch[:, i * w:i * w + n + 2],
                   out=product)
-        for j in range(3):
-            tap = product[j * g:(j + 1) * g, j:j + n].reshape(g, h, wp)[:, :, :w]
-            if i == j == 0:
-                out[...] = tap
-            else:
-                out += tap
+        left, centre, right = (product[j * g:(j + 1) * g, j:j + n].reshape(g, h, w)
+                               for j in range(3))
+        left[:, :, 0] = right[:, :, w - 1] = 0.0  # reads wrapped into the neighbouring row
+        if i == 0:
+            np.copyto(out, left)
+        else:
+            out += left
+        out += centre
+        out += right
 
 
 def _gradient_patches(d: np.ndarray) -> np.ndarray:
@@ -157,7 +174,8 @@ def _gradient_patches(d: np.ndarray) -> np.ndarray:
     return patches.reshape(9 * g, h * w)
 
 
-def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
+def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
+                buf: np.ndarray) -> Tensor:
     """A DenseNet block over a C0 x H x W input, recorded as one graph node.
 
     ``layers`` holds one ``(reduce_kernel, reduce_bias, conv_kernel,
@@ -168,14 +186,17 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     channels and appends its G channels, so the output has the input's
     extents and C0 + sum(G) channels. An empty list returns ``x`` itself.
 
-    Every layer writes into one preallocated channel-major output buffer,
-    so a layer's channel prefix is one contiguous C_l x (H*W) slab and its
-    1x1 convolution one product over it; nothing is concatenated. Each 3x3
-    convolution is three products, one per kernel row, over one flattened,
-    zero-padded scratch copy of the bottleneck (``_conv3x3``), so no im2col
-    buffer is built. When recording, the node holds the output buffer and
-    one depth x B x (H*W) stack of the layers' unpadded bottleneck
-    activations, which grows linearly with depth where a graph of per-layer
+    The caller allocates the output: ``buf`` is the (C0 + sum(G)) x H x W
+    buffer whose first C0 channels already hold ``x``, and the block fills
+    the rest, so a layer's channel prefix is one contiguous C_l x (H*W)
+    slab and its 1x1 convolution one product over it; nothing is
+    concatenated or copied in. That product writes straight into the
+    interior of one flat, zero-bordered bottleneck scratch, where bias and
+    ReLU run in place, and the 3x3 convolution reads it there as three
+    products, one per kernel row (``_conv3x3``), so no im2col buffer is
+    built. When recording, the node holds the output buffer and one
+    depth x B x (H*W) stack of copies of the layers' bottleneck activations,
+    which grows linearly with depth where a graph of per-layer
     concatenations grows quadratically; without recording nothing is kept
     per layer. The node's one vjp is a reverse sweep that reads the
     incoming gradient in place and gives the input's and every parameter's
@@ -194,21 +215,24 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     starts = list(accumulate((cb.data.size for *_, cb in layers), initial=c0))
     params = [p for layer in layers for p in layer]
     cells, ctot, depth = h * w, starts[-1], len(layers)
-    buf = np.empty((ctot, h, w))
-    buf[:c0] = x.data
+    if buf.shape != (ctot, h, w):
+        raise DimensionError(f"dense block buffer must be {(ctot, h, w)}, got {buf.shape}")
     rows = buf.reshape(ctot, cells)
     b = layers[0][0].data.shape[3]
     kept = np.empty((depth, b, cells)) if _recording(x, *params) else None
-    pad = np.zeros((b, (h + 2) * (w + 2) + 2))
-    interior = pad[:, :(h + 2) * (w + 2)].reshape(b, h + 2, w + 2)[:, 1:h + 1, 1:w + 1]
+    scratch = np.zeros((b, (h + 2) * w + 2))
+    interior = scratch[:, w + 1:w + 1 + cells]
     for i, ((rk, rb, ck, cb), c, end) in enumerate(zip(layers, starts, starts[1:])):
-        reduced = np.matmul(rk.data[0, 0].T, rows[:c], out=None if kept is None else kept[i])
-        reduced += rb.data[:, None]
-        np.maximum(reduced, 0.0, out=reduced)
-        interior[...] = reduced.reshape(b, h, w)
-        del reduced  # the pad holds a copy, so no_grad frees it before the 3x3's row product
+        np.matmul(rk.data[0, 0].T, rows[:c], out=interior)
+        # bias and ReLU over whole rows, then the borders zeroed again: numpy
+        # may copy a strided operand that is updated in place
+        scratch += rb.data[:, None]
+        np.maximum(scratch, 0.0, out=scratch)
+        scratch[:, :w + 1] = scratch[:, w + 1 + cells:] = 0.0
+        if kept is not None:
+            kept[i] = interior
         grown = buf[c:end]
-        _conv3x3(pad, ck.data, grown)
+        _conv3x3(scratch, ck.data, grown)
         grown += cb.data[:, None, None]
         np.maximum(grown, 0.0, out=grown)
 
@@ -260,48 +284,63 @@ def _window_corners(x: np.ndarray) -> list[tuple[slice, slice, slice]]:
     return [(slice(None), slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
 
 
-def pool2d(x: np.ndarray) -> np.ndarray:
-    """The 2x2 window max of a C x H x W map; each later corner goes in place into one array."""
-    corners = _window_corners(x)
-    out = np.maximum(x[corners[0]], x[corners[1]])
-    for corner in corners[2:]:
-        np.maximum(out, x[corner], out=out)
-    return out
+def pool2d(corner: np.ndarray, out: np.ndarray, n: int, first: np.ndarray | None) -> None:
+    """Fold window corner ``n``'s map into the running 2x2 window max ``out``, in place.
+
+    Corner 0 is copied in; a later corner replaces a cell only where it is
+    strictly greater. Where it does, ``first``, unless it is None, is set
+    to ``n``, so it names each window's first max corner in the row-major
+    scan order of ``_window_corners``.
+    """
+    if n == 0:
+        np.copyto(out, corner)
+        return
+    if first is not None:
+        np.copyto(first, n, where=corner > out)
+    np.maximum(out, corner, out=out)
 
 
-def stem(page: np.ndarray, kernel: Tensor, bias: Tensor) -> Tensor:
+def stem(page: np.ndarray, kernel: Tensor, bias: Tensor, out: np.ndarray) -> Tensor:
     """``relu(maxpool(conv(page, kernel)) + bias)`` of a constant H x W x 1 page as one node.
 
-    ``conv2d`` takes the convolution and ``pool2d`` its window max; bias and
-    ReLU then go in place on the pooled map. A recorded stem keeps its
-    output, the zero-padded page and, per output cell, one byte that names
-    the window's first max corner in row-major order; it does not keep the
-    convolution map. Its vjp scatters the masked gradient through that
-    index into a convolution-sized map and takes the kernel's gradient as
-    one product with the tap stack, cut again from the padded page.
+    The result is written into ``out``, the first channels of block 0's
+    buffer, and the convolution map is never built. The page is padded once;
+    for each 2x2 window corner, in row-major order, ``conv2d`` convolves
+    the padded page cut at that corner's offset at twice the stem's stride,
+    which gives that corner's Cout x Ho x Wo map alone, and ``pool2d`` folds
+    it into ``out``. A trailing odd row or column of the convolution is
+    never computed. Bias and ReLU then go in place on the pooled map. A
+    recorded stem keeps the padded page and, per output cell, one byte
+    that names the window's first max corner. Its vjp takes the kernel's
+    gradient as four corner products: each corner's tap stack, cut again
+    from the padded page, times the masked gradient where the byte names
+    that corner.
     """
     kh, kw, _, cout = kernel.shape
-    padding = STEM_KERNEL // 2
-    conv = conv2d(page, kernel.data, stride=STEM_STRIDE, padding=padding)
-    y = pool2d(conv)
-    shape, corners = conv.shape, _window_corners(conv)
-    first = padded = None  # what the vjp reads, made only when recording
-    if _recording(kernel, bias):
-        first = np.zeros(y.shape, np.uint8)
-        for n, corner in reversed(list(enumerate(corners))):  # the first max corner writes last
-            np.copyto(first, n, where=conv[corner] == y)
-        padded = np.pad(page[:, :, 0], padding)
-    y += bias.data[:, None, None]
-    np.maximum(y, 0.0, out=y)
+    stride = 2 * STEM_STRIDE
+    padded = np.pad(page[:, :, 0], STEM_KERNEL // 2)
+    hc, wc = ((extent - k) // STEM_STRIDE + 1 for extent, k in zip(padded.shape, (kh, kw)))
+    if hc < 2 or wc < 2:
+        raise DimensionError(f"pooling needs extents >= 2, got {(hc, wc)}")
+    ho, wo = hc // 2, wc // 2
+    if out.shape != (cout, ho, wo):
+        raise DimensionError(f"stem output must be {(cout, ho, wo)}, got {out.shape}")
+    cuts = [padded[i * STEM_STRIDE:i * STEM_STRIDE + (ho - 1) * stride + kh,
+                   j * STEM_STRIDE:j * STEM_STRIDE + (wo - 1) * stride + kw]
+            for i in (0, 1) for j in (0, 1)]
+    first = np.zeros(out.shape, np.uint8) if _recording(kernel, bias) else None
+    for n, cut in enumerate(cuts):
+        pool2d(conv2d(cut[:, :, None], kernel.data, stride=stride, padding=0), out, n, first)
+    out += bias.data[:, None, None]
+    np.maximum(out, 0.0, out=out)
 
     def vjp(g):
-        masked, dconv = g * (y > 0.0), np.zeros(shape)
-        for n, corner in enumerate(corners):
-            np.copyto(dconv[corner], masked, where=first == n)
-        dkernel = _taps(padded, kh, kw, STEM_STRIDE) @ dconv.reshape(cout, -1).T
+        masked = g * (out > 0.0)
+        routed = (np.where(first == n, masked, 0.0).reshape(cout, -1) for n in range(len(cuts)))
+        dkernel = sum(_taps(cut, kh, kw, stride) @ r.T for cut, r in zip(cuts, routed))
         return dkernel.reshape(kernel.shape), masked.sum(axis=1).sum(axis=1)
 
-    return _record(y, (kernel, bias), vjp)
+    return _record(out, (kernel, bias), vjp)
 
 
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -390,10 +429,14 @@ class DenseEncoder:
             raise DimensionError(f"image {(h, w)} too small for downsample factor {factor}")
         check_pixels(image.data)
 
-        x = stem(image.data, self.params["stem.kernel"], self.params["stem.bias"])
+        plan = self.config.channel_plan()  # block b's buffer: plan[2b] in, plan[2b+1] out
+        buf = np.empty((plan[1], h // (2 * STEM_STRIDE), w // (2 * STEM_STRIDE)))
+        x = stem(image.data, self.params["stem.kernel"], self.params["stem.bias"], buf[:plan[0]])
         for block in range(BLOCKS):
-            x = dense_block(x, self._block_layers(block))
+            x = dense_block(x, self._block_layers(block), buf)
             if block < BLOCKS - 1:
                 x = transition(x, self.params[f"trans{block}.kernel"],
                                self.params[f"trans{block}.bias"])
+                buf = np.empty((plan[2 * block + 3], *x.shape[1:]))  # the full-size map is freed
+                buf[:plan[2 * block + 2]] = x.data
         return FeatureGrid(features=_channels_last(x))

@@ -9,6 +9,7 @@ not exact matches.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, get_args, get_origin
 
@@ -83,8 +84,28 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        """Read back ``to_json``'s text; anything else raises ``DatasetError`` naming the fault."""
-        payload = parse_json_object(text, "evaluation report", _REPORT_FIELDS)
+        """Read back ``to_json``'s text; anything else raises ``DatasetError`` naming the fault.
+
+        Besides its type, each field must hold what ``evaluate`` can report:
+        a finite rate >= 0, a count or distance >= 0, and one distance per
+        sequence.
+        """
+        what = "evaluation report"
+        payload = parse_json_object(text, what, _REPORT_FIELDS)
+        for name in ("cer", "ser"):
+            if not 0 <= payload[name] < math.inf:  # false for NaN too
+                raise DatasetError(f"{what} field {name!r} must be a finite rate >= 0, "
+                                   f"got {payload[name]!r}")
+        for name in ("total_target_chars", "num_sequences"):
+            if payload[name] < 0:
+                raise DatasetError(f"{what} field {name!r} must be a count >= 0, "
+                                   f"got {payload[name]!r}")
+        distances = payload["distances"]
+        if any(d < 0 for d in distances):
+            raise DatasetError(f"{what} field 'distances' must hold distances >= 0: {distances!r}")
+        if len(distances) != payload["num_sequences"]:
+            raise DatasetError(f"{what} field 'distances' holds {len(distances)} distances for "
+                               f"'num_sequences' {payload['num_sequences']}")
         return cls(**{name: payload[name] for name in _REPORT_FIELDS})
 
     def to_text(self) -> str:

@@ -97,27 +97,29 @@ def conv1x1(x, kernel):
 def conv3x3_by_rows(x, kernel):
     """A padded 3x3 convolution of a C x H x W map as three kernel-row products.
 
-    The input is zero-padded by 1 with constant tensors and flattened to
-    rows of (h+2)*(w+2) values plus two trailing zeros. Kernel row i's three
-    taps are stacked into one 3G x C matrix and multiplied by the flattened
-    rows from column i*(w+2); tap (i, j) is that product's j-th G rows
-    shifted by j columns and cut to h x w. The taps are added in row-major
-    order, so each output sums the same products in the same order as
-    ``dense_block``'s row products.
+    The input is flattened with constant tensors to rows of (h+2)*w + 2
+    values: a zero, a zero row, the map row by row, a zero row and a zero.
+    Kernel row i's three taps are stacked into one 3G x C matrix and
+    multiplied by the flattened rows from column i*w; tap (i, j) is that
+    product's j-th G rows shifted by j columns, as an h x w map. At the side
+    edges tap j = 0 reads column v = 0 from the row above and tap j = 2
+    reads v = w - 1 from the row below, so those columns are multiplied by
+    zero. The taps are added in row-major order, so each output sums the
+    same products in the same order as ``dense_block``'s row products.
     """
     c, h, w = x.shape
     g = kernel.shape[3]
-    wp, n = w + 2, h * (w + 2)
-    column = Tensor(np.zeros((c, h, 1)))
-    row = Tensor(np.zeros((c, 1, wp)))
-    padded = concat([row, concat([column, x, column], axis=2), row], axis=1)
-    flat = concat([reshape(padded, (c, (h + 2) * wp)), Tensor(np.zeros((c, 2)))], axis=1)
+    n = h * w
+    edge = Tensor(np.zeros((c, w + 1)))
+    flat = concat([edge, reshape(x, (c, n)), edge], axis=1)
+    sides = np.ones((3, h, w))
+    sides[0, :, 0] = sides[2, :, w - 1] = 0.0
     out = None
     for i in range(3):
         stacked = reshape(transposed(narrow(kernel, 0, i, 1), (0, 1, 3, 2)), (3 * g, c))
-        product = matmul(stacked, narrow(flat, 1, i * wp, n + 2))
+        product = matmul(stacked, narrow(flat, 1, i * w, n + 2))
         for j in range(3):
-            tap = narrow(reshape(narrow(narrow(product, 0, j * g, g), 1, j, n), (g, h, wp)), 2, 0, w)
+            tap = reshape(narrow(narrow(product, 0, j * g, g), 1, j, n), (g, h, w)) * sides[j]
             out = tap if out is None else out + tap
     return out
 
@@ -129,6 +131,19 @@ def composed_block(x, layers):
         grown = bias_relu(conv3x3_by_rows(reduced, conv_kernel), conv_bias)
         x = concat([x, grown], axis=0)
     return x
+
+
+def block_buffer(x, layers):
+    """The buffer ``dense_block`` fills: ``x``'s channels, then room for every layer's."""
+    c, h, w = x.shape
+    buf = np.empty((c + sum(cb.shape[0] for *_, cb in layers), h, w))
+    buf[:c] = x.data
+    return buf
+
+
+def run_block(x, layers):
+    """``dense_block`` over a fresh buffer."""
+    return dense_block(x, layers, block_buffer(x, layers))
 
 
 def block_layers(initial, growth, depth, seed, bottleneck=None):
@@ -196,6 +211,26 @@ def composed_stem(page, kernel, bias):
     return sliding_pool2d(bias_relu(x, bias), "max")
 
 
+def stem_output(page, kernel):
+    """An empty array of ``stem``'s output shape: the convolution's extents halved, rounded down."""
+    k, stride = encoder.STEM_KERNEL, encoder.STEM_STRIDE
+    h, w = (((extent + 2 * (k // 2) - k) // stride + 1) // 2 for extent in page.shape[:2])
+    return np.empty((kernel.shape[3], h, w))
+
+
+def run_stem(page, kernel, bias):
+    """``stem`` into a fresh output array."""
+    return stem(page, kernel, bias, stem_output(page, kernel))
+
+
+def biased_max_stem(page, kernel, bias):
+    """``relu(maxpool(conv) + b)`` in numpy from ``conv2d``'s full convolution map."""
+    conv = conv2d(page, kernel, stride=encoder.STEM_STRIDE, padding=encoder.STEM_KERNEL // 2)
+    c, h, w = conv.shape
+    windows = conv[:, :h // 2 * 2, :w // 2 * 2].reshape(c, h // 2, 2, w // 2, 2)
+    return np.maximum(windows.max(axis=(2, 4)) + bias[:, None, None], 0.0)
+
+
 def composed_transition(x, kernel, bias):
     """The transition as the composition of 1x1 convolution, bias and ReLU, and pooling."""
     return sliding_pool2d(bias_relu(conv1x1(x, kernel), bias), "average")
@@ -205,7 +240,7 @@ def old_order_encode(enc, image):
     """``encode`` with the stem rectified before it is pooled and composed transitions: the oracle."""
     x = composed_stem(image, enc.params["stem.kernel"], enc.params["stem.bias"])
     for block in range(BLOCKS):
-        x = dense_block(x, enc._block_layers(block))
+        x = run_block(x, enc._block_layers(block))
         if block < BLOCKS - 1:
             x = composed_transition(x, enc.params[f"trans{block}.kernel"],
                                     enc.params[f"trans{block}.bias"])
@@ -300,7 +335,7 @@ def stem_extent(request, monkeypatch):
 
 
 class TestStem:
-    """``stem``: ``conv2d``'s patch product, ``pool2d``'s max, bias and ReLU as one node."""
+    """``stem``: four corner products of ``conv2d`` folded by ``pool2d``, bias and ReLU, one node."""
 
     def test_one_by_one_identity(self):
         x = np.random.default_rng(2).normal(size=(4, 5, 1))
@@ -321,8 +356,9 @@ class TestStem:
             assert out.shape == expected.shape
             assert np.max(np.abs(out - expected)) < 1e-12
 
-    # odd convolution extents, so a trailing row and column are dropped; with
-    # ties, a half-integer page and an integer kernel give equal window corners
+    # odd convolution extents (5 x 7), so a trailing row and column are
+    # dropped; with ties, a half-integer page and an integer kernel give
+    # equal window corners, and every product and sum is exact
     @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
     def test_stem_node_is_relu_of_the_biased_max_bitwise(self, stem_extent, ties):
         extent, stride = stem_extent
@@ -335,19 +371,40 @@ class TestStem:
         bias = Tensor(rng.normal(scale=0.5, size=4), requires_grad=True)
         g = rng.normal(size=(4, 2, 3))
         runs = []
-        for op in (stem, composed_stem):
+        for op in (run_stem, composed_stem):
             zero_grads([kernel, bias])
             out = op(page, kernel, bias)
             backward(sum_all(out * g))
             runs.append((out, kernel.grad, bias.grad))
         (out, dkernel, dbias), (want, want_dkernel, want_dbias) = runs
+        assert out.shape == (4, 2, 3)
         assert np.array_equal(out.data, want.data)
-        assert np.array_equal(dkernel, want_dkernel)
+        assert np.array_equal(out.data, biased_max_stem(page, kernel.data, bias.data))
+        assert max_normalised(dkernel, want_dkernel) <= 1e-12  # four corner sums, not one
         assert np.array_equal(dbias, want_dbias)
         with no_grad():
-            y = stem(page, kernel, bias)
+            y = run_stem(page, kernel, bias)
         assert np.array_equal(y.data, out.data)
         assert not y.requires_grad and y._inputs == ()
+
+    def test_each_convolution_is_one_corner_of_the_pooled_map(self, stem_extent, monkeypatch):
+        # four conv2d calls at twice the stem's stride, without padding, each
+        # making one corner's map at the output's extents; together they hold
+        # the convolution's cells but its trailing odd row and column
+        _, stride = stem_extent
+        rng = np.random.default_rng(15)
+        page = rng.uniform(size=(5 * stride, 7 * stride, 1))
+        kernel = Tensor(rng.normal(size=(encoder.STEM_KERNEL, encoder.STEM_KERNEL, 1, 3)))
+        calls, convolve = [], encoder.conv2d
+
+        def traced(image, k, stride, padding):
+            out = convolve(image, k, stride=stride, padding=padding)
+            calls.append((stride, padding, out.shape))
+            return out
+
+        monkeypatch.setattr(encoder, "conv2d", traced)
+        out = run_stem(page, kernel, Tensor(np.zeros(3)))
+        assert calls == [(2 * stride, 0, out.shape)] * 4
 
     def test_stem_node_gradients_match_finite_differences(self, stem_extent):
         extent, stride = stem_extent
@@ -356,41 +413,82 @@ class TestStem:
         kernel = Tensor(rng.normal(size=(extent, extent, 1, 3)), requires_grad=True)
         bias = Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
         weights = rng.normal(size=(3, 4, 6))
-        out = stem(page, kernel, bias)
+        out = run_stem(page, kernel, bias)
         assert out._inputs == (kernel, bias)
-        assert grad_check(lambda: sum_all(stem(page, kernel, bias) * weights), [kernel, bias]) < 1e-6
+        assert grad_check(lambda: sum_all(run_stem(page, kernel, bias) * weights),
+                          [kernel, bias]) < 1e-6
 
-    def test_max_tie_routes_to_first_in_scan_order(self):
-        # a centre-only kernel copies a constant 2 x 2 page into one window of
-        # four equal maxima; the kernel's gradient is the 3 x 3 patch of the
-        # padded page around the corner the window's gradient went to
-        k = np.zeros((3, 3, 1, 1))
-        k[1, 1] = 1.0
+    def test_max_tie_routes_to_first_in_scan_order(self, stem_extent):
+        # a centre-only kernel copies a constant page into one window of four
+        # equal maxima; the kernel's gradient is the kh x kw patch of the
+        # padded page that the first corner's cell reads
+        extent, stride = stem_extent
+        k = np.zeros((extent, extent, 1, 1))
+        k[extent // 2, extent // 2] = 1.0
         kernel = Tensor(k, requires_grad=True)
-        backward(sum_all(stem(np.full((2, 2, 1), 0.5), kernel, Tensor(np.zeros(1)))))
-        assert np.array_equal(kernel.grad[:, :, 0, 0], [[0.0, 0.0, 0.0], [0.0, 0.5, 0.5],
-                                                        [0.0, 0.5, 0.5]])
+        page = np.full((2 * stride, 2 * stride, 1), 0.5)
+        out = run_stem(page, kernel, Tensor(np.zeros(1)))
+        assert out.shape == (1, 1, 1)
+        backward(sum_all(out))
+        first_corner = np.pad(page[:, :, 0], extent // 2)[:extent, :extent]
+        assert np.array_equal(kernel.grad[:, :, 0, 0], first_corner)
 
     def test_recorded_stem_keeps_the_padded_page_not_its_tap_stack(self):
-        # backward cuts the (kh*kw) x cells stack again and scatters through a
-        # one-byte corner index, so between the passes only the output, that
-        # index and the padded page are held: not the convolution map
+        # backward cuts each corner's (kh*kw) x cells stack again and routes
+        # through a one-byte corner index, so between the passes the stem
+        # holds only that index and the padded page besides the output it
+        # was given: not a convolution map
         page = np.random.default_rng(5).uniform(size=(64, 48, 1))
         kernel = Tensor(np.random.default_rng(5).normal(size=(3, 3, 1, 4)), requires_grad=True)
+        out = stem_output(page, kernel)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = stem(page, kernel, Tensor(np.zeros(4)))
+            y = stem(page, kernel, Tensor(np.zeros(4)), out)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert out.requires_grad
-        assert held <= out.data.nbytes + out.data.size + 66 * 50 * 8 + 8 * 1024
+        assert y.requires_grad and np.shares_memory(y.data, out)
+        assert held <= out.size + 66 * 50 * 8 + 8 * 1024
+
+    def test_unrecorded_stem_allocates_one_corner_map_and_its_tap_stack(self):
+        # besides the padded page, one corner's tap stack and its map are all
+        # the stem makes: the full convolution map is four corner maps
+        h, w, cout = 128, 96, 16
+        page = np.random.default_rng(6).uniform(size=(h, w, 1))
+        kernel = Tensor(np.random.default_rng(6).normal(size=(3, 3, 1, cout)))
+        out = stem_output(page, kernel)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                stem(page, kernel, Tensor(np.zeros(cout)), out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        corner_cells = (h // 2) * (w // 2)
+        corner_map, taps = cout * corner_cells * 8, 9 * corner_cells * 8
+        padded = (h + 2) * (w + 2) * 8
+        assert peak <= corner_map + taps + padded + 64 * 1024
+
+    def test_an_output_of_the_wrong_shape_raises(self):
+        kernel = Tensor(np.zeros((3, 3, 1, 2)))
+        with pytest.raises(DimensionError, match="stem output"):
+            stem(np.zeros((8, 6, 1)), kernel, Tensor(np.zeros(2)), np.empty((2, 4, 4)))
+
+    def test_a_page_smaller_than_one_window_raises(self):
+        kernel = Tensor(np.zeros((3, 3, 1, 2)))
+        with pytest.raises(DimensionError, match="extents"):
+            stem(np.zeros((1, 6, 1)), kernel, Tensor(np.zeros(2)), np.empty((2, 0, 3)))
 
 
 def max_pool(x):
-    """2x2 max pooling of a C x H x W tensor's values by ``pool2d``; it records no node."""
-    return Tensor(pool2d(x.data))
+    """2x2 max pooling of a C x H x W tensor's values: ``pool2d`` folds each window corner."""
+    corners = encoder._window_corners(x.data)
+    out = np.empty(x.data[corners[0]].shape)
+    for n, corner in enumerate(corners):
+        pool2d(x.data[corner], out, n, None)
+    return Tensor(out)
 
 
 def average_pool(x):
@@ -447,6 +545,20 @@ class TestPool2d:
         if kind == "average":
             assert np.array_equal(grad, want_grad)
 
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
+    def test_first_names_the_first_max_corner_in_scan_order(self, ties):
+        # a later corner takes a cell only where it is strictly greater: the
+        # sliding oracle's argmax, which returns the first maximum
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 2, size=(3, 6, 8)).astype(float) if ties else rng.normal(size=(3, 6, 8))
+        corners = encoder._window_corners(x)
+        out, first = np.empty((3, 3, 4)), np.zeros((3, 3, 4), np.uint8)
+        for n, corner in enumerate(corners):
+            pool2d(x[corner], out, n, first)
+        windows = sliding_window_view(x, (2, 2), axis=(1, 2))[:, ::2, ::2].reshape(3, 3, 4, 4)
+        assert np.array_equal(out, windows.max(axis=3))
+        assert np.array_equal(first, windows.argmax(axis=3))
+
     def test_average_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.uniform(0.5, 1.5, size=(3, 5, 7)), requires_grad=True)
@@ -486,14 +598,14 @@ class TestPool2d:
 class TestDenseBlock:
     def test_empty_block_is_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 5)))
-        out = dense_block(x, [])
-        assert np.array_equal(out.data, x.data)
+        out = run_block(x, [])
+        assert out is x
 
     def test_channel_growth(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=16, block_depth=16), seed=1)
         x = Tensor(np.random.default_rng(1).normal(size=(48, 3, 4)))
         with no_grad():
-            out = dense_block(x, enc._block_layers(0))
+            out = run_block(x, enc._block_layers(0))
         assert out.shape == (48 + 16 * 16, 3, 4)
 
     def test_spatial_extents_preserved(self):
@@ -501,8 +613,23 @@ class TestDenseBlock:
         for h, w in [(1, 1), (2, 7), (5, 3)]:
             x = Tensor(np.random.default_rng(2).normal(size=(48, h, w)))
             with no_grad():
-                out = dense_block(x, enc._block_layers(0))
+                out = run_block(x, enc._block_layers(0))
             assert out.shape[1:] == (h, w)
+
+    def test_fills_the_buffer_it_is_given(self):
+        enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=3)
+        x = Tensor(np.random.default_rng(3).normal(size=(48, 3, 5)))
+        buf = block_buffer(x, enc._block_layers(0))
+        with no_grad():
+            out = dense_block(x, enc._block_layers(0), buf)
+        assert out.data is buf and np.array_equal(buf[:48], x.data)
+
+    @pytest.mark.parametrize("shape", [(55, 3, 5), (56, 3, 4)], ids=["channels", "extents"])
+    def test_a_buffer_of_the_wrong_shape_raises(self, shape):
+        enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=3)
+        x = Tensor(np.zeros((48, 3, 5)))
+        with pytest.raises(DimensionError, match="buffer"):
+            dense_block(x, enc._block_layers(0), np.empty(shape))
 
 
 class TestBlockNode:
@@ -519,7 +646,7 @@ class TestBlockNode:
         x = Tensor(rng.normal(size=(initial, h, w)), requires_grad=True)
         weights = rng.normal(size=(initial + depth * growth, h, w))
         grads = []
-        for block in (dense_block, composed_block):
+        for block in (run_block, composed_block):
             zero_grads([x, *params])
             out = block(x, layers)
             with no_grad():
@@ -535,7 +662,7 @@ class TestBlockNode:
         layers = block_layers(4, 3, 2, seed=1)
         params = [p for layer in layers for p in layer]
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 4)), requires_grad=True)
-        out = dense_block(x, layers)
+        out = run_block(x, layers)
         assert out._inputs == (x, *params)
         assert len(execution_order(out)) == 1 + len(params) + 1
 
@@ -543,7 +670,7 @@ class TestBlockNode:
         layers = block_layers(4, 3, 2, seed=3)
         params = [p for layer in layers for p in layer]
         x = Tensor(np.random.default_rng(3).normal(size=(4, 3, 4)), requires_grad=True)
-        out = dense_block(x, layers)
+        out = run_block(x, layers)
         sweeps, windows = [], []
         sweep, patches = out._vjp, encoder._gradient_patches
         out._vjp = lambda g: sweeps.append(g) or sweep(g)
@@ -560,11 +687,12 @@ class TestBlockNode:
         x = Tensor(rng.normal(size=(4, 3, 4)), requires_grad=input_requires_grad)
         weights = rng.normal(size=(4 + 2 * 3, 3, 4))
         checked = [x, *params] if input_requires_grad else params
-        assert grad_check(lambda: sum_all(dense_block(x, layers) * weights), checked) < 1e-6
+        assert grad_check(lambda: sum_all(run_block(x, layers) * weights), checked) < 1e-6
         assert (x.grad is not None) == input_requires_grad
 
     # 48 input channels, growth 4 (bottleneck 16), depth 6 on a 32 x 32 grid:
     # one bottleneck-sized array is 128 KiB, the block's output 576 KiB. The
+    # output buffer is made before tracing starts, as ``encode`` makes it. The
     # slack covers one numpy ufunc buffer (8192 float64) and small objects.
     MEMORY_CASE = dict(h=32, w=32, initial=48, growth=4, depth=6)
     SLACK = 64 * 1024
@@ -574,36 +702,38 @@ class TestBlockNode:
         layers = block_layers(c["initial"], c["growth"], c["depth"], seed=4)
         x = Tensor(np.random.default_rng(4).uniform(size=(c["initial"], c["h"], c["w"])),
                    requires_grad=record)
+        buf = block_buffer(x, layers)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             if record:
-                out = dense_block(x, layers)
+                out = dense_block(x, layers, buf)
             else:
                 with no_grad():
-                    out = dense_block(x, layers)
+                    out = dense_block(x, layers, buf)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         bottleneck = c["h"] * c["w"] * 4 * c["growth"] * 8
         return out, held - before, peak - before, bottleneck
 
-    def test_without_recording_peak_is_buffer_pad_bottleneck_and_one_row_product(self):
-        # besides the output buffer and the padded scratch bottleneck, a layer
-        # needs its 1x1 product and one 3x3 kernel-row product (3G rows over
-        # the padded cells); bottlenecks kept per layer would not fit
+    def test_without_recording_peak_is_scratch_and_one_row_product(self):
+        # the 1x1 writes into the flat scratch the 3x3 reads, so a layer needs
+        # only that scratch (B rows of (h+2)*w + 2) and one 3x3 kernel-row
+        # product (3G rows of h*w + 2); a separate bottleneck would not fit
         out, _, peak, bottleneck = self._traced_block(record=False)
         c = self.MEMORY_CASE
-        padded_cells = (c["h"] + 2) * (c["w"] + 2)
-        pad = 4 * c["growth"] * (padded_cells + 2) * 8
-        row_product = 3 * c["growth"] * padded_cells * 8
-        assert out._inputs == ()
-        assert peak <= out.data.nbytes + pad + bottleneck + row_product + self.SLACK
+        scratch = 4 * c["growth"] * ((c["h"] + 2) * c["w"] + 2) * 8
+        row_product = 3 * c["growth"] * (c["h"] * c["w"] + 2) * 8
+        assert out._inputs == () and bottleneck > self.SLACK
+        assert peak <= scratch + row_product + self.SLACK
 
     def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self):
+        # the buffer was the caller's; the node adds the stacked bottlenecks
         out, held, _, bottleneck = self._traced_block(record=True)
         depth = self.MEMORY_CASE["depth"]
-        assert held <= out.data.nbytes + depth * bottleneck + self.SLACK
+        assert out.requires_grad
+        assert held <= depth * bottleneck + self.SLACK
 
     # (h, w, input channels, growth, depth). At growth 8 from 8 channels the
     # (9*G) x (h*w) window matrix (72 a cell) is wider than any layer's
@@ -625,7 +755,7 @@ class TestBlockNode:
         x = Tensor(np.random.default_rng(6).uniform(size=(initial, h, w)), requires_grad=True)
         tracemalloc.start()
         try:
-            loss = sum_all(dense_block(x, layers))
+            loss = sum_all(run_block(x, layers))
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             backward(loss)
@@ -804,12 +934,13 @@ class TestEncode:
         assert len(nodes) == 7
 
     def test_recorded_encode_holds_only_what_backward_reads(self):
-        # between the passes a recorded encode holds each stage's output (the
-        # stem's, each block's, each transition's and the H x W x C copy), each
-        # block's stacked bottlenecks, one byte per transition pre-pool cell and
-        # per stem output cell, and the padded page: not the stem's convolution
-        # map (192 KiB here) nor a transition's float map. The slack covers the
-        # nodes, their closures and small arrays
+        # between the passes a recorded encode holds each block's buffer (the
+        # first holds the stem's output), each transition's output and the
+        # H x W x C copy, each block's stacked bottlenecks, one byte per
+        # transition pre-pool cell and per stem output cell, and the padded
+        # page: not the stem's convolution map (192 KiB here), a separate
+        # copy of its output, nor a transition's float map. The slack covers
+        # the nodes, their closures and small arrays
         slack = 32 * 1024
         config = EncoderConfig(growth_rate=4, block_depth=2, initial_channels=8)
         enc = DenseEncoder(config, seed=18)
@@ -827,7 +958,7 @@ class TestEncode:
         bottleneck = 4 * config.growth_rate
         cells = (h // 2) * (w // 2)  # after the stem
         pad = encoder.STEM_KERNEL // 2
-        keep = (h + 2 * pad) * (w + 2 * pad) * 8 + plan[0] * cells * (8 + 1)
+        keep = (h + 2 * pad) * (w + 2 * pad) * 8 + plan[0] * cells
         for block in range(BLOCKS):
             keep += (plan[2 * block + 1] + config.block_depth * bottleneck) * cells * 8
             if block < BLOCKS - 1:
@@ -836,10 +967,20 @@ class TestEncode:
         keep += grid.features.data.nbytes
         assert abs(held - keep) <= slack
 
-    def test_unrecorded_encode_peaks_under_two_stem_maps(self):
-        enc = DenseEncoder(EncoderConfig(growth_rate=12, block_depth=4), seed=15)
-        image = np.random.default_rng(15).uniform(size=(96, 64, 1))
-        stem_bytes = 96 * 64 * enc.config.initial_channels * 8  # the stem conv's output
+    def test_unrecorded_encode_peaks_in_block_zero(self):
+        # block 0 holds its buffer, the flat bottleneck scratch and one 3x3
+        # kernel-row product; the stem, which pools into that buffer, and the
+        # page's checks stay under it. The slack covers one numpy ufunc buffer
+        # (8192 float64) and small objects. The stem's full convolution map
+        # alone (2.36 MB) would not fit
+        config = EncoderConfig(growth_rate=12, block_depth=4)
+        enc = DenseEncoder(config, seed=15)
+        h, w = 96, 64
+        image = np.random.default_rng(15).uniform(size=(h, w, 1))
+        cells, b, g = (h // 2) * (w // 2), 4 * config.growth_rate, config.growth_rate
+        buffer = config.channel_plan()[1] * cells * 8
+        scratch = b * ((h // 2 + 2) * (w // 2) + 2) * 8
+        row_product = 3 * g * (cells + 2) * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -848,7 +989,9 @@ class TestEncode:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * stem_bytes
+        bound = buffer + scratch + row_product + image.nbytes + 64 * 1024
+        assert bound < h * w * config.initial_channels * 8
+        assert peak <= bound
 
     def test_every_parameter_gets_gradient(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=10)

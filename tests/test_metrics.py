@@ -167,6 +167,32 @@ class TestEvaluate:
         with pytest.raises(DatasetError, match=match):
             EvalReport.from_json(json.dumps(payload))
 
+    # each a report evaluate could not write: the text parses and every
+    # field has its JSON type, but one value contradicts what it measures
+    @pytest.mark.parametrize("field, value, match", [
+        ("cer", float("nan"), "'cer' must be a finite rate >= 0, got nan"),
+        ("cer", float("inf"), "'cer' must be a finite rate >= 0, got inf"),
+        ("ser", -3, "'ser' must be a finite rate >= 0, got -3"),
+        ("ser", -0.5, "'ser' must be a finite rate >= 0"),
+        ("total_target_chars", -1, "'total_target_chars' must be a count >= 0, got -1"),
+        ("num_sequences", -2, "'num_sequences' must be a count >= 0, got -2"),
+        ("distances", [1, -2], r"'distances' must hold distances >= 0: \[1, -2\]"),
+        ("distances", [1], "'distances' holds 1 distances for 'num_sequences' 2"),
+        ("num_sequences", 3, "'distances' holds 2 distances for 'num_sequences' 3"),
+    ], ids=["cer-nan", "cer-infinite", "ser-negative-integer", "ser-negative", "chars-negative",
+            "sequences-negative", "distance-negative", "too-few-distances", "too-many-sequences"])
+    def test_a_contradictory_value_is_a_dataset_error_naming_its_field(self, field, value, match):
+        payload = json.loads(evaluate([((1, 2, 3), (1, 2)), ((4,), (4,))]).to_json())
+        payload[field] = value
+        with pytest.raises(DatasetError, match=match):
+            EvalReport.from_json(json.dumps(payload))
+
+    def test_the_contradictory_report_is_refused(self):
+        text = ('{"cer": NaN, "ser": -3, "total_target_chars": -1, "num_sequences": 5,'
+                ' "distances": [-2]}')
+        with pytest.raises(DatasetError, match="'cer'"):
+            EvalReport.from_json(text)
+
     def test_integer_rates_read_back_as_numbers(self):
         text = ('{"cer": 0, "ser": 1, "total_target_chars": 4, "num_sequences": 2,'
                 ' "distances": [0, 0]}')
