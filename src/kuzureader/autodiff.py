@@ -72,12 +72,10 @@ class NumericError(ArithmeticError):
 class DatasetError(RuntimeError):
     """Stored or supplied content is malformed.
 
-    Raised on a malformed graymap or one with no pixels, a vocabulary that
-    breaks the file format, a token or token index missing from the
-    vocabulary, a token index that is not an integer, an empty evaluation,
-    an evaluation report that is not the JSON object its ``to_json`` writes
-    (a missing field or one of the wrong type), and a vocabulary file that
-    is not UTF-8 text.
+    Raised on a malformed graymap or one with no pixels, a vocabulary whose
+    tokens break its rules (markers first, unique, one word each), a token
+    or token index missing from the vocabulary, a token index that is not
+    an integer (a bool is not), and an empty evaluation.
     """
 
 

@@ -3,15 +3,15 @@
 Tokens compare by vocabulary index (exact match). CER is the summed edit
 distance divided by the total number of target tokens, so it can exceed
 1 when hypotheses run long; SER is the fraction of sequences that are
-not exact matches.
+not exact matches. An ``EvalReport`` is written out as JSON or as
+key=value text; the package never reads a report back.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
-from typing import Sequence, get_args, get_origin
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .autodiff import DatasetError
 
@@ -33,43 +33,6 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return previous[len(b)]
 
 
-def _is_json(value, kind) -> bool:
-    return not isinstance(value, bool) and isinstance(value, kind)
-
-
-_ITEM_NAMES = {int: "integers"}
-
-
-def parse_json_object(text: str, what: str, fields: dict) -> dict:
-    """The JSON object in ``text``, checked against the field table ``fields``.
-
-    ``fields`` maps every required field to its JSON type: a Python type,
-    a tuple of them, or ``list[int]``, a list of integers. A boolean is
-    never a number. Anything else raises ``DatasetError`` naming ``what``
-    and the fault.
-    """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{what} is not JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DatasetError(f"{what} must be a JSON object, got {type(payload).__name__}")
-    for name, kind in fields.items():
-        if name not in payload:
-            raise DatasetError(f"{what} has no field {name!r}")
-        value = payload[name]
-        if not _is_json(value, get_origin(kind) or kind):
-            raise DatasetError(f"{what} field {name!r} has the wrong type: {value!r}")
-        for item in get_args(kind):
-            if not all(_is_json(v, item) for v in value):
-                raise DatasetError(f"{what} field {name!r} must hold {_ITEM_NAMES[item]}: {value!r}")
-    return payload
-
-
-_REPORT_FIELDS = {"cer": (int, float), "ser": (int, float), "total_target_chars": int,
-                  "num_sequences": int, "distances": list[int]}  # JSON types of EvalReport's fields
-
-
 @dataclass
 class EvalReport:
     cer: float
@@ -79,34 +42,7 @@ class EvalReport:
     distances: list[int]
 
     def to_json(self) -> str:
-        payload = {name: getattr(self, name) for name in _REPORT_FIELDS}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        """Read back ``to_json``'s text; anything else raises ``DatasetError`` naming the fault.
-
-        Besides its type, each field must hold what ``evaluate`` can report:
-        a finite rate >= 0, a count or distance >= 0, and one distance per
-        sequence.
-        """
-        what = "evaluation report"
-        payload = parse_json_object(text, what, _REPORT_FIELDS)
-        for name in ("cer", "ser"):
-            if not 0 <= payload[name] < math.inf:  # false for NaN too
-                raise DatasetError(f"{what} field {name!r} must be a finite rate >= 0, "
-                                   f"got {payload[name]!r}")
-        for name in ("total_target_chars", "num_sequences"):
-            if payload[name] < 0:
-                raise DatasetError(f"{what} field {name!r} must be a count >= 0, "
-                                   f"got {payload[name]!r}")
-        distances = payload["distances"]
-        if any(d < 0 for d in distances):
-            raise DatasetError(f"{what} field 'distances' must hold distances >= 0: {distances!r}")
-        if len(distances) != payload["num_sequences"]:
-            raise DatasetError(f"{what} field 'distances' holds {len(distances)} distances for "
-                               f"'num_sequences' {payload['num_sequences']}")
-        return cls(**{name: payload[name] for name in _REPORT_FIELDS})
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         """key=value lines, one metric per line."""

@@ -1,17 +1,16 @@
 """Token vocabulary with reserved start/end markers.
 
-On disk a vocabulary is UTF-8 text with one token per line: line 1 is the
-literal ``<S>``, line 2 is ``<E>``, and every following line is one
-character token. A token's index is its line number minus one. A token
-is one word: it holds no whitespace, so a transcription written as
-space-separated tokens splits back into the same tokens.
+A vocabulary is a sequence of unique string tokens: index 0 is the start
+marker ``<S>``, index 1 is the end marker ``<E>``, and every following
+token is one character token. A token is one word: it holds no
+whitespace, so a transcription written as space-separated tokens splits
+back into the same tokens. A token index is an integer (a bool is not).
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .autodiff import DatasetError
@@ -20,14 +19,6 @@ START_TOKEN = "<S>"
 END_TOKEN = "<E>"
 START = 0
 END = 1
-
-
-def read_text(path) -> str:
-    """The UTF-8 text of the file at ``path``; other bytes raise ``DatasetError``."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 class Vocabulary:
@@ -58,6 +49,8 @@ class Vocabulary:
 
     def token(self, index: int) -> str:
         try:
+            if isinstance(index, bool):  # True is an int to Python, but no token index
+                raise TypeError
             index = operator.index(index)
         except TypeError:
             raise DatasetError(f"token index {index!r} is not an integer") from None
@@ -73,10 +66,3 @@ class Vocabulary:
 
     def sha256(self) -> str:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
-
-    def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        return cls(read_text(path).splitlines())

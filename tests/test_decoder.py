@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuzureader import autodiff
 from kuzureader import decoder as decoder_mod
@@ -82,19 +84,9 @@ class TestVocabulary:
     def test_index_that_is_not_an_integer_is_refused(self):
         v = Vocabulary.from_characters("ab")
         assert v.token(np.int64(2)) == "a"
-        for index in (1.0, np.float64(2.0), "2", None):
+        for index in (1.0, np.float64(2.0), "2", None, True, False):
             with pytest.raises(DatasetError, match="not an integer"):
                 v.token(index)
-
-    def test_file_roundtrip(self, tmp_path):
-        v = Vocabulary.from_characters(list("0123456789"))
-        path = tmp_path / "vocab.txt"
-        v.save(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "<S>" and lines[1] == "<E>"
-        loaded = Vocabulary.load(path)
-        assert loaded.tokens == v.tokens
-        assert loaded.sha256() == v.sha256()
 
     def test_rejects_bad_header_and_duplicates(self):
         with pytest.raises(DatasetError, match="must begin"):
@@ -102,25 +94,35 @@ class TestVocabulary:
         with pytest.raises(DatasetError, match="unique"):
             Vocabulary(["<S>", "<E>", "a", "a"])
 
-    def test_file_that_is_not_utf8_is_a_dataset_error(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_bytes(b"<S>\n<E>\n\xff\n")
-        with pytest.raises(DatasetError, match="not UTF-8"):
-            Vocabulary.load(path)
+    @pytest.mark.parametrize("tokens", [[], ["<S>"], ["<E>", "<S>", "a"], ["a", "<S>", "<E>"],
+                                        ["<S>", "a", "<E>"]],
+                             ids=["empty", "start-only", "swapped", "content-first", "end-late"])
+    def test_rejects_a_vocabulary_that_does_not_begin_with_its_markers(self, tokens):
+        with pytest.raises(DatasetError, match="must begin with '<S>', '<E>'"):
+            Vocabulary(tokens)
 
-    def test_blank_line_in_file_is_rejected(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("<S>\n<E>\n\na\nb\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="non-empty"):
-            Vocabulary.load(path)
+    @pytest.mark.parametrize("tokens", [["<S>", "<E>", "a", "a"], ["<S>", "<E>", "<S>"],
+                                        ["<S>", "<E>", "a", "<E>"], ["<S>", "<E>", *"aba"]],
+                             ids=["content", "start-again", "end-again", "content-apart"])
+    def test_rejects_a_repeated_token(self, tokens):
+        with pytest.raises(DatasetError, match="unique"):
+            Vocabulary(tokens)
 
-    @pytest.mark.parametrize("ending", ["\n", ""], ids=["trailing-newline", "no-newline"])
-    def test_trailing_newline_adds_no_token(self, tmp_path, ending):
-        path = tmp_path / "vocab.txt"
-        path.write_text("<S>\n<E>\na\nb" + ending, encoding="utf-8")
-        loaded = Vocabulary.load(path)
-        assert loaded.tokens == ("<S>", "<E>", "a", "b")
-        assert loaded.index("a") == 2
+    def test_a_bool_is_no_token_index(self):
+        v = Vocabulary.from_characters("ab")
+        with pytest.raises(DatasetError, match="False is not an integer"):
+            v.decode([False, True])
+        with pytest.raises(DatasetError, match="not an integer"):
+            v.token(np.True_)
+        assert v.decode([np.int64(0), 1]) == ("<S>", "<E>")
+
+    @given(st.lists(st.text(min_size=1, max_size=3).filter(lambda t: t.split() == [t]),
+                    unique=True, max_size=8).filter(lambda ts: not {"<S>", "<E>"} & set(ts)))
+    @settings(max_examples=50, deadline=None)
+    def test_tokens_written_with_spaces_split_back_and_decode_back(self, tokens):
+        v = Vocabulary.from_characters(tokens)
+        assert " ".join(tokens).split() == tokens
+        assert v.decode(v.encode(tokens)) == tuple(tokens)
 
     def test_unknown_token_is_a_dataset_error(self):
         v = Vocabulary.from_characters("ab")
