@@ -48,24 +48,25 @@ import numpy as np
 class DimensionError(ValueError):
     """Operand shapes are incompatible, or a size or setting is out of range.
 
-    Raised by the ops on mismatched shapes; by a size, seed, token index or
-    padding factor that is not an integer (a bool is not) or is below its
-    minimum; by a generator setting of the wrong kind (a range that is not
-    a pair, a noise level that is not a real number in [0, 1]); by glyphs
-    that do not fit their layout or share one bitmap; by a decode step past
-    ``max_decode_len`` or given a token outside the vocabulary; by
-    ``encode`` on an image that requires a gradient; and by an image that
-    ``pad_to_factor`` (H x W x C) or ``write_pgm`` (H x W or H x W x 1,
-    with pixels) cannot take.
+    Raised by the ops on mismatched shapes; by a size, seed or token index
+    that is not an integer (a bool is not) or is below its minimum; by a
+    generator setting of the wrong kind (a range that is not a pair, a
+    noise level that is not a real number in [0, 1]); by glyphs that do not
+    fit their layout or share one bitmap; by a decode step past
+    ``max_decode_len`` or given a token outside the vocabulary; and by a
+    page that is not an H x W x 1 numpy array with pixels (``check_page``,
+    run by ``write_pgm``, ``encode`` and ``recognize``).
     """
 
 
 class NumericError(ArithmeticError):
-    """A value is non-finite or outside its valid range.
+    """A value is not a finite real number, or is outside its valid range.
 
-    Raised when a computation, an input image or a loaded parameter holds a
-    non-finite value, and when ``encode`` or ``write_pgm`` gets a pixel
-    outside [0, 1].
+    Raised when a computation holds a non-finite value; when a page or a
+    loaded parameter is not real-valued (a string, a complex or object
+    array) or not finite (``check_real``); and when a page has a pixel
+    outside [0, 1] (``check_page``, run by ``write_pgm``, ``encode`` and
+    ``recognize``).
     """
 
 

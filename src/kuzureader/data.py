@@ -6,9 +6,11 @@ documents stamp them into vertical columns read right to left, top to
 bottom within a column. The generator is bit-deterministic per
 (spec, seed) and keeps a placement log of where every character landed.
 
-A page on disk is a binary P5 graymap that stores ink as dark pixels (PGM
-value 0); in memory pixels live in [0, 1] with dark ink mapped high
-(ink = 1.0, background = 0.0).
+A page in memory is an H x W x 1 numpy array with at least one pixel, each
+a finite real value in [0, 1] with dark ink mapped high (ink = 1.0,
+background = 0.0); ``check_page`` is that rule, and ``write_pgm`` and
+``encode`` run it. On disk a page is a binary P5 graymap that stores ink as
+dark pixels (PGM value 0).
 """
 
 from __future__ import annotations
@@ -50,31 +52,40 @@ def seeded_rng(*entropy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([check_size("seed", v, 0) for v in entropy]))
 
 
-def check_pixels(pixels: np.ndarray) -> None:
-    """Raise ``NumericError`` unless every pixel is a finite value in [0, 1]."""
-    if not np.isfinite(pixels).all():
-        raise NumericError("image has non-finite pixels")
-    if np.min(pixels, initial=0.0) < 0.0 or np.max(pixels, initial=1.0) > 1.0:
-        raise NumericError("image has pixels outside [0, 1]")
+def check_real(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array if it is real-valued (bool, integer or float) and finite.
+
+    Anything else (a string, a complex or object array, a NaN or an
+    infinity) is a ``NumericError`` naming it.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise NumericError(f"{name} is not real-valued ({array.dtype})")
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise NumericError(f"{name} has non-finite values")
+    return array
+
+
+def check_page(image) -> np.ndarray:
+    """``image`` as a float64 page: an H x W x 1 numpy array with pixels, each in [0, 1].
+
+    Any other object or shape is a ``DimensionError`` naming its type and
+    shape; a pixel ``check_real`` refuses, or one outside [0, 1], is a
+    ``NumericError``.
+    """
+    if not (isinstance(image, np.ndarray) and image.ndim == 3 and image.shape[2] == 1 and image.size):
+        raise DimensionError(f"a page is an H x W x 1 numpy array with pixels, got "
+                             f"{type(image).__name__} of shape {getattr(image, 'shape', None)}")
+    page = check_real("page", image)
+    if page.min() < 0.0 or page.max() > 1.0:
+        raise NumericError("page has pixels outside [0, 1]")
+    return page
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write an H x W or H x W x 1 array of [0, 1] ink-high values.
-
-    Any other shape, and an image with no pixels (which ``read_pgm`` would
-    refuse), raises ``DimensionError``. The shape and the pixels are checked
-    before the file is opened, so a refused image leaves no file.
-    """
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 1:
-        arr = arr[:, :, 0]
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a single-channel H x W or H x W x 1 image, "
-                             f"got shape {np.shape(image)}")
-    if arr.size == 0:
-        raise DimensionError(f"image has no pixels: shape {np.shape(image)}")
-    check_pixels(arr)
-    gray = np.round((1.0 - arr) * 255.0).astype(np.uint8)  # ink -> dark
+    """Write a page, checked (``check_page``) before the file is opened: a refused one leaves none."""
+    gray = np.round((1.0 - check_page(image)[:, :, 0]) * 255.0).astype(np.uint8)  # ink -> dark
     h, w = gray.shape
     Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())
 

@@ -1,8 +1,11 @@
 """Densely connected convolutional feature extractor.
 
-A document image (H x W x 1, values in [0, 1], dark ink mapped high) is
-reduced to a coarse feature grid: a stem convolution with max pooling,
-then the three dense blocks of DenseWAP joined by two transition layers.
+A page (``data.check_page``: H x W x 1, values in [0, 1], dark ink mapped
+high) is reduced to a coarse feature grid: a stem convolution with max
+pooling, then the three dense blocks of DenseWAP joined by two transition
+layers. ``encode`` takes a page of any extents: it pads the bottom and
+right with background 0 up to multiples of the downsample factor, so the
+factor is known only here.
 Convolution is cross-correlation (no kernel flip). Every map inside the
 encoder is channel-major, C x H x W, as in DenseWAP: a channel prefix and
 every row of a shifted 3x3 tap are contiguous runs of memory. ``encode``
@@ -58,7 +61,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import DimensionError, Tensor, _record, _recording
-from .data import check_pixels, check_size, seeded_rng
+from .data import check_page, check_size, seeded_rng
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
 STEM_KERNEL, STEM_STRIDE = 3, 1  # the stem's odd kernel extent and its stride
@@ -405,33 +408,23 @@ class DenseEncoder:
             for layer in range(self.config.block_depth)
         ]
 
-    def encode(self, image: Tensor | np.ndarray) -> FeatureGrid:
-        """Extract the H x W x C feature grid from one H x W x 1 image.
+    def encode(self, image: np.ndarray) -> FeatureGrid:
+        """Extract the H x W x C feature grid from one page (``data.check_page``).
 
-        Image extents must be divisible by the downsample factor (pad with
-        the background value beforehand) and every pixel must be a finite
-        value in [0, 1]. The image is a constant: the stem differentiates
-        only its kernel and bias, so an image that requires a gradient is
-        refused.
+        A page whose extents are not multiples of the downsample factor is
+        padded at the bottom and right with background 0 first. The page is a
+        constant: the stem differentiates only its kernel and bias.
         """
-        if not isinstance(image, Tensor):
-            image = Tensor(image)
-        if image.ndim != 3 or image.shape[2] != 1:
-            raise DimensionError(f"expected H x W x 1 image, got {image.shape}")
-        if image.requires_grad:
-            raise DimensionError("the stem differentiates no image; pass one without requires_grad")
+        page = check_page(image)
         factor = self.config.downsample_factor
-        h, w = image.shape[:2]
+        h, w = page.shape[:2]
         if h % factor or w % factor:
-            raise DimensionError(
-                f"image extents {(h, w)} not divisible by downsample factor {factor}")
-        if h // factor < 1 or w // factor < 1:
-            raise DimensionError(f"image {(h, w)} too small for downsample factor {factor}")
-        check_pixels(image.data)
+            page = np.pad(page, ((0, -h % factor), (0, -w % factor), (0, 0)))
+            h, w = page.shape[:2]
 
         plan = self.config.channel_plan()  # block b's buffer: plan[2b] in, plan[2b+1] out
         buf = np.empty((plan[1], h // (2 * STEM_STRIDE), w // (2 * STEM_STRIDE)))
-        x = stem(image.data, self.params["stem.kernel"], self.params["stem.bias"], buf[:plan[0]])
+        x = stem(page, self.params["stem.kernel"], self.params["stem.bias"], buf[:plan[0]])
         for block in range(BLOCKS):
             x = dense_block(x, self._block_layers(block), buf)
             if block < BLOCKS - 1:

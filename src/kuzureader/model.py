@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import DimensionError, NumericError, Tensor, no_grad
-from .data import check_size
+from .autodiff import DimensionError, Tensor, no_grad
+from .data import check_real
 from .decoder import AttentionDecoder, DecoderConfig, GreedyResult
 from .encoder import DenseEncoder, EncoderConfig, FeatureGrid
 from .vocab import Vocabulary
@@ -28,11 +28,11 @@ class Recognizer:
             merged[f"dec.{name}"] = p
         return merged
 
-    def encode(self, image: Tensor | np.ndarray) -> FeatureGrid:
+    def encode(self, image: np.ndarray) -> FeatureGrid:
         return self.encoder.encode(image)
 
-    def recognize(self, image: Tensor | np.ndarray) -> GreedyResult:
-        """Greedy transcription of one pre-padded image; records no graph."""
+    def recognize(self, image: np.ndarray) -> GreedyResult:
+        """Greedy transcription of one page (``DenseEncoder.encode`` pads it); records no graph."""
         with no_grad():
             return self.decoder.decode_greedy(self.encode(image))
 
@@ -46,27 +46,10 @@ class Recognizer:
                                  f"unexpected={sorted(extra)}")
         checked = {}
         for name, p in params.items():
-            value = np.asarray(values[name])
-            if value.dtype.kind not in "biuf":  # bool, integer or float
-                raise NumericError(f"parameter {name} is not real-valued ({value.dtype})")
-            value = value.astype(np.float64, copy=False)
+            value = check_real(f"parameter {name}", values[name])
             if value.shape != p.data.shape:
                 raise DimensionError(f"parameter {name}: shape {value.shape} != {p.data.shape}")
-            if not np.isfinite(value).all():
-                raise NumericError(f"parameter {name} has non-finite values")
             checked[name] = np.ascontiguousarray(value)
         for name, value in checked.items():
             params[name].data = value
 
-
-def pad_to_factor(image: np.ndarray, factor: int, background: float = 0.0) -> np.ndarray:
-    """Pad an H x W x C image at the bottom/right to multiples of ``factor`` (at least 1)."""
-    check_size("padding factor", factor, 1)
-    if image.ndim != 3:
-        raise DimensionError(f"pad_to_factor expects an H x W x C image, got shape {image.shape}")
-    h, w = image.shape[:2]
-    ph = (-h) % factor
-    pw = (-w) % factor
-    if ph == 0 and pw == 0:
-        return image
-    return np.pad(image, ((0, ph), (0, pw), (0, 0)), constant_values=background)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from kuzureader.data import (
     DatasetError,
     SynthSpec,
     build_spec,
-    check_pixels,
+    check_page,
+    check_real,
     check_size,
     generate_document,
     generate_document_with_layout,
@@ -17,6 +19,14 @@ from kuzureader.data import (
     seeded_rng,
     write_pgm,
 )
+
+
+# pages of the right shape whose pixels are not real numbers
+NOT_REAL_PAGES = {
+    "string": np.full((2, 3, 1), "0"),
+    "complex": np.full((2, 3, 1), 0.5 + 0.25j),
+    "object": np.full((2, 3, 1), 0.5, dtype=object),
+}
 
 
 class TestPgm:
@@ -37,15 +47,19 @@ class TestPgm:
         raw = path.read_bytes()
         assert raw.endswith(bytes([0, 255]))
 
-    @pytest.mark.parametrize("shape, message", [
-        ((2, 2, 3), "single-channel"), ((4,), "single-channel"), ((1, 2, 1, 1), "single-channel"),
-        ((0, 3), "no pixels"), ((2, 0, 1), "no pixels"),
-    ], ids=["three-channels", "1-d", "4-d", "0x3", "2x0x1"])
-    def test_write_refuses_a_shape_it_cannot_store_and_creates_no_file(self, tmp_path, shape,
-                                                                       message):
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3), (4,), (1, 2, 1, 1), (0, 3, 1), (2, 0, 1)],
+                             ids=["2-d", "three-channels", "1-d", "4-d", "0x3x1", "2x0x1"])
+    def test_write_refuses_a_shape_that_is_not_a_page_and_creates_no_file(self, tmp_path, shape):
         path = tmp_path / "img.pgm"
-        with pytest.raises(DimensionError, match=message):
+        with pytest.raises(DimensionError, match=re.escape(f"of shape {shape}")):
             write_pgm(path, np.zeros(shape))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", list(NOT_REAL_PAGES))
+    def test_write_refuses_a_page_that_is_not_real_and_creates_no_file(self, tmp_path, name):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(NumericError, match="page is not real-valued"):
+            write_pgm(path, NOT_REAL_PAGES[name])
         assert not path.exists()
 
     @pytest.mark.parametrize("bad, message", [
@@ -124,10 +138,31 @@ class TestChecks:
         pixels = np.zeros((2, 2, 1))
         pixels[0, 1, 0] = bad
         with pytest.raises(NumericError):
-            check_pixels(pixels)
+            check_page(pixels)
 
-    def test_pixels_at_zero_and_one_pass(self):
-        check_pixels(np.array([[0.0, 1.0], [-0.0, 0.5]]))
+    def test_pixels_at_zero_and_one_pass_as_float64(self):
+        page = check_page(np.array([[0.0, 1.0], [-0.0, 0.5]])[:, :, None])
+        assert page.dtype == np.float64 and page.shape == (2, 2, 1)
+        assert np.array_equal(check_page(np.array([[[True], [False]]])), [[[1.0], [0.0]]])
+
+    def test_a_float64_page_is_returned_without_a_copy(self):
+        page = np.zeros((3, 4, 1))
+        assert check_page(page) is page
+
+    @pytest.mark.parametrize("value", [np.arange(3), np.array([True]), np.float32(2.5), [1, 2]],
+                             ids=["int-array", "bool-array", "float32-scalar", "list"])
+    def test_check_real_returns_float64(self, value):
+        real = check_real("x", value)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, np.asarray(value, dtype=np.float64))
+
+    @pytest.mark.parametrize("value, message", [
+        ("a", "x is not real-valued"), (np.array([1 + 1j]), "x is not real-valued"),
+        (np.array([None]), "x is not real-valued"), (np.array([0.0, np.inf]), "x has non-finite"),
+    ], ids=["string", "complex", "object", "inf"])
+    def test_check_real_names_the_value_it_refuses(self, value, message):
+        with pytest.raises(NumericError, match=message):
+            check_real("x", value)
 
     @pytest.mark.parametrize("value, message", [
         (0, r"n must be >= 1, got 0"), ("3", "n must be an integer"), (3.0, "n must be an integer"),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from kuzureader.autodiff import (
     DimensionError,
+    NumericError,
     Tensor,
     _record,
     backward,
@@ -863,15 +865,34 @@ class TestEncode:
             grid = enc.encode(image)
         assert grid.features.shape == (2, 3, 460)
 
-    def test_image_that_requires_grad_rejected(self):
+    @pytest.mark.parametrize("page", [Tensor(np.zeros((16, 16, 1))), np.zeros((16, 16)),
+                                      np.zeros((0, 16, 1))], ids=["tensor", "2-d", "no-pixels"])
+    def test_what_is_not_a_page_is_a_dimension_error_naming_its_shape(self, page):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=1), seed=7)
-        with pytest.raises(DimensionError, match="requires_grad"):
-            enc.encode(Tensor(np.zeros((16, 16, 1)), requires_grad=True))
+        with pytest.raises(DimensionError, match=re.escape(f"of shape {page.shape}")):
+            enc.encode(page)
 
-    def test_indivisible_extents_rejected(self):
+    @pytest.mark.parametrize("page", [np.full((8, 8, 1), "0"), np.full((8, 8, 1), 0.5 + 0.5j),
+                                      np.full((8, 8, 1), 0.5, dtype=object)],
+                             ids=["string", "complex", "object"])
+    def test_a_page_that_is_not_real_is_a_numeric_error(self, page):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=1), seed=7)
-        with pytest.raises(DimensionError, match="divisible"):
-            enc.encode(np.zeros((20, 16, 1)))
+        with pytest.raises(NumericError, match="page is not real-valued"):
+            enc.encode(page)
+
+    @pytest.mark.parametrize("h, w", [(20, 16), (17, 9), (1, 1)])
+    def test_extents_off_the_factor_are_padded_with_background(self, h, w):
+        enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=1), seed=7)
+        factor = enc.config.downsample_factor
+        page = np.random.default_rng(h * w).uniform(size=(h, w, 1))
+        padded = np.pad(page, ((0, -h % factor), (0, -w % factor), (0, 0)))
+        recorded = [enc.encode(padded).features, enc.encode(page).features]
+        with no_grad():
+            unrecorded = [enc.encode(padded).features, enc.encode(page).features]
+        assert all(f.requires_grad for f in recorded)
+        want = recorded[0].data
+        assert want.shape[:2] == (-(-h // factor), -(-w // factor))
+        assert all(f.data.tobytes() == want.tobytes() for f in recorded + unrecorded)
 
     def test_deterministic_given_seed_and_input(self):
         image = np.random.default_rng(8).uniform(size=(16, 16, 1))

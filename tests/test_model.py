@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,7 @@ from kuzureader.autodiff import DimensionError, NumericError, backward, logsumex
 from kuzureader.data import check_size
 from kuzureader.decoder import AttentionDecoder, DecoderConfig
 from kuzureader.encoder import BLOCKS, DenseEncoder, EncoderConfig
-from kuzureader.model import Recognizer, pad_to_factor
+from kuzureader.model import Recognizer
 from kuzureader.vocab import Vocabulary
 
 
@@ -161,24 +160,12 @@ class TestRecognize:
         with pytest.raises(NumericError, match=message):
             model.recognize(image)
 
-
-class TestPadToFactor:
-    def test_pads_bottom_and_right_to_multiples_with_the_background(self):
-        image = np.ones((5, 8, 1))
-        padded = pad_to_factor(image, 4, background=0.25)
-        assert padded.shape == (8, 8, 1)
-        assert np.array_equal(padded[:5], image) and np.all(padded[5:] == 0.25)
-        assert pad_to_factor(padded, 4) is padded
-
-    @pytest.mark.parametrize("factor", [0, -8])
-    def test_factor_below_one_is_a_dimension_error(self, factor):
-        with pytest.raises(DimensionError, match="factor"):
-            pad_to_factor(np.zeros((5, 8, 1)), factor)
-
-    @pytest.mark.parametrize("shape", [(5, 7), (8, 8), (8,), (5, 8, 1, 1)])
-    def test_image_that_is_not_h_by_w_by_c_is_a_dimension_error_naming_its_shape(self, shape):
-        with pytest.raises(DimensionError, match=re.escape(f"H x W x C image, got shape {shape}")):
-            pad_to_factor(np.zeros(shape), 4)
+    @pytest.mark.parametrize("page", [np.full((8, 8, 1), "0"), np.full((8, 8, 1), 0.5 + 0.5j),
+                                      np.full((8, 8, 1), 0.5, dtype=object)],
+                             ids=["string", "complex", "object"])
+    def test_a_page_that_is_not_real_is_a_numeric_error(self, page):
+        with pytest.raises(NumericError, match="page is not real-valued"):
+            make_model().recognize(page)
 
 
 class TestTrainingStep:
@@ -231,8 +218,6 @@ NON_INTEGER_SETTINGS = {
     "canvas": (lambda: data.build_spec(canvas=(96.0, 64)), "canvas"),
     "one-value-lines": (lambda: dataclasses.replace(data.build_spec(), lines=(2,)), "lines"),
     "bool-jitter": (lambda: data.build_spec(jitter=True), "jitter"),
-    "factor-1.5": (lambda: pad_to_factor(np.zeros((5, 8, 1)), 1.5), "factor"),
-    "factor-2.5": (lambda: pad_to_factor(np.zeros((5, 8, 1)), 2.5), "factor"),
 }
 
 
