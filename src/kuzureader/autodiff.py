@@ -62,9 +62,10 @@ class DimensionError(ValueError):
 class NumericError(ArithmeticError):
     """A value is not a finite real number, or is outside its valid range.
 
-    Raised when a computation holds a non-finite value; when a page or a
-    loaded parameter is not real-valued (a string, a complex or object
-    array) or not finite (``check_real``); and when a page has a pixel
+    Raised when a computation holds a non-finite value; when a ``Tensor``
+    is built from data that is not bool, integer or float (a string, a
+    complex or object array); when a page or a loaded parameter is not
+    real-valued or not finite (``check_real``); and when a page has a pixel
     outside [0, 1] (``check_page``, run by ``write_pgm``, ``encode`` and
     ``recognize``).
     """
@@ -103,7 +104,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_inputs", "_vjp", "_freed")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        array = np.asarray(data)
+        if array.dtype.kind not in "biuf":  # numpy would parse strings and drop imaginary parts
+            raise NumericError(f"a tensor holds real numbers, got dtype {array.dtype}")
+        self.data = np.ascontiguousarray(array, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._inputs: tuple[Tensor, ...] = ()

@@ -16,20 +16,29 @@ The stem is fixed, 3x3 at stride 1 (``conv2d`` keeps a ``stride``, which
 ``bench/spans.py`` passes by keyword; it wraps ``conv2d`` and ``pool2d`` by
 name, so ``stem`` calls both by module name). The page is a constant, so
 only the stem's kernel and bias are differentiated. The stem never builds
-its full convolution map: it folds the four 2x2 window corners one at a
-time, each corner's map one product of the flattened kernel with the
-padded page's kh*kw shifted planes at twice the stride, into the running
-max. Inside a dense block every layer sees the channel-concatenation of
-all previous outputs; a 1x1 bottleneck (4x the growth rate) precedes each
-3x3 convolution, which runs as three products, one per kernel row.
+its full convolution map: band by band, it folds the four 2x2 window
+corners one at a time, each corner's map one product of the flattened
+kernel with the padded page's kh*kw shifted planes at twice the stride,
+into the running max. Inside a dense block every layer sees the
+channel-concatenation of all previous outputs; a 1x1 bottleneck (4x the
+growth rate) precedes each 3x3 convolution, which runs as three products,
+one per kernel row.
 
 Each stage writes its result where the next one reads it. ``encode``
 allocates each block's output buffer: the stem pools straight into block
 0's first channels, and a transition's pooled map is copied into the next
-block's once the transition's full-size map is gone. A block's 1x1
-bottleneck is written straight into one flat scratch per block, each
-channel (h+2)*w + 2 values with a zero row above and below the map and a
-zero at each end, which the 3x3's kernel-row products read in place.
+block's, which is allocated only once the previous block's buffer is
+released (unless a recorded graph holds it). Every stage runs in
+horizontal bands of ``BAND_ROWS`` rows of its map, and a map no taller is
+one band, so besides the buffers a read holds one band's transients at
+any page height: one band of a stem corner's convolution map, a dense
+block's flat bottleneck scratch and one 3x3 kernel-row product, or one
+band of a transition's rectified map. A block's 1x1 bottleneck is written
+straight into its scratch, each channel (band+2)*w + 2 values: a zero,
+the band's rows with the row above and the row below (zero rows at the
+map's edges) and a zero, which the 3x3's kernel-row products read in
+place. The two rows a band shares with the next carry over, so each
+bottleneck row is computed once.
 
 Each stage is one graph node: ``stem`` (convolution, 2x2 max pool, bias
 and ReLU), ``dense_block``, and ``transition`` (a 1x1 convolution that
@@ -65,6 +74,9 @@ from .data import check_page, check_size, seeded_rng
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
 STEM_KERNEL, STEM_STRIDE = 3, 1  # the stem's odd kernel extent and its stride
+# map rows a stage computes at once; even, so a transition's band holds whole
+# pooling windows. Fewer rows hold less memory but cost time per band
+BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -107,6 +119,11 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _bands(h: int) -> list[tuple[int, int]]:
+    """Each band's ``(start, stop)`` rows of an h-row map: ``BAND_ROWS`` rows, the last maybe fewer."""
+    return [(r, min(r + BAND_ROWS, h)) for r in range(0, h, BAND_ROWS)]
+
+
 def _taps(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """A padded page's (kh*kw) x (Ho*Wo) stack of shifted pixels, one row per kernel tap."""
     windows = sliding_window_view(padded, (kh, kw))[::stride, ::stride]
@@ -119,8 +136,9 @@ def conv2d(image: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> 
     The page, zero-padded when ``padding`` is positive and read in place
     when it is 0, is cut into its tap stack (``_taps``), and the transposed
     kernel maps that stack to the Cout x Ho x Wo output in one product. The
-    stem passes one window corner's cut of its padded page at a time, at
-    twice its stride and without padding, so the output is that corner's map.
+    stem passes one band of one window corner's cut of its padded page at a
+    time, at twice its stride and without padding, so the output is that
+    band of that corner's map.
     """
     kh, kw, _, cout = kernel.shape
     padded = np.pad(image[:, :, 0], padding) if padding else image[:, :, 0]
@@ -131,9 +149,11 @@ def conv2d(image: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> 
 def _conv3x3(scratch: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
     """Write a 3x3 convolution (pad 1) of a flat bottleneck scratch into ``out``.
 
-    ``scratch`` holds each of the B bottleneck channels as (h+2)*w + 2
-    values: a zero, a zero row, the h x w map row by row, a zero row and a
-    zero. ``kernel`` is 3 x 3 x B x G and ``out`` the G x h x w output.
+    ``scratch`` starts each of the B bottleneck channels with (h+2)*w + 2
+    values: a zero, the row above (a zero row at the map's top edge), the
+    h x w rows, the row below (zero at the bottom edge) and a zero; later
+    values are not read. ``kernel`` is 3 x 3 x B x G and ``out`` the
+    G x h x w output, which may be a band of a taller map's rows.
     Output pixel (u, v) reads scratch value ``u*w + v + i*w + j`` at tap
     (i, j). So kernel row i is one (3G x B) product over the h*w + 2
     columns from ``i*w``, and its j-th G rows, shifted by j columns, are tap
@@ -191,16 +211,19 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
 
     The caller allocates the output: ``buf`` is the (C0 + sum(G)) x H x W
     buffer whose first C0 channels already hold ``x``, and the block fills
-    the rest, so a layer's channel prefix is one contiguous C_l x (H*W)
-    slab and its 1x1 convolution one product over it; nothing is
-    concatenated or copied in. That product writes straight into the
-    interior of one flat, zero-bordered bottleneck scratch, where bias and
-    ReLU run in place, and the 3x3 convolution reads it there as three
-    products, one per kernel row (``_conv3x3``), so no im2col buffer is
-    built. When recording, the node holds the output buffer and one
-    depth x B x (H*W) stack of copies of the layers' bottleneck activations,
-    which grows linearly with depth where a graph of per-layer
-    concatenations grows quadratically; without recording nothing is kept
+    the rest, so a layer's channel prefix is one contiguous C_l x (H*W) slab
+    and its 1x1 convolution one product over it; nothing is concatenated or
+    copied in. Each layer runs band by band (``BAND_ROWS`` rows): the 1x1
+    product writes the band's rows and the row below straight into one
+    band-sized, flat, zero-bordered bottleneck scratch, where bias and ReLU
+    run in place; the row above and the band's first row carry over from the
+    previous band. The 3x3 convolution reads the scratch there as three
+    products, one per kernel row, each over one band (``_conv3x3``), so no
+    im2col buffer or full-size scratch or product is built. When recording,
+    the node holds the output buffer and one depth x B x (H*W) stack of
+    copies of the layers' bottleneck activations, which grows linearly with
+    depth where a graph of per-layer concatenations grows quadratically;
+    without recording nothing is kept
     per layer. The node's one vjp is a reverse sweep that reads the
     incoming gradient in place and gives the input's and every parameter's
     gradient. It pulls each layer's output gradient: its slab of the
@@ -223,19 +246,30 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     rows = buf.reshape(ctot, cells)
     b = layers[0][0].data.shape[3]
     kept = np.empty((depth, b, cells)) if _recording(x, *params) else None
-    scratch = np.zeros((b, (h + 2) * w + 2))
-    interior = scratch[:, w + 1:w + 1 + cells]
+    band = min(BAND_ROWS, h)
+    # a band's bottleneck rows r0 - 1 .. r1 from column 1, w values a row
+    scratch = np.zeros((b, (band + 2) * w + 2))
+    # rows r0 - 1 and r0, kept from the previous band while its rows are overwritten
+    halo = np.empty((b, 2 * w)) if h > band else None
     for i, ((rk, rb, ck, cb), c, end) in enumerate(zip(layers, starts, starts[1:])):
-        np.matmul(rk.data[0, 0].T, rows[:c], out=interior)
-        # bias and ReLU over whole rows, then the borders zeroed again: numpy
-        # may copy a strided operand that is updated in place
-        scratch += rb.data[:, None]
-        np.maximum(scratch, 0.0, out=scratch)
-        scratch[:, :w + 1] = scratch[:, w + 1 + cells:] = 0.0
-        if kept is not None:
-            kept[i] = interior
         grown = buf[c:end]
-        _conv3x3(scratch, ck.data, grown)
+        for r0, r1 in _bands(h):
+            if r0:
+                np.copyto(halo, scratch[:, 1 + band * w:1 + (band + 2) * w])
+            first, last = (r0 + 1 if r0 else 0), min(r1 + 1, h)  # rows not yet computed
+            fresh = slice(1 + (first - r0 + 1) * w, 1 + (last - r0 + 1) * w)
+            np.matmul(rk.data[0, 0].T, rows[:c, first * w:last * w], out=scratch[:, fresh])
+            # bias and ReLU over whole rows (numpy buffers a strided operand
+            # that is updated in place); then every other value is zero, as
+            # outside the map, or the previous band's last two rows
+            scratch += rb.data[:, None]
+            np.maximum(scratch, 0.0, out=scratch)
+            scratch[:, :fresh.start] = scratch[:, fresh.stop:] = 0.0
+            if r0:
+                scratch[:, 1:fresh.start] = halo
+            if kept is not None:
+                kept[i, :, r0 * w:r1 * w] = scratch[:, 1 + w:1 + (r1 - r0 + 1) * w]
+            _conv3x3(scratch, ck.data, grown[:, r0:r1])
         grown += cb.data[:, None, None]
         np.maximum(grown, 0.0, out=grown)
 
@@ -307,17 +341,18 @@ def stem(page: np.ndarray, kernel: Tensor, bias: Tensor, out: np.ndarray) -> Ten
     """``relu(maxpool(conv(page, kernel)) + bias)`` of a constant H x W x 1 page as one node.
 
     The result is written into ``out``, the first channels of block 0's
-    buffer, and the convolution map is never built. The page is padded once;
-    for each 2x2 window corner, in row-major order, ``conv2d`` convolves
-    the padded page cut at that corner's offset at twice the stem's stride,
-    which gives that corner's Cout x Ho x Wo map alone, and ``pool2d`` folds
-    it into ``out``. A trailing odd row or column of the convolution is
-    never computed. Bias and ReLU then go in place on the pooled map. A
-    recorded stem keeps the padded page and, per output cell, one byte
-    that names the window's first max corner. Its vjp takes the kernel's
-    gradient as four corner products: each corner's tap stack, cut again
-    from the padded page, times the masked gradient where the byte names
-    that corner.
+    buffer, and the convolution map is never built. The page is padded once.
+    For each band of ``BAND_ROWS`` output rows and each 2x2 window corner,
+    in row-major order, ``conv2d`` convolves the padded page cut at that
+    corner's offset and the band's rows at twice the stem's stride, which
+    gives that band of that corner's Cout x Ho x Wo map alone, and
+    ``pool2d`` folds it into ``out``. A trailing odd row or column of the
+    convolution is never computed. Bias and ReLU then go in place on the
+    pooled map. A recorded stem keeps the padded page and, per output cell,
+    one byte that names the window's first max corner. Its vjp takes the
+    kernel's gradient as four corner products: each corner's tap stack, cut
+    again from the padded page, times the masked gradient where the byte
+    names that corner.
     """
     kh, kw, _, cout = kernel.shape
     stride = 2 * STEM_STRIDE
@@ -332,8 +367,11 @@ def stem(page: np.ndarray, kernel: Tensor, bias: Tensor, out: np.ndarray) -> Ten
                    j * STEM_STRIDE:j * STEM_STRIDE + (wo - 1) * stride + kw]
             for i in (0, 1) for j in (0, 1)]
     first = np.zeros(out.shape, np.uint8) if _recording(kernel, bias) else None
-    for n, cut in enumerate(cuts):
-        pool2d(conv2d(cut[:, :, None], kernel.data, stride=stride, padding=0), out, n, first)
+    for r0, r1 in _bands(ho):
+        for n, cut in enumerate(cuts):
+            rows = cut[r0 * stride:(r1 - 1) * stride + kh, :, None]
+            pool2d(conv2d(rows, kernel.data, stride=stride, padding=0), out[:, r0:r1], n,
+                   None if first is None else first[:, r0:r1])
     out += bias.data[:, None, None]
     np.maximum(out, 0.0, out=out)
 
@@ -349,20 +387,37 @@ def stem(page: np.ndarray, kernel: Tensor, bias: Tensor, out: np.ndarray) -> Ten
 def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """``avgpool(relu(conv1x1(x) + bias))`` of a Cin x H x W map as one node.
 
-    The 1x1 convolution is one ``kernel.T @ x`` product, rectified in place.
-    A recorded transition keeps one byte per cell of that map, its sign,
-    and not the map. The vjp writes each corner's share g/4, masked by that
-    sign, into a zeroed map, and takes the input's and the kernel's
+    The 1x1 convolution runs one band of ``BAND_ROWS`` rows (whole row
+    pairs) at a time: a ``kernel.T @ x`` product written into one band-sized
+    array, rectified in place and averaged over its 2x2 windows straight
+    into the output, so the full rectified map never exists. A recorded
+    transition keeps one byte per cell of that map, its sign, filled band by
+    band, and not the map. The vjp writes each corner's share g/4, masked by
+    that sign, into a zeroed map, and takes the input's and the kernel's
     gradients as one product each.
     """
     corners = _window_corners(x.data)
     cin, h, w = x.data.shape
     k = kernel.data.reshape(cin, -1)
+    cout, paired = k.shape[1], h // 2 * 2  # a trailing odd row is dropped
     cells = x.data.reshape(cin, h * w)
-    rectified = (k.T @ cells).reshape(-1, h, w)
-    rectified += bias.data[:, None, None]
-    np.maximum(rectified, 0.0, out=rectified)
-    active = rectified > 0.0 if _recording(x, kernel, bias) else None
+    out = np.empty((cout, h // 2, w // 2))
+    active = np.zeros((cout, h, w), bool) if _recording(x, kernel, bias) else None
+    band = np.empty((cout, min(BAND_ROWS, paired) * w))
+    for r0, r1 in _bands(paired):
+        rectified = band[:, :(r1 - r0) * w]
+        np.matmul(k.T, cells[:, r0 * w:r1 * w], out=rectified)
+        rectified += bias.data[:, None]
+        np.maximum(rectified, 0.0, out=rectified)
+        rectified = rectified.reshape(cout, r1 - r0, w)
+        if active is not None:
+            np.greater(rectified, 0.0, out=active[:, r0:r1])
+        c00, c01, c10, c11 = (rectified[corner] for corner in _window_corners(rectified))
+        pooled = out[:, r0 // 2:r1 // 2]
+        np.add(c00, c01, out=pooled)
+        pooled += c10
+        pooled += c11
+        pooled /= 4
 
     def vjp(g):
         masked, share = np.zeros(active.shape), g / 4
@@ -372,8 +427,7 @@ def transition(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         return ((k @ rows).reshape(x.data.shape), (cells @ rows.T).reshape(kernel.data.shape),
                 masked.sum(axis=1).sum(axis=1))
 
-    c00, c01, c10, c11 = (rectified[corner] for corner in corners)
-    return _record((c00 + c01 + c10 + c11) / 4, (x, kernel, bias), vjp)
+    return _record(out, (x, kernel, bias), vjp)
 
 
 class DenseEncoder:
@@ -430,6 +484,7 @@ class DenseEncoder:
             if block < BLOCKS - 1:
                 x = transition(x, self.params[f"trans{block}.kernel"],
                                self.params[f"trans{block}.bias"])
-                buf = np.empty((plan[2 * block + 3], *x.shape[1:]))  # the full-size map is freed
+                del buf  # unless recorded, block b's buffer goes before block b+1's exists
+                buf = np.empty((plan[2 * block + 3], *x.shape[1:]))
                 buf[:plan[2 * block + 2]] = x.data
         return FeatureGrid(features=_channels_last(x))

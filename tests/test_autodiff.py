@@ -60,6 +60,24 @@ def fd_gradient(loss_fn, param, epsilon=1e-6):
     return grad
 
 
+class TestTensor:
+    @pytest.mark.parametrize("data", [np.array(["0.5", "2"]), np.array([1 + 2j]),
+                                      np.array([0.5], dtype=object), ["0.5"]],
+                             ids=["string", "complex", "object", "string-list"])
+    def test_data_that_is_not_real_is_a_numeric_error_naming_its_dtype(self, data):
+        with pytest.raises(NumericError, match=f"dtype {np.asarray(data).dtype}"):
+            Tensor(data)
+
+    @pytest.mark.parametrize("data", [np.array([True, False]), np.array([3], dtype=np.uint8),
+                                      np.array([-2], dtype=np.int64),
+                                      np.array([[0.5], [2.0]], dtype=np.float32)[::2], [1, 2.5]],
+                             ids=["bool", "uint8", "int64", "strided-float32", "list"])
+    def test_real_data_becomes_contiguous_float64(self, data):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+
 class TestMatmul:
     def test_identity(self):
         b = Tensor(np.arange(9.0).reshape(3, 3))

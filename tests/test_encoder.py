@@ -22,8 +22,8 @@ from kuzureader.autodiff import (
     zero_grads,
 )
 from kuzureader import encoder
-from kuzureader.encoder import (BLOCKS, DenseEncoder, EncoderConfig, FeatureGrid, conv2d,
-                                dense_block, pool2d, stem, transition)
+from kuzureader.encoder import (BAND_ROWS as BAND, BLOCKS, DenseEncoder, EncoderConfig,
+                                FeatureGrid, conv2d, dense_block, pool2d, stem, transition)
 
 
 def channel_oracle(initial, growth, depth, blocks, compression):
@@ -637,11 +637,16 @@ class TestDenseBlock:
 class TestBlockNode:
     """``dense_block`` as one graph node against the per-layer composition."""
 
+    # the last five are 1, band - 1, band, band + 1 and 2 * band + 1 rows tall
     @pytest.mark.parametrize("h,w,initial,growth,depth", [
         (3, 4, 4, 3, 2), (1, 1, 5, 2, 3), (6, 5, 8, 4, 4), (2, 7, 3, 5, 1),
         (5, 1, 4, 3, 2), (1, 6, 3, 2, 3),
+        *((h, 3, 3, 2, 2) for h in (1, BAND - 1, BAND, BAND + 1, 2 * BAND + 1)),
     ])
     def test_matches_the_composed_layers(self, h, w, initial, growth, depth):
+        # a map of one band sums every product as the oracle does, bit for
+        # bit. Past a band seam a 3x3 kernel-row product spans fewer columns,
+        # and BLAS may round its last ones another way
         rng = np.random.default_rng(h * w + depth)
         layers = block_layers(initial, growth, depth, seed=depth)
         params = [p for layer in layers for p in layer]
@@ -656,7 +661,7 @@ class TestBlockNode:
             backward(sum_all(out * weights))
             grads.append((out.data, [t.grad for t in (x, *params)]))
         (fused, fused_grads), (composed, composed_grads) = grads
-        assert np.array_equal(fused, composed)
+        assert np.array_equal(fused, composed) if h <= BAND else max_normalised(fused, composed) <= 1e-12
         for a, b in zip(fused_grads, composed_grads):
             assert max_normalised(a, b) < 1e-12
 
@@ -692,15 +697,19 @@ class TestBlockNode:
         assert grad_check(lambda: sum_all(run_block(x, layers) * weights), checked) < 1e-6
         assert (x.grad is not None) == input_requires_grad
 
-    # 48 input channels, growth 4 (bottleneck 16), depth 6 on a 32 x 32 grid:
-    # one bottleneck-sized array is 128 KiB, the block's output 576 KiB. The
-    # output buffer is made before tracing starts, as ``encode`` makes it. The
-    # slack covers one numpy ufunc buffer (8192 float64) and small objects.
-    MEMORY_CASE = dict(h=32, w=32, initial=48, growth=4, depth=6)
+    # 48 input channels, growth 4 (bottleneck 16), depth 6: on a 32 x 32
+    # grid, one band, a bottleneck-sized array is 128 KiB and the block's
+    # output 576 KiB; on 2 * band + 1 rows of 40 there are three bands. (On
+    # a band view whose rows hold 2048 values or fewer, numpy's in-place
+    # adds take three 64 KiB buffers, so the band case is 40 wide.) The
+    # output buffer is made before tracing starts, as ``encode`` makes it.
+    # The slack covers one numpy ufunc buffer (8192 float64) and small objects
+    MEMORY_CASES = {"one-band": dict(h=32, w=32, initial=48, growth=4, depth=6),
+                    "three-bands": dict(h=2 * BAND + 1, w=40, initial=48, growth=4, depth=6)}
     SLACK = 64 * 1024
 
-    def _traced_block(self, record):
-        c = self.MEMORY_CASE
+    def _traced_block(self, case, record):
+        c = self.MEMORY_CASES[case]
         layers = block_layers(c["initial"], c["growth"], c["depth"], seed=4)
         x = Tensor(np.random.default_rng(4).uniform(size=(c["initial"], c["h"], c["w"])),
                    requires_grad=record)
@@ -719,21 +728,27 @@ class TestBlockNode:
         bottleneck = c["h"] * c["w"] * 4 * c["growth"] * 8
         return out, held - before, peak - before, bottleneck
 
-    def test_without_recording_peak_is_scratch_and_one_row_product(self):
+    @pytest.mark.parametrize("case", MEMORY_CASES)
+    def test_without_recording_peak_is_one_bands_scratch_and_row_product(self, case):
         # the 1x1 writes into the flat scratch the 3x3 reads, so a layer needs
-        # only that scratch (B rows of (h+2)*w + 2) and one 3x3 kernel-row
-        # product (3G rows of h*w + 2); a separate bottleneck would not fit
-        out, _, peak, bottleneck = self._traced_block(record=False)
-        c = self.MEMORY_CASE
-        scratch = 4 * c["growth"] * ((c["h"] + 2) * c["w"] + 2) * 8
-        row_product = 3 * c["growth"] * (c["h"] * c["w"] + 2) * 8
+        # only that scratch (B rows of (band+2)*w + 2), one 3x3 kernel-row
+        # product (3G rows of band*w + 2) and, past one band, a copy of two
+        # bottleneck rows; a separate bottleneck, or a scratch or product over
+        # all three bands, would not fit
+        out, _, peak, bottleneck = self._traced_block(case, record=False)
+        c = self.MEMORY_CASES[case]
+        g, band = c["growth"], min(BAND, c["h"])
+        scratch = 4 * g * ((band + 2) * c["w"] + 2) * 8
+        row_product = 3 * g * (band * c["w"] + 2) * 8
+        halo = 4 * g * 2 * c["w"] * 8 if c["h"] > band else 0
         assert out._inputs == () and bottleneck > self.SLACK
-        assert peak <= scratch + row_product + self.SLACK
+        assert peak <= scratch + row_product + halo + self.SLACK
 
-    def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self):
+    @pytest.mark.parametrize("case", MEMORY_CASES)
+    def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self, case):
         # the buffer was the caller's; the node adds the stacked bottlenecks
-        out, held, _, bottleneck = self._traced_block(record=True)
-        depth = self.MEMORY_CASE["depth"]
+        out, held, _, bottleneck = self._traced_block(case, record=True)
+        depth = self.MEMORY_CASES[case]["depth"]
         assert out.requires_grad
         assert held <= depth * bottleneck + self.SLACK
 
@@ -805,7 +820,10 @@ class TestTransition:
                            [x, kernel, bias])
         assert error < 1e-6
 
-    @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (2, 2)])
+    # a map of band + 1 rows pools band rows, one band, so band + 2 is the
+    # shortest with a second band
+    @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (2, 2), *((h, 3) for h in (
+        BAND - 1, BAND, BAND + 1, BAND + 2, 2 * BAND + 1))])
     def test_one_node_that_matches_the_composed_ops(self, h, w):
         rng = np.random.default_rng(h * w)
         x = Tensor(rng.normal(size=(6, h, w)), requires_grad=True)
@@ -821,7 +839,9 @@ class TestTransition:
             runs.append((out.data, inputs, [t.grad for t in (x, kernel, bias)]))
         (fused, inputs, grads), (composed, _, want_grads) = runs
         assert inputs == (x, kernel, bias)
-        assert np.array_equal(fused, composed)
+        if h // 2 * 2 <= BAND:  # one band: bit for bit, as for a dense block
+            assert np.array_equal(fused, composed)
+        assert max_normalised(fused, composed) <= 1e-12
         for a, b in zip(grads, want_grads):
             assert max_normalised(a, b) <= 1e-12
 
@@ -830,9 +850,11 @@ class TestTransition:
         with pytest.raises(DimensionError):
             transition(Tensor(np.ones((2, 1, 4))), kernel, Tensor(np.zeros(1)))
 
-    def test_unrecorded_peak_is_two_output_maps(self):
-        # block-0 shapes of a 256 x 192 page; keeping the pre-activation map
-        # alive through pooling adds a quarter map, about 3 MB here
+    def test_unrecorded_peak_is_the_output_and_one_band(self):
+        # block-0 shapes of a 256 x 192 page, two bands: the product, bias and
+        # ReLU go one band of rows at a time into one band-sized array, so the
+        # full map (11.8 MB here) would not fit. The slack covers numpy's
+        # buffers for the strided pooling operands and small objects
         h, w, cin, cout = 128, 96, 240, 120
         rng = np.random.default_rng(16)
         x = Tensor(rng.uniform(size=(cin, h, w)))
@@ -846,8 +868,8 @@ class TestTransition:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert out.shape == (cout, h // 2, w // 2)
-        assert peak <= 2 * h * w * cout * 8 + 256 * 1024
+        assert out.shape == (cout, h // 2, w // 2) and h > BAND
+        assert peak <= out.data.nbytes + cout * BAND * w * 8 + 256 * 1024
 
 
 class TestEncode:
@@ -988,31 +1010,52 @@ class TestEncode:
         keep += grid.features.data.nbytes
         assert abs(held - keep) <= slack
 
-    def test_unrecorded_encode_peaks_in_block_zero(self):
-        # block 0 holds its buffer, the flat bottleneck scratch and one 3x3
-        # kernel-row product; the stem, which pools into that buffer, and the
-        # page's checks stay under it. The slack covers one numpy ufunc buffer
-        # (8192 float64) and small objects. The stem's full convolution map
-        # alone (2.36 MB) would not fit
-        config = EncoderConfig(growth_rate=12, block_depth=4)
-        enc = DenseEncoder(config, seed=15)
-        h, w = 96, 64
-        image = np.random.default_rng(15).uniform(size=(h, w, 1))
-        cells, b, g = (h // 2) * (w // 2), 4 * config.growth_rate, config.growth_rate
-        buffer = config.channel_plan()[1] * cells * 8
-        scratch = b * ((h // 2 + 2) * (w // 2) + 2) * 8
-        row_product = 3 * g * (cells + 2) * 8
+    @staticmethod
+    def _unrecorded_peak(enc, image):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             with no_grad():
                 enc.encode(image)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        bound = buffer + scratch + row_product + image.nbytes + 64 * 1024
-        assert bound < h * w * config.initial_channels * 8
-        assert peak <= bound
+
+    def test_unrecorded_encode_peaks_in_block_zero(self):
+        # block 0 (128 rows, two bands) holds its buffer, one band's flat
+        # bottleneck scratch and 3x3 kernel-row product, and a copy of two
+        # bottleneck rows; the stem, which pools into that buffer one band at
+        # a time, the transitions and the page's checks stay under it. The
+        # slack covers one numpy ufunc buffer (8192 float64) and small
+        # objects. The stem's full convolution map alone (7.86 MB) would not
+        # fit, nor a scratch and a product over the whole block
+        config = EncoderConfig(growth_rate=12, block_depth=4)
+        enc = DenseEncoder(config, seed=15)
+        h, w = 256, 80
+        image = np.random.default_rng(15).uniform(size=(h, w, 1))
+        width, b, g = w // 2, 4 * config.growth_rate, config.growth_rate
+        buffer = config.channel_plan()[1] * (h // 2) * width * 8
+        scratch = b * ((BAND + 2) * width + 2) * 8
+        row_product = 3 * g * (BAND * width + 2) * 8
+        halo = b * 2 * width * 8
+        bound = buffer + scratch + row_product + halo + image.nbytes + 64 * 1024
+        assert h // 2 > BAND and bound < h * w * config.initial_channels * 8
+        assert self._unrecorded_peak(enc, image) <= bound
+
+    def test_unrecorded_encode_transients_do_not_grow_with_the_page(self):
+        # a page twice as tall at one width holds a buffer twice as large and
+        # the same band-sized transients, so its peak less block 0's buffer
+        # stays put. One layer of growth 24 keeps block 0's transients above
+        # the transition's output, which grows with the page
+        config = EncoderConfig(growth_rate=24, block_depth=1)
+        enc = DenseEncoder(config, seed=19)
+        w = 80
+        transients = []
+        for h in (256, 512):
+            image = np.random.default_rng(h).uniform(size=(h, w, 1))
+            buffer = config.channel_plan()[1] * (h // 2) * (w // 2) * 8
+            transients.append(self._unrecorded_peak(enc, image) - buffer)
+        assert transients[1] <= transients[0] + 16 * 1024
 
     def test_every_parameter_gets_gradient(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=10)
