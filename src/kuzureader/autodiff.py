@@ -107,7 +107,7 @@ class Tensor:
         array = np.asarray(data)
         if array.dtype.kind not in "biuf":  # numpy would parse strings and drop imaginary parts
             raise NumericError(f"a tensor holds real numbers, got dtype {array.dtype}")
-        self.data = np.ascontiguousarray(array, dtype=np.float64)
+        self.data = np.asarray(array, dtype=np.float64, order="C")  # a scalar stays 0-d
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._inputs: tuple[Tensor, ...] = ()
@@ -117,10 +117,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -167,7 +163,7 @@ def _recording(*inputs: Tensor) -> bool:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` to ``t.grad`` and make the stored array read-only."""
-    g = g if t.grad is None else t.grad + g
+    g = np.asarray(g if t.grad is None else t.grad + g)  # an op on 0-d arrays gives a scalar
     g.flags.writeable = False
     t.grad = g
 
@@ -268,7 +264,7 @@ def mul(a, b) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-    return _record(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, g.reshape(())),))
+    return _record(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g.reshape(())),))
 
 
 def tanh(a) -> Tensor:
@@ -317,7 +313,7 @@ def logsumexp(a) -> Tensor:
     m = a.data.max()
     e = np.exp(a.data - m)
     s = e.sum()
-    return _record(np.asarray(m + np.log(s)), (a,), lambda g: ((e / s) * g.reshape(()),))
+    return _record(m + np.log(s), (a,), lambda g: ((e / s) * g.reshape(()),))
 
 
 def _scattered(like: np.ndarray, index, g: np.ndarray) -> np.ndarray:
@@ -334,7 +330,7 @@ def pick(a, flat_index: int) -> Tensor:
     if not 0 <= flat_index < a.data.size:
         raise DimensionError(f"pick index {flat_index} out of range for shape {a.shape}")
     index = np.unravel_index(flat_index, a.data.shape)
-    return _record(np.asarray(a.data[index]), (a,),
+    return _record(a.data[index], (a,),
                    lambda g: (_scattered(a.data, index, g.reshape(())),))
 
 

@@ -24,11 +24,12 @@ channel-concatenation of all previous outputs; a 1x1 bottleneck (4x the
 growth rate) precedes each 3x3 convolution, which runs as three products,
 one per kernel row.
 
-Each stage writes its result where the next one reads it. ``encode``
-allocates each block's output buffer: the stem pools straight into block
-0's first channels, and a transition's pooled map is copied into the next
-block's, which is allocated only once the previous block's buffer is
-released (unless a recorded graph holds it). Every stage runs in
+``encode`` alone decides shapes: it pads the page and sizes every buffer
+from ``channel_plan()``, and a stage reads its extents from the arrays it
+is handed. Each stage writes where the next one reads: the stem pools
+straight into block 0's first channels, and a transition's pooled map is
+copied into the next block's buffer, allocated only once the previous
+one is released (unless a recorded graph holds it). Every stage runs in
 horizontal bands of ``BAND_ROWS`` rows of its map, and a map no taller is
 one band, so besides the buffers a read holds one band's transients at
 any page height: one band of a stem corner's convolution map, a dense
@@ -69,7 +70,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import DimensionError, Tensor, _record, _recording
+from .autodiff import Tensor, _record, _recording
 from .data import check_page, check_size, seeded_rng
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
@@ -86,7 +87,7 @@ class EncoderConfig:
     initial_channels: int = 48
 
     def __post_init__(self):
-        for name, minimum in (("growth_rate", 1), ("block_depth", 0), ("initial_channels", 1)):
+        for name, minimum in (("growth_rate", 1), ("block_depth", 1), ("initial_channels", 1)):
             check_size(name, getattr(self, name), minimum)
 
     @property
@@ -207,9 +208,9 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     channel count the layer sees. Layer l computes
     ``relu(conv3x3(relu(conv1x1(prefix) + rb)) + cb)`` from the first C_l
     channels and appends its G channels, so the output has the input's
-    extents and C0 + sum(G) channels. An empty list returns ``x`` itself.
+    extents and C0 + sum(G) channels; a block has at least one layer.
 
-    The caller allocates the output: ``buf`` is the (C0 + sum(G)) x H x W
+    ``encode`` allocates the output: ``buf`` is the (C0 + sum(G)) x H x W
     buffer whose first C0 channels already hold ``x``, and the block fills
     the rest, so a layer's channel prefix is one contiguous C_l x (H*W) slab
     and its 1x1 convolution one product over it; nothing is concatenated or
@@ -235,14 +236,10 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     input's gradient is pulled the same way, as one product over every
     layer's bottleneck gradient.
     """
-    if not layers:
-        return x
     c0, h, w = x.data.shape
     starts = list(accumulate((cb.data.size for *_, cb in layers), initial=c0))
     params = [p for layer in layers for p in layer]
     cells, ctot, depth = h * w, starts[-1], len(layers)
-    if buf.shape != (ctot, h, w):
-        raise DimensionError(f"dense block buffer must be {(ctot, h, w)}, got {buf.shape}")
     rows = buf.reshape(ctot, cells)
     b = layers[0][0].data.shape[3]
     kept = np.empty((depth, b, cells)) if _recording(x, *params) else None
@@ -312,12 +309,8 @@ def _channels_last(x: Tensor) -> Tensor:
 
 
 def _window_corners(x: np.ndarray) -> list[tuple[slice, slice, slice]]:
-    """The corners of a C x H x W map's 2x2 windows at stride 2, in row-major scan order."""
-    if x.ndim != 3:
-        raise DimensionError(f"pooling expects a C x H x W input, got {x.shape}")
+    """A C x H x W map's 2x2 window corners at stride 2, row-major; ``encode`` makes H, W >= 2."""
     ho, wo = x.shape[1] // 2, x.shape[2] // 2
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"pooling needs extents >= 2, got {x.shape[1:]}")
     return [(slice(None), slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
 
 
@@ -340,29 +333,24 @@ def pool2d(corner: np.ndarray, out: np.ndarray, n: int, first: np.ndarray | None
 def stem(page: np.ndarray, kernel: Tensor, bias: Tensor, out: np.ndarray) -> Tensor:
     """``relu(maxpool(conv(page, kernel)) + bias)`` of a constant H x W x 1 page as one node.
 
-    The result is written into ``out``, the first channels of block 0's
-    buffer, and the convolution map is never built. The page is padded once.
-    For each band of ``BAND_ROWS`` output rows and each 2x2 window corner,
-    in row-major order, ``conv2d`` convolves the padded page cut at that
-    corner's offset and the band's rows at twice the stem's stride, which
-    gives that band of that corner's Cout x Ho x Wo map alone, and
-    ``pool2d`` folds it into ``out``. A trailing odd row or column of the
-    convolution is never computed. Bias and ReLU then go in place on the
-    pooled map. A recorded stem keeps the padded page and, per output cell,
-    one byte that names the window's first max corner. Its vjp takes the
-    kernel's gradient as four corner products: each corner's tap stack, cut
-    again from the padded page, times the masked gradient where the byte
-    names that corner.
+    The result is written into ``out``, block 0's first channels, whose
+    shape ``encode`` sets; the page is padded once, by half the kernel's
+    extent, and the convolution map is never built. For each band of
+    ``BAND_ROWS`` output rows and each 2x2 window corner, in row-major
+    order, ``conv2d`` convolves the padded page cut at that corner's offset
+    and the band's rows at twice the stem's stride, which gives that band of
+    that corner's map alone, and ``pool2d`` folds it into ``out``. A
+    trailing odd row or column of the convolution is never computed. Bias
+    and ReLU then go in place on the pooled map. A recorded stem keeps the
+    padded page and, per output cell, one byte that names the window's first
+    max corner. Its vjp takes the kernel's gradient as four corner products:
+    each corner's tap stack, cut again from the padded page, times the
+    masked gradient where the byte names that corner.
     """
-    kh, kw, _, cout = kernel.shape
+    kh, kw = kernel.shape[:2]
+    cout, ho, wo = out.shape
     stride = 2 * STEM_STRIDE
-    padded = np.pad(page[:, :, 0], STEM_KERNEL // 2)
-    hc, wc = ((extent - k) // STEM_STRIDE + 1 for extent, k in zip(padded.shape, (kh, kw)))
-    if hc < 2 or wc < 2:
-        raise DimensionError(f"pooling needs extents >= 2, got {(hc, wc)}")
-    ho, wo = hc // 2, wc // 2
-    if out.shape != (cout, ho, wo):
-        raise DimensionError(f"stem output must be {(cout, ho, wo)}, got {out.shape}")
+    padded = np.pad(page[:, :, 0], kh // 2)
     cuts = [padded[i * STEM_STRIDE:i * STEM_STRIDE + (ho - 1) * stride + kh,
                    j * STEM_STRIDE:j * STEM_STRIDE + (wo - 1) * stride + kw]
             for i in (0, 1) for j in (0, 1)]

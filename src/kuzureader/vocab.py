@@ -58,9 +58,6 @@ class Vocabulary:
             raise DatasetError(f"token index {index} outside 0..{len(self.tokens) - 1}")
         return self.tokens[index]
 
-    def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.index(t) for t in tokens)
-
     def decode(self, indices: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.token(i) for i in indices)
 

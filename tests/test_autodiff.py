@@ -77,6 +77,22 @@ class TestTensor:
         assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
         assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
 
+    def test_a_scalar_is_zero_dimensional_and_backward_runs_from_it(self):
+        # numpy gives a scalar, not an array, for an op on 0-d arrays: the
+        # leaves' gradients are still read-only arrays of their shapes
+        x = Tensor(2.0, requires_grad=True)
+        v = Tensor(np.array([0.5, -1.0, 3.0]), requires_grad=True)
+        scalars = [x, sum_all(v), logsumexp(v), pick(v, 2)]
+        assert [s.shape for s in scalars] == [()] * 4
+        loss = x * x + logsumexp(v) - pick(v, 2) + sum_all(v)
+        assert loss.shape == ()
+        backward(loss)
+        e = np.exp(v.data) / np.exp(v.data).sum()
+        assert x.grad.shape == () and x.grad == 4.0
+        assert np.allclose(v.grad, e - [0.0, 0.0, 1.0] + 1.0, rtol=0, atol=1e-15)
+        for grad in (x.grad, v.grad):
+            assert isinstance(grad, np.ndarray) and not grad.flags.writeable
+
 
 class TestMatmul:
     def test_identity(self):

@@ -122,14 +122,13 @@ class TestVocabulary:
     def test_tokens_written_with_spaces_split_back_and_decode_back(self, tokens):
         v = Vocabulary.from_characters(tokens)
         assert " ".join(tokens).split() == tokens
-        assert v.decode(v.encode(tokens)) == tuple(tokens)
+        assert v.decode([v.index(t) for t in tokens]) == tuple(tokens)
 
     def test_unknown_token_is_a_dataset_error(self):
         v = Vocabulary.from_characters("ab")
         with pytest.raises(DatasetError, match="'Q' not in vocabulary"):
             v.index("Q")
-        with pytest.raises(DatasetError, match="'Q'"):
-            v.encode(["a", "Q"])
+        assert [v.index(t) for t in "ab"] == [2, 3]
 
     @pytest.mark.parametrize("token", ["a\nb", "", "a\r", "x\x0cy", "\u2028", "a b", "a\tb"])
     def test_rejects_a_token_the_file_cannot_hold(self, token):

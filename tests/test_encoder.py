@@ -1,3 +1,4 @@
+import contextlib
 import re
 import tracemalloc
 
@@ -308,7 +309,9 @@ class TestConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(DimensionError, match="growth_rate must be >= 1"):
             EncoderConfig(growth_rate=0, block_depth=4)
-        with pytest.raises(DimensionError, match="block_depth must be >= 0"):
+        with pytest.raises(DimensionError, match="block_depth must be >= 1"):
+            EncoderConfig(growth_rate=8, block_depth=0)
+        with pytest.raises(DimensionError, match="block_depth must be >= 1"):
             EncoderConfig(growth_rate=8, block_depth=-1)
         with pytest.raises(DimensionError, match="initial_channels must be >= 1"):
             EncoderConfig(growth_rate=8, block_depth=4, initial_channels=0)
@@ -473,16 +476,6 @@ class TestStem:
         padded = (h + 2) * (w + 2) * 8
         assert peak <= corner_map + taps + padded + 64 * 1024
 
-    def test_an_output_of_the_wrong_shape_raises(self):
-        kernel = Tensor(np.zeros((3, 3, 1, 2)))
-        with pytest.raises(DimensionError, match="stem output"):
-            stem(np.zeros((8, 6, 1)), kernel, Tensor(np.zeros(2)), np.empty((2, 4, 4)))
-
-    def test_a_page_smaller_than_one_window_raises(self):
-        kernel = Tensor(np.zeros((3, 3, 1, 2)))
-        with pytest.raises(DimensionError, match="extents"):
-            stem(np.zeros((1, 6, 1)), kernel, Tensor(np.zeros(2)), np.empty((2, 0, 3)))
-
 
 def max_pool(x):
     """2x2 max pooling of a C x H x W tensor's values: ``pool2d`` folds each window corner."""
@@ -585,24 +578,8 @@ class TestPool2d:
         product = x.data.nbytes if kind == "average" else 0
         assert peak <= out.data.nbytes + product + 2 * 64 * 1024 + 8 * 1024
 
-    @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 4, 1), (1, 1, 1)])
-    @pytest.mark.parametrize("kind", ["max", "average"])
-    def test_input_smaller_than_the_window_raises(self, shape, kind):
-        with pytest.raises(DimensionError, match="extents"):
-            POOLS[kind][0](Tensor(np.zeros(shape)))
-
-    @pytest.mark.parametrize("kind", ["max", "average"])
-    def test_input_that_is_not_channels_by_height_by_width_raises(self, kind):
-        with pytest.raises(DimensionError, match="C x H x W"):
-            POOLS[kind][0](Tensor(np.zeros((4, 4))))
-
 
 class TestDenseBlock:
-    def test_empty_block_is_identity(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 5)))
-        out = run_block(x, [])
-        assert out is x
-
     def test_channel_growth(self):
         enc = DenseEncoder(EncoderConfig(growth_rate=16, block_depth=16), seed=1)
         x = Tensor(np.random.default_rng(1).normal(size=(48, 3, 4)))
@@ -625,13 +602,6 @@ class TestDenseBlock:
         with no_grad():
             out = dense_block(x, enc._block_layers(0), buf)
         assert out.data is buf and np.array_equal(buf[:48], x.data)
-
-    @pytest.mark.parametrize("shape", [(55, 3, 5), (56, 3, 4)], ids=["channels", "extents"])
-    def test_a_buffer_of_the_wrong_shape_raises(self, shape):
-        enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=3)
-        x = Tensor(np.zeros((48, 3, 5)))
-        with pytest.raises(DimensionError, match="buffer"):
-            dense_block(x, enc._block_layers(0), np.empty(shape))
 
 
 class TestBlockNode:
@@ -845,11 +815,6 @@ class TestTransition:
         for a, b in zip(grads, want_grads):
             assert max_normalised(a, b) <= 1e-12
 
-    def test_too_small_input(self):
-        kernel = Tensor(np.ones((1, 1, 2, 1)))
-        with pytest.raises(DimensionError):
-            transition(Tensor(np.ones((2, 1, 4))), kernel, Tensor(np.zeros(1)))
-
     def test_unrecorded_peak_is_the_output_and_one_band(self):
         # block-0 shapes of a 256 x 192 page, two bands: the product, bias and
         # ReLU go one band of rows at a time into one band-sized array, so the
@@ -915,6 +880,21 @@ class TestEncode:
         want = recorded[0].data
         assert want.shape[:2] == (-(-h // factor), -(-w // factor))
         assert all(f.data.tobytes() == want.tobytes() for f in recorded + unrecorded)
+
+    @pytest.mark.parametrize("recording", [True, False], ids=["recorded", "no-grad"])
+    @pytest.mark.parametrize("width", ["1", "factor-1", "factor", "factor+1"])
+    def test_any_page_gives_one_cell_per_started_window(self, stem_extent, width, recording):
+        # the stages check no shape: encode's padding alone must give every
+        # stage a map it can read, down to a one-pixel page
+        enc = DenseEncoder(EncoderConfig(growth_rate=2, block_depth=1, initial_channels=4), seed=17)
+        factor = enc.config.downsample_factor
+        w = {"1": 1, "factor-1": factor - 1, "factor": factor, "factor+1": factor + 1}[width]
+        rng = np.random.default_rng(w)
+        for h in range(1, 2 * factor + 2):
+            with contextlib.nullcontext() if recording else no_grad():
+                f = enc.encode(rng.uniform(size=(h, w, 1))).features
+            assert f.shape == (-(-h // factor), -(-w // factor), enc.config.output_channels)
+            assert np.isfinite(f.data).all() and f.requires_grad == recording
 
     def test_deterministic_given_seed_and_input(self):
         image = np.random.default_rng(8).uniform(size=(16, 16, 1))

@@ -37,7 +37,6 @@ class TestParameters:
 
     @pytest.mark.parametrize("initial,growth,depth,plan", [
         (5, 3, 2, [5, 11, 5, 11, 5, 11]),
-        (5, 3, 0, [5, 5, 2, 2, 1, 1]),
         (4, 2, 1, [4, 6, 3, 5, 2, 4]),
         (48, 12, 4, [48, 96, 48, 96, 48, 96]),
     ])
