@@ -32,7 +32,11 @@ Conventions, fixed once for the whole package:
   seed may differ in their last bits between thread counts; compare
   outputs byte for byte with ``OPENBLAS_NUM_THREADS=1``.
 
-No convolution or pooling lives here; the encoder's are in ``encoder``.
+The package calls ``add`` (as ``+``), ``reshape``, ``matmul`` and ``_record``. The
+other ops serve ``bench/spans.py`` (``concat_channels``, and the ``tanh``, ``sigmoid``,
+``softmax_flat`` and ``narrow`` that ``decoder`` imports for it), the bench loss
+(``logsumexp``, ``pick``, ``sub``) or the tests (``sum_all``, ``grad_check``). No
+convolution or pooling lives here; the encoder's are in ``encoder``.
 """
 
 from __future__ import annotations
@@ -127,19 +131,12 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # arithmetic sugar; all graph recording happens in the module functions
+    # ``+`` for the package's sums, ``-`` for the bench loss; ``add`` and ``sub`` record
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _as_tensor(value) -> Tensor:
@@ -250,19 +247,14 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
+    """``a - b``, broadcast. The package does not call it; the bench loss does, through ``-``."""
     a, b = _as_tensor(a), _as_tensor(b)
     return _record(a.data - b.data, (a, b),
                    lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _record(a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                              _unbroadcast(g * a.data, b.data.shape)))
-
-
 def sum_all(a) -> Tensor:
+    """The scalar sum of all entries; the tests' losses, not the package, call it."""
     a = _as_tensor(a)
     return _record(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g.reshape(())),))
 
@@ -308,7 +300,7 @@ def softmax_flat(a) -> Tensor:
 
 
 def logsumexp(a) -> Tensor:
-    """Scalar log(sum(exp(x))) over all entries, max-stabilized."""
+    """Scalar log(sum(exp(x))) over all entries, max-stabilized; for the bench loss."""
     a = _as_tensor(a)
     m = a.data.max()
     e = np.exp(a.data - m)
@@ -324,7 +316,7 @@ def _scattered(like: np.ndarray, index, g: np.ndarray) -> np.ndarray:
 
 
 def pick(a, flat_index: int) -> Tensor:
-    """Select one entry (row-major flat index) as a scalar tensor."""
+    """Select one entry (row-major flat index) as a scalar tensor; for the bench loss."""
     a = _as_tensor(a)
     flat_index = int(flat_index)
     if not 0 <= flat_index < a.data.size:
@@ -346,33 +338,17 @@ def reshape(a, shape) -> Tensor:
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise DimensionError("concat needs at least one tensor")
-    base = ts[0].data.shape
-    for t in ts[1:]:
-        other = t.data.shape
-        if len(other) != len(base) or any(
-                o != b for d, (o, b) in enumerate(zip(other, base)) if d != axis % len(base)):
-            raise DimensionError(f"concat: shape {other} incompatible with {base} on axis {axis}")
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
-    lead = (slice(None),) * (axis % data.ndim)
-    return _record(data, ts, lambda g: [g[lead + (slice(start, stop),)]
-                                        for start, stop in zip(offsets[:-1], offsets[1:])])
-
-
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate H x W x C tensors along the channel axis."""
+    """Concatenate H x W x C tensors by channel; only ``bench/spans.py`` calls it, by name."""
     ts = [_as_tensor(t) for t in tensors]
-    for t in ts:
-        if t.data.ndim != 3:
-            raise DimensionError(f"concat_channels expects H x W x C tensors, got {t.shape}")
+    if not ts or any(t.data.ndim != 3 for t in ts):
+        raise DimensionError(f"concat_channels expects H x W x C tensors, got {[t.shape for t in ts]}")
     spatial = {t.data.shape[:2] for t in ts}
     if len(spatial) > 1:
         raise DimensionError(f"concat_channels: mismatched spatial extents {sorted(spatial)}")
-    return concat(ts, axis=2)
+    offsets = np.cumsum([0] + [t.data.shape[2] for t in ts])
+    return _record(np.concatenate([t.data for t in ts], axis=2), ts,
+                   lambda g: [g[:, :, start:stop] for start, stop in zip(offsets[:-1], offsets[1:])])
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -415,7 +391,7 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor]) -> float
     1e-4) -- the floor keeps finite-difference roundoff on near-zero
     gradients from dominating the ratio. Returns the maximum over all
     entries. Intended for small models; cost is two forward passes per
-    parameter entry.
+    parameter entry. The tests call it; the package does not.
     """
     zero_grads(params)
     loss = loss_fn()

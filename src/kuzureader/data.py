@@ -31,7 +31,7 @@ GLYPH_ALPHABET = tuple("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJ")
 
 
 # ---------------------------------------------------------------------------
-# portable graymap IO (binary P5), bit-exact round trip
+# checks and seeding, shared by the whole package
 
 
 def check_size(name: str, value, minimum: int) -> int:
@@ -81,6 +81,10 @@ def check_page(image) -> np.ndarray:
     if page.min() < 0.0 or page.max() > 1.0:
         raise NumericError("page has pixels outside [0, 1]")
     return page
+
+
+# ---------------------------------------------------------------------------
+# portable graymap IO (binary P5), bit-exact round trip
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -37,7 +37,7 @@ class Recognizer:
             return self.decoder.decode_greedy(self.encode(image))
 
     def load_parameter_values(self, values: dict[str, np.ndarray]) -> None:
-        """Replace every parameter's values, or none when any value is refused."""
+        """Replace every parameter's values with copies, or none when any value is refused."""
         params = self.parameters()
         missing = set(params) - set(values)
         extra = set(values) - set(params)
@@ -49,7 +49,7 @@ class Recognizer:
             value = check_real(f"parameter {name}", values[name])
             if value.shape != p.data.shape:
                 raise DimensionError(f"parameter {name}: shape {value.shape} != {p.data.shape}")
-            checked[name] = np.ascontiguousarray(value)
+            checked[name] = np.array(value, order="C")
         for name, value in checked.items():
             params[name].data = value
 

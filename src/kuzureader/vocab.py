@@ -62,4 +62,5 @@ class Vocabulary:
         return tuple(self.token(i) for i in indices)
 
     def sha256(self) -> str:
+        """Hex SHA-256 of the tokens, one a line in index order: the same list, the same digest."""
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()

@@ -19,16 +19,9 @@ from kuzureader.autodiff import (
     execution_order,
     grad_check,
     logsumexp,
-    matmul,
-    mul,
-    narrow,
     no_grad,
     pick,
-    reshape,
-    sigmoid,
-    softmax_flat,
     sum_all,
-    tanh,
 )
 from kuzureader.decoder import (
     AttentionDecoder,
@@ -39,6 +32,8 @@ from kuzureader.decoder import (
 )
 from kuzureader.encoder import FeatureGrid, _uniform
 from kuzureader.vocab import Vocabulary
+
+from helpers import weighted
 
 
 def make_grid(h, w, c, seed=0):
@@ -87,6 +82,13 @@ class TestVocabulary:
         for index in (1.0, np.float64(2.0), "2", None, True, False):
             with pytest.raises(DatasetError, match="not an integer"):
                 v.token(index)
+
+    def test_sha256_names_the_tokens_in_order(self):
+        v = Vocabulary.from_characters("abc")
+        assert v.sha256() == Vocabulary.from_characters("abc").sha256()
+        assert len(v.sha256()) == 64 and int(v.sha256(), 16) >= 0
+        for other in ("acb", "abd", "ab", "abcd"):
+            assert Vocabulary.from_characters(other).sha256() != v.sha256(), other
 
     def test_rejects_bad_header_and_duplicates(self):
         with pytest.raises(DatasetError, match="must begin"):
@@ -408,7 +410,7 @@ class TestStep:
             state = dec.initial_state(grid)
             logits1, state = dec.step(grid, state, vb.START)
             logits2, state = dec.step(grid, state, 2)
-            return sum_all(sum_all(logits1) + sum_all(logits2 * logits2))
+            return sum_all(sum_all(logits1) + weighted(logits2, logits2))
 
         err = grad_check(loss, [dec.params["att.coverage_proj"]])
         assert err < 1e-4
@@ -420,11 +422,6 @@ class TestStep:
 class TestFusedNodes:
     """Each fused node of a step, on its own and against the ops it replaces."""
 
-    @staticmethod
-    def weighted(t, seed):
-        """A scalar that reaches every entry of ``t`` with a distinct weight."""
-        return sum_all(mul(t, Tensor(np.random.default_rng(seed).normal(size=t.shape))))
-
     def test_attention_weights_gradients(self):
         rng = np.random.default_rng(30)
         gh, gw, hidden, att = 2, 3, 4, 3
@@ -433,7 +430,8 @@ class TestFusedNodes:
         inputs[3].data = np.abs(inputs[3].data)  # coverage is a sum of maps
         alpha = _attention_weights(*inputs)
         assert alpha.shape == (gh, gw) and abs(alpha.data.sum() - 1.0) < 1e-12
-        assert grad_check(lambda: self.weighted(_attention_weights(*inputs), 31), inputs) < 1e-6
+        weights = np.random.default_rng(31).normal(size=alpha.shape)
+        assert grad_check(lambda: weighted(_attention_weights(*inputs), weights), inputs) < 1e-6
 
     @pytest.mark.parametrize("x1_width, x2_width, rows, width, vocab_size", [
         (3, 2, (2, 3, 2), 8, 4),   # gate sum: context (C = 3), h (H = 2), 4H wide
@@ -447,11 +445,12 @@ class TestFusedNodes:
             ((1, x1_width), (x1_width, width), (vocab_size, width), (1, x2_width),
              (x2_width, width))]
         assert _row_plus_products(x1, w1, table, rows[0], x2, w2).shape == (width,)
+        weights = [np.random.default_rng(33 + k).normal(size=width) for k in range(len(rows))]
 
         def loss():
             total = None
             for k, row in enumerate(rows):
-                term = self.weighted(_row_plus_products(x1, w1, table, row, x2, w2), 33 + k)
+                term = weighted(_row_plus_products(x1, w1, table, row, x2, w2), weights[k])
                 total = term if total is None else total + term
             return total
 
@@ -487,10 +486,12 @@ class TestFusedNodes:
         hidden = 3
         gates = Tensor(rng.normal(size=4 * hidden), requires_grad=True)  # flat, as a step's
         cell = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
+        memory_weights, output_weights = (np.random.default_rng(seed).normal(size=(1, hidden))
+                                          for seed in (37, 38))
 
         def loss():
             memory, output = _lstm(gates, cell)
-            return self.weighted(memory, 37) + self.weighted(output, 38)
+            return weighted(memory, memory_weights) + weighted(output, output_weights)
 
         assert grad_check(loss, [gates, cell]) < 1e-6
         assert np.all(gates.grad != 0.0)
@@ -499,36 +500,38 @@ class TestFusedNodes:
     def test_five_steps_match_the_composed_ops(self, recording):
         hidden = 8
         dec = make_decoder(hidden=hidden, seed=40)
-        grid = FeatureGrid(features=Tensor(np.random.default_rng(40).normal(size=(3, 2, 6)),
-                                           requires_grad=True))
-        p = dec.params
-        flat = reshape(grid.features, (6, 6))
-        keys = matmul(flat, p["att.feature_proj"])
-        token_gates = matmul(p["embed.table"], p["lstm.embed_w"]) + p["lstm.bias"]
-        h, cell = Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden)))
-        coverage = Tensor(np.zeros((3, 2)))
+        features = np.random.default_rng(40).normal(size=(3, 2, 6))
+        grid = FeatureGrid(features=Tensor(features, requires_grad=True))
+        p = {name: t.data for name, t in dec.params.items()}
+        flat = features.reshape(6, 6)
+        keys = flat @ p["att.feature_proj"]
+        token_gates = p["embed.table"] @ p["lstm.embed_w"] + p["lstm.bias"]
+        h, cell, coverage = np.zeros((1, hidden)), np.zeros((1, hidden)), np.zeros((3, 2))
+
+        def logistic(x):  # overflow-safe, as the gates' is
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
         with contextlib.ExitStack() as stack:
             if not recording:
                 stack.enter_context(no_grad())
             state = dec.initial_state(grid)
             for prev in (vb.START, 2, 2, 4, 3):
-                # the step as autodiff ops, in the order the fused nodes keep
-                energy_in = (keys + matmul(h, p["att.hidden_proj"])
-                             + mul(reshape(coverage, (6, 1)), p["att.coverage_proj"]))
-                alpha_flat = softmax_flat(matmul(tanh(energy_in), p["att.energy"]))
-                context = matmul(reshape(alpha_flat, (1, 6)), flat)
-                gates = (matmul(context, p["lstm.context_w"]) + narrow(token_gates, 0, prev, 1)
-                         + matmul(h, p["lstm.hidden_w"]))
-                in_forget_out = sigmoid(narrow(gates, 1, 0, 3 * hidden))
-                in_gate, forget_gate, out_gate = (narrow(in_forget_out, 1, k * hidden, hidden)
-                                                  for k in range(3))
-                candidate = tanh(narrow(gates, 1, 3 * hidden, hidden))
-                cell = mul(forget_gate, cell) + mul(in_gate, candidate)
-                h = mul(out_gate, tanh(cell))
-                readout = (narrow(p["embed.table"], 0, prev, 1) + matmul(h, p["out.hidden_proj"])
-                           + matmul(context, p["out.context_proj"]))
-                logits = matmul(readout, p["out.vocab_proj"])
-                alpha = reshape(alpha_flat, (3, 2))
+                # the step in numpy, in the order the fused nodes keep
+                energy_in = (keys + h @ p["att.hidden_proj"]
+                             + coverage.reshape(6, 1) * p["att.coverage_proj"])
+                scores = np.tanh(energy_in) @ p["att.energy"]
+                alpha_flat = np.exp(scores - scores.max())
+                alpha_flat /= alpha_flat.sum()
+                context = alpha_flat.reshape(1, 6) @ flat
+                gates = context @ p["lstm.context_w"] + token_gates[prev] + h @ p["lstm.hidden_w"]
+                in_gate, forget_gate, out_gate = np.split(logistic(gates[:, :3 * hidden]), 3, axis=1)
+                cell = forget_gate * cell + in_gate * np.tanh(gates[:, 3 * hidden:])
+                h = out_gate * np.tanh(cell)
+                readout = (p["embed.table"][prev] + h @ p["out.hidden_proj"]
+                           + context @ p["out.context_proj"])
+                logits = readout @ p["out.vocab_proj"]
+                alpha = alpha_flat.reshape(3, 2)
                 coverage = coverage + alpha
 
                 fused_alpha, fused_context = dec.attend(state)
@@ -536,8 +539,8 @@ class TestFusedNodes:
                 for fused, composed in ((fused_alpha, alpha), (fused_context, context),
                                         (state.cell, cell), (state.h, h),
                                         (state.coverage, coverage)):
-                    assert np.array_equal(fused.data, composed.data)
-                assert np.max(np.abs(fused_logits.data - logits.data[0])) < 1e-13
+                    assert np.array_equal(fused.data, composed)
+                assert np.max(np.abs(fused_logits.data - logits[0])) < 1e-13
                 assert fused_logits.requires_grad is recording
 
     def test_a_teacher_forced_step_adds_at_most_ten_nodes(self):

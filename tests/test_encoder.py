@@ -1,4 +1,5 @@
 import contextlib
+import math
 import re
 import tracemalloc
 
@@ -12,7 +13,7 @@ from kuzureader.autodiff import (
     Tensor,
     _record,
     backward,
-    concat,
+    concat_channels,
     execution_order,
     grad_check,
     matmul,
@@ -25,6 +26,8 @@ from kuzureader.autodiff import (
 from kuzureader import encoder
 from kuzureader.encoder import (BAND_ROWS as BAND, BLOCKS, DenseEncoder, EncoderConfig,
                                 FeatureGrid, conv2d, dense_block, pool2d, stem, transition)
+
+from helpers import weighted
 
 
 def channel_oracle(initial, growth, depth, blocks, compression):
@@ -40,6 +43,19 @@ def channel_oracle(initial, growth, depth, blocks, compression):
 def transposed(t, axes):
     """``t`` with its axes permuted, as a graph node."""
     return _record(np.transpose(t.data, axes), (t,), lambda g: (np.transpose(g, np.argsort(axes)),))
+
+
+def concat(parts, axis):
+    """``parts`` joined along ``axis`` as one ``concat_channels`` of lead x 1 x rest reshapes."""
+    lead = parts[0].shape[:axis]
+    rows = [reshape(t, (math.prod(lead), 1, math.prod(t.shape[axis:]))) for t in parts]
+    extent = sum(t.shape[axis] for t in parts)
+    return reshape(concat_channels(rows), lead + (extent,) + parts[0].shape[axis + 1:])
+
+
+def masked(t, mask):
+    """``t * mask`` for a constant array ``mask`` of ``t``'s shape, as one node."""
+    return _record(t.data * mask, (t,), lambda g: (g * mask,))
 
 
 def bias_relu(x, bias):
@@ -122,7 +138,7 @@ def conv3x3_by_rows(x, kernel):
         stacked = reshape(transposed(narrow(kernel, 0, i, 1), (0, 1, 3, 2)), (3 * g, c))
         product = matmul(stacked, narrow(flat, 1, i * w, n + 2))
         for j in range(3):
-            tap = reshape(narrow(narrow(product, 0, j * g, g), 1, j, n), (g, h, w)) * sides[j]
+            tap = masked(reshape(narrow(narrow(product, 0, j * g, g), 1, j, n), (g, h, w)), sides[j])
             out = tap if out is None else out + tap
     return out
 
@@ -379,7 +395,7 @@ class TestStem:
         for op in (run_stem, composed_stem):
             zero_grads([kernel, bias])
             out = op(page, kernel, bias)
-            backward(sum_all(out * g))
+            backward(weighted(out, g))
             runs.append((out, kernel.grad, bias.grad))
         (out, dkernel, dbias), (want, want_dkernel, want_dbias) = runs
         assert out.shape == (4, 2, 3)
@@ -420,7 +436,7 @@ class TestStem:
         weights = rng.normal(size=(3, 4, 6))
         out = run_stem(page, kernel, bias)
         assert out._inputs == (kernel, bias)
-        assert grad_check(lambda: sum_all(run_stem(page, kernel, bias) * weights),
+        assert grad_check(lambda: weighted(run_stem(page, kernel, bias), weights),
                           [kernel, bias]) < 1e-6
 
     def test_max_tie_routes_to_first_in_scan_order(self, stem_extent):
@@ -533,7 +549,7 @@ class TestPool2d:
             x = Tensor(data.copy(), requires_grad=True)
             out = op(x)
             if kind == "average":
-                backward(sum_all(out * g))
+                backward(weighted(out, g))
             results.append((out.data, x.grad))
         (values, grad), (want_values, want_grad) = results
         assert np.array_equal(values, want_values)
@@ -558,7 +574,7 @@ class TestPool2d:
         rng = np.random.default_rng(6)
         x = Tensor(rng.uniform(0.5, 1.5, size=(3, 5, 7)), requires_grad=True)
         weights = rng.normal(size=(3, 2, 3))
-        assert grad_check(lambda: sum_all(average_pool(x) * weights), [x]) < 1e-6
+        assert grad_check(lambda: weighted(average_pool(x), weights), [x]) < 1e-6
 
     @pytest.mark.parametrize("kind", ["max", "average"])
     def test_unrecorded_peak_is_the_output_and_the_transition_product(self, kind):
@@ -628,7 +644,7 @@ class TestBlockNode:
             out = block(x, layers)
             with no_grad():
                 assert np.array_equal(block(x, layers).data, out.data)
-            backward(sum_all(out * weights))
+            backward(weighted(out, weights))
             grads.append((out.data, [t.grad for t in (x, *params)]))
         (fused, fused_grads), (composed, composed_grads) = grads
         assert np.array_equal(fused, composed) if h <= BAND else max_normalised(fused, composed) <= 1e-12
@@ -664,7 +680,7 @@ class TestBlockNode:
         x = Tensor(rng.normal(size=(4, 3, 4)), requires_grad=input_requires_grad)
         weights = rng.normal(size=(4 + 2 * 3, 3, 4))
         checked = [x, *params] if input_requires_grad else params
-        assert grad_check(lambda: sum_all(run_block(x, layers) * weights), checked) < 1e-6
+        assert grad_check(lambda: weighted(run_block(x, layers), weights), checked) < 1e-6
         assert (x.grad is not None) == input_requires_grad
 
     # 48 input channels, growth 4 (bottleneck 16), depth 6: on a 32 x 32
@@ -786,7 +802,7 @@ class TestTransition:
         kernel = Tensor(rng.normal(size=(1, 1, 5, 3)), requires_grad=True)
         bias = Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
         weights = rng.normal(size=(3, 2, 3))
-        error = grad_check(lambda: sum_all(transition(x, kernel, bias) * weights),
+        error = grad_check(lambda: weighted(transition(x, kernel, bias), weights),
                            [x, kernel, bias])
         assert error < 1e-6
 
@@ -805,7 +821,7 @@ class TestTransition:
             zero_grads([x, kernel, bias])
             out = op(x, kernel, bias)
             inputs = out._inputs
-            backward(sum_all(out * weights))
+            backward(weighted(out, weights))
             runs.append((out.data, inputs, [t.grad for t in (x, kernel, bias)]))
         (fused, inputs, grads), (composed, _, want_grads) = runs
         assert inputs == (x, kernel, bias)
@@ -912,7 +928,7 @@ class TestEncode:
                 p.data[:] = rng.normal(scale=0.1, size=p.shape)
         image = rng.uniform(size=(16, 16, 1))
         weights = rng.normal(size=(2, 2, enc.config.output_channels))
-        error = grad_check(lambda: sum_all(enc.encode(image).features * weights),
+        error = grad_check(lambda: weighted(enc.encode(image).features, weights),
                            list(enc.params.values()))
         assert error < 1e-6
 
@@ -928,7 +944,7 @@ class TestEncode:
             enc.params["stem.bias"].data[:] = np.random.default_rng(14).normal(
                 scale=0.5, size=config.initial_channels)
             features = encode(enc, image).features
-            backward(sum_all(features * weights))
+            backward(weighted(features, weights))
             runs.append((features.data, enc.params))
         (features, params), (want, want_params) = runs
         assert np.array_equal(features, want)
@@ -1044,7 +1060,7 @@ class TestEncode:
         loss = None
         for _ in range(2):
             grid = enc.encode(rng.uniform(size=(16, 16, 1)))
-            term = sum_all(grid.features * rng.normal(size=grid.features.shape))
+            term = weighted(grid.features, rng.normal(size=grid.features.shape))
             loss = term if loss is None else loss + term
         backward(loss)
         for name, p in enc.params.items():

@@ -75,6 +75,19 @@ class TestParameters:
         for name, p in other.parameters().items():
             assert np.array_equal(p.data, values[name])
 
+    def test_loaded_values_are_copies_the_model_owns(self):
+        # a read-only value, such as another model's gradient, loads as a writable copy
+        values = random_values(make_model(), seed=6)
+        for value in values.values():
+            value.flags.writeable = False
+        first, second = make_model(), make_model(seed=5)
+        first.load_parameter_values(values)
+        second.load_parameter_values(values)
+        for (name, p), q in zip(first.parameters().items(), second.parameters().values()):
+            assert np.array_equal(p.data, values[name]) and p.data.flags.writeable
+            assert not np.shares_memory(p.data, values[name])
+            assert not np.shares_memory(p.data, q.data)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda v: v.pop("enc.stem.kernel"), "missing=.*enc.stem.kernel"),
         (lambda v: v.update({"dec.extra": np.zeros(1)}), "unexpected=.*dec.extra"),
