@@ -38,8 +38,7 @@ band of a transition's rectified map. A block's 1x1 bottleneck is written
 straight into its scratch, each channel (band+2)*w + 2 values: a zero,
 the band's rows with the row above and the row below (zero rows at the
 map's edges) and a zero, which the 3x3's kernel-row products read in
-place. The two rows a band shares with the next carry over, so each
-bottleneck row is computed once.
+place.
 
 Each stage is one graph node: ``stem`` (convolution, 2x2 max pool, bias
 and ReLU), ``dense_block``, and ``transition`` (a 1x1 convolution that
@@ -126,9 +125,15 @@ def _bands(h: int) -> list[tuple[int, int]]:
 
 
 def _taps(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """A padded page's (kh*kw) x (Ho*Wo) stack of shifted pixels, one row per kernel tap."""
-    windows = sliding_window_view(padded, (kh, kw))[::stride, ::stride]
-    return windows.transpose(2, 3, 0, 1).reshape(kh * kw, -1)
+    """A padded C x Hp x Wp map's (kh*kw*C) x (Ho*Wo) stack of shifted windows.
+
+    Row ``(i*kw + j)*C + c`` of output cell (u, v) holds
+    ``padded[c, u*stride + i, v*stride + j]``: tap (i, j)'s window of channel
+    c. ``conv2d`` and the stem's vjp pass a one-channel page, one row a tap in
+    row-major order; the dense sweep passes a G-channel gradient, G rows a tap.
+    """
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.transpose(3, 4, 0, 1, 2).reshape(kh * kw * padded.shape[0], -1)
 
 
 def conv2d(image: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -144,7 +149,7 @@ def conv2d(image: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> 
     kh, kw, _, cout = kernel.shape
     padded = np.pad(image[:, :, 0], padding) if padding else image[:, :, 0]
     ho, wo = (padded.shape[0] - kh) // stride + 1, (padded.shape[1] - kw) // stride + 1
-    return (kernel.reshape(kh * kw, cout).T @ _taps(padded, kh, kw, stride)).reshape(cout, ho, wo)
+    return (kernel.reshape(kh * kw, cout).T @ _taps(padded[None], kh, kw, stride)).reshape(cout, ho, wo)
 
 
 def _conv3x3(scratch: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
@@ -180,24 +185,6 @@ def _conv3x3(scratch: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
         out += right
 
 
-def _gradient_patches(d: np.ndarray) -> np.ndarray:
-    """A G x h x w output gradient as its (9*G) x (h*w) matrix of 3x3 windows.
-
-    ``d`` is padded by 1, and row ``(p*3 + q)*G + k`` of cell (a, b) holds
-    ``d[k, a + p - 1, b + q - 1]``: nine shifted copies, each a run of w
-    contiguous values per image row. That is the gradient that reached
-    bottleneck pixel (a, b) through kernel tap (2 - p, 2 - q), so the
-    flipped kernel maps the windows to the bottleneck gradient, and the
-    bottleneck maps them to the flipped kernel gradient.
-    """
-    g, h, w = d.shape
-    padded = np.pad(d, ((0, 0), (1, 1), (1, 1)))
-    patches = np.empty((3, 3, g, h, w))
-    for p, q in np.ndindex(3, 3):
-        patches[p, q] = padded[:, p:p + h, q:q + w]
-    return patches.reshape(9 * g, h * w)
-
-
 def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
                 buf: np.ndarray) -> Tensor:
     """A DenseNet block over a C0 x H x W input, recorded as one graph node.
@@ -215,26 +202,25 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     the rest, so a layer's channel prefix is one contiguous C_l x (H*W) slab
     and its 1x1 convolution one product over it; nothing is concatenated or
     copied in. Each layer runs band by band (``BAND_ROWS`` rows): the 1x1
-    product writes the band's rows and the row below straight into one
-    band-sized, flat, zero-bordered bottleneck scratch, where bias and ReLU
-    run in place; the row above and the band's first row carry over from the
-    previous band. The 3x3 convolution reads the scratch there as three
-    products, one per kernel row, each over one band (``_conv3x3``), so no
-    im2col buffer or full-size scratch or product is built. When recording,
-    the node holds the output buffer and one depth x B x (H*W) stack of
-    copies of the layers' bottleneck activations, which grows linearly with
-    depth where a graph of per-layer concatenations grows quadratically;
-    without recording nothing is kept
-    per layer. The node's one vjp is a reverse sweep that reads the
-    incoming gradient in place and gives the input's and every parameter's
-    gradient. It pulls each layer's output gradient: its slab of the
-    incoming gradient plus one product of the later layers' stacked 1x1
-    kernel rows for that slab with their stacked bottleneck gradients. It
-    cuts that gradient into one (9*G) x (H*W) matrix of 3x3 windows, so the
-    3x3 kernel gradient and the bottleneck gradient are one product each;
-    the bottleneck gradient overwrites that layer's kept bottleneck. The
-    input's gradient is pulled the same way, as one product over every
-    layer's bottleneck gradient.
+    product writes the band's rows, the row above and the row below straight
+    into one band-sized, flat, zero-bordered bottleneck scratch, where bias
+    and ReLU run in place. The 3x3 convolution reads the scratch there as
+    three products, one per kernel row, each over one band (``_conv3x3``),
+    so no im2col buffer or full-size scratch or product is built. When
+    recording, the node holds the output buffer and one depth x B x (H*W)
+    stack of copies of the layers' bottleneck activations, which grows
+    linearly with depth where a graph of per-layer concatenations grows
+    quadratically; without recording nothing is kept per layer. The node's
+    one vjp is a reverse sweep that reads the incoming gradient in place and
+    gives the input's and every parameter's gradient. It pulls each layer's
+    output gradient: its slab of the incoming gradient plus one product of
+    the later layers' stacked 1x1 kernel rows for that slab with their
+    stacked bottleneck gradients. It cuts that gradient into one
+    (9*G) x (H*W) matrix of 3x3 windows (``_taps``), so the 3x3 kernel
+    gradient and the bottleneck gradient are one product each; the
+    bottleneck gradient overwrites that layer's kept bottleneck. The input's
+    gradient is pulled the same way, as one product over every layer's
+    bottleneck gradient.
     """
     c0, h, w = x.data.shape
     starts = list(accumulate((cb.data.size for *_, cb in layers), initial=c0))
@@ -246,24 +232,18 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     band = min(BAND_ROWS, h)
     # a band's bottleneck rows r0 - 1 .. r1 from column 1, w values a row
     scratch = np.zeros((b, (band + 2) * w + 2))
-    # rows r0 - 1 and r0, kept from the previous band while its rows are overwritten
-    halo = np.empty((b, 2 * w)) if h > band else None
     for i, ((rk, rb, ck, cb), c, end) in enumerate(zip(layers, starts, starts[1:])):
         grown = buf[c:end]
         for r0, r1 in _bands(h):
-            if r0:
-                np.copyto(halo, scratch[:, 1 + band * w:1 + (band + 2) * w])
-            first, last = (r0 + 1 if r0 else 0), min(r1 + 1, h)  # rows not yet computed
+            first, last = max(r0 - 1, 0), min(r1 + 1, h)  # the map rows the band's 3x3 reads
             fresh = slice(1 + (first - r0 + 1) * w, 1 + (last - r0 + 1) * w)
             np.matmul(rk.data[0, 0].T, rows[:c, first * w:last * w], out=scratch[:, fresh])
             # bias and ReLU over whole rows (numpy buffers a strided operand
             # that is updated in place); then every other value is zero, as
-            # outside the map, or the previous band's last two rows
+            # outside the map
             scratch += rb.data[:, None]
             np.maximum(scratch, 0.0, out=scratch)
             scratch[:, :fresh.start] = scratch[:, fresh.stop:] = 0.0
-            if r0:
-                scratch[:, 1:fresh.start] = halo
             if kept is not None:
                 kept[i, :, r0 * w:r1 * w] = scratch[:, 1 + w:1 + (r1 - r0 + 1) * w]
             _conv3x3(scratch, ck.data, grown[:, r0:r1])
@@ -289,7 +269,11 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
             bottleneck, growth = kept[i], end - c
             dgrown = pulled(slice(c, end), i + 1)
             dgrown *= rows[c:end] > 0.0
-            patches = _gradient_patches(dgrown.reshape(growth, h, w))
+            # window row (p*3 + q)*G + k of cell (a, b), dgrown[k, a + p - 1, b + q - 1],
+            # reached bottleneck pixel (a, b) through kernel tap (2 - p, 2 - q), so
+            # the flipped kernel maps the windows to the bottleneck gradient, and
+            # the bottleneck maps them to the flipped kernel gradient
+            patches = _taps(np.pad(dgrown.reshape(growth, h, w), ((0, 0), (1, 1), (1, 1))), 3, 3, 1)
             dkernel = (bottleneck @ patches.T).reshape(b, 3, 3, growth).transpose(1, 2, 0, 3)
             active = bottleneck > 0.0
             flipped = ck.data[::-1, ::-1].transpose(2, 0, 1, 3).reshape(b, 9 * growth)
@@ -366,7 +350,7 @@ def stem(page: np.ndarray, kernel: Tensor, bias: Tensor, out: np.ndarray) -> Ten
     def vjp(g):
         masked = g * (out > 0.0)
         routed = (np.where(first == n, masked, 0.0).reshape(cout, -1) for n in range(len(cuts)))
-        dkernel = sum(_taps(cut, kh, kw, stride) @ r.T for cut, r in zip(cuts, routed))
+        dkernel = sum(_taps(cut[None], kh, kw, stride) @ r.T for cut, r in zip(cuts, routed))
         return dkernel.reshape(kernel.shape), masked.sum(axis=1).sum(axis=1)
 
     return _record(out, (kernel, bias), vjp)

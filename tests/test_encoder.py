@@ -377,20 +377,24 @@ class TestStem:
             assert out.shape == expected.shape
             assert np.max(np.abs(out - expected)) < 1e-12
 
-    # odd convolution extents (5 x 7), so a trailing row and column are
-    # dropped; with ties, a half-integer page and an integer kernel give
-    # equal window corners, and every product and sum is exact
-    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
-    def test_stem_node_is_relu_of_the_biased_max_bitwise(self, stem_extent, ties):
+    # odd convolution extents ((2*rows + 1) x 7), so a trailing row and
+    # column are dropped; with ties, a half-integer page and an integer
+    # kernel give equal window corners, and every product and sum is exact.
+    # A map of band + 1 or 2 * band + 1 rows ends in a one-row band
+    @pytest.mark.parametrize("ties,rows", [
+        pytest.param(ties, rows,
+                     id=("ties" if ties else "normal") + ("" if rows == 2 else f"-{rows}-rows"))
+        for rows in (2, BAND + 1, 2 * BAND + 1) for ties in (False, True)])
+    def test_stem_node_is_relu_of_the_biased_max_bitwise(self, stem_extent, ties, rows):
         extent, stride = stem_extent
         rng = np.random.default_rng(14)
-        size = (5 * stride, 7 * stride, 1)
+        size = ((2 * rows + 1) * stride, 7 * stride, 1)
         page = rng.integers(0, 3, size=size) / 2 if ties else rng.uniform(size=size)
         k_shape = (extent, extent, 1, 4)
         kernel = Tensor(rng.integers(-1, 2, size=k_shape).astype(float) if ties
                         else rng.normal(size=k_shape), requires_grad=True)
         bias = Tensor(rng.normal(scale=0.5, size=4), requires_grad=True)
-        g = rng.normal(size=(4, 2, 3))
+        g = rng.normal(size=(4, rows, 3))
         runs = []
         for op in (run_stem, composed_stem):
             zero_grads([kernel, bias])
@@ -398,11 +402,14 @@ class TestStem:
             backward(weighted(out, g))
             runs.append((out, kernel.grad, bias.grad))
         (out, dkernel, dbias), (want, want_dkernel, want_dbias) = runs
-        assert out.shape == (4, 2, 3)
+        assert out.shape == (4, rows, 3)
         assert np.array_equal(out.data, want.data)
         assert np.array_equal(out.data, biased_max_stem(page, kernel.data, bias.data))
         assert max_normalised(dkernel, want_dkernel) <= 1e-12  # four corner sums, not one
-        assert np.array_equal(dbias, want_dbias)
+        # the bias gradient sums by pooled column, the oracle's by convolution
+        # column; over a taller map the two groupings may round apart
+        assert (np.array_equal(dbias, want_dbias) if rows == 2
+                else max_normalised(dbias, want_dbias) <= 1e-12)
         with no_grad():
             y = run_stem(page, kernel, bias)
         assert np.array_equal(y.data, out.data)
@@ -665,9 +672,9 @@ class TestBlockNode:
         x = Tensor(np.random.default_rng(3).normal(size=(4, 3, 4)), requires_grad=True)
         out = run_block(x, layers)
         sweeps, windows = [], []
-        sweep, patches = out._vjp, encoder._gradient_patches
+        sweep, taps = out._vjp, encoder._taps
         out._vjp = lambda g: sweeps.append(g) or sweep(g)
-        monkeypatch.setattr(encoder, "_gradient_patches", lambda d: windows.append(d) or patches(d))
+        monkeypatch.setattr(encoder, "_taps", lambda *args: windows.append(args) or taps(*args))
         backward(sum_all(out))
         assert len(sweeps) == 1 and len(windows) == len(layers)
         assert all(t.grad is not None for t in (x, *params))
@@ -717,18 +724,16 @@ class TestBlockNode:
     @pytest.mark.parametrize("case", MEMORY_CASES)
     def test_without_recording_peak_is_one_bands_scratch_and_row_product(self, case):
         # the 1x1 writes into the flat scratch the 3x3 reads, so a layer needs
-        # only that scratch (B rows of (band+2)*w + 2), one 3x3 kernel-row
-        # product (3G rows of band*w + 2) and, past one band, a copy of two
-        # bottleneck rows; a separate bottleneck, or a scratch or product over
-        # all three bands, would not fit
+        # only that scratch (B rows of (band+2)*w + 2) and one 3x3 kernel-row
+        # product (3G rows of band*w + 2); a separate bottleneck, or a scratch
+        # or product over all three bands, would not fit
         out, _, peak, bottleneck = self._traced_block(case, record=False)
         c = self.MEMORY_CASES[case]
         g, band = c["growth"], min(BAND, c["h"])
         scratch = 4 * g * ((band + 2) * c["w"] + 2) * 8
         row_product = 3 * g * (band * c["w"] + 2) * 8
-        halo = 4 * g * 2 * c["w"] * 8 if c["h"] > band else 0
         assert out._inputs == () and bottleneck > self.SLACK
-        assert peak <= scratch + row_product + halo + self.SLACK
+        assert peak <= scratch + row_product + self.SLACK
 
     @pytest.mark.parametrize("case", MEMORY_CASES)
     def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self, case):
@@ -1018,13 +1023,13 @@ class TestEncode:
             tracemalloc.stop()
 
     def test_unrecorded_encode_peaks_in_block_zero(self):
-        # block 0 (128 rows, two bands) holds its buffer, one band's flat
-        # bottleneck scratch and 3x3 kernel-row product, and a copy of two
-        # bottleneck rows; the stem, which pools into that buffer one band at
-        # a time, the transitions and the page's checks stay under it. The
-        # slack covers one numpy ufunc buffer (8192 float64) and small
-        # objects. The stem's full convolution map alone (7.86 MB) would not
-        # fit, nor a scratch and a product over the whole block
+        # block 0 (128 rows, two bands) holds its buffer and one band's flat
+        # bottleneck scratch and 3x3 kernel-row product; the stem, which pools
+        # into that buffer one band at a time, the transitions and the page's
+        # checks stay under it. The slack covers one numpy ufunc buffer (8192
+        # float64) and small objects. The stem's full convolution map alone
+        # (7.86 MB) would not fit, nor a scratch and a product over the whole
+        # block
         config = EncoderConfig(growth_rate=12, block_depth=4)
         enc = DenseEncoder(config, seed=15)
         h, w = 256, 80
@@ -1033,10 +1038,23 @@ class TestEncode:
         buffer = config.channel_plan()[1] * (h // 2) * width * 8
         scratch = b * ((BAND + 2) * width + 2) * 8
         row_product = 3 * g * (BAND * width + 2) * 8
-        halo = b * 2 * width * 8
-        bound = buffer + scratch + row_product + halo + image.nbytes + 64 * 1024
+        bound = buffer + scratch + row_product + image.nbytes + 64 * 1024
         assert h // 2 > BAND and bound < h * w * config.initial_channels * 8
         assert self._unrecorded_peak(enc, image) <= bound
+
+    def test_unrecorded_encode_frees_each_block_buffer_before_the_next(self):
+        # without recording, block 0's buffer is released before block 1's is
+        # allocated, so it never coexists with transition 0's output and block
+        # 1's buffer. At 256 x 192, growth 24 and depth 8, block 0's band
+        # transients (8.4 MB) stay under those two arrays (10.6 MB), so the
+        # peak with block 0's buffer held until then could not fit the bound
+        config = EncoderConfig(growth_rate=24, block_depth=8)
+        enc = DenseEncoder(config, seed=21)
+        h, w = 256, 192
+        image = np.random.default_rng(21).uniform(size=(h, w, 1))
+        plan, cells = config.channel_plan(), (h // 2) * (w // 2)
+        held_together = (plan[1] * cells + (plan[2] + plan[3]) * (cells // 4)) * 8
+        assert self._unrecorded_peak(enc, image) < held_together
 
     def test_unrecorded_encode_transients_do_not_grow_with_the_page(self):
         # a page twice as tall at one width holds a buffer twice as large and
