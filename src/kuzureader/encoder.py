@@ -54,9 +54,10 @@ bit-deterministic.
 
 A recorded node keeps only what its vjp reads, besides its output (the
 stem's is a view of block 0's buffer): the stem keeps the padded page and
-a one-byte index of each window's max corner, a dense block its layers'
-bottlenecks in one stacked array, and a transition one byte per pre-pool
-cell, the sign of its rectified map.
+a one-byte index of each window's max corner, and a transition one byte
+per pre-pool cell, the sign of its rectified map. A dense block keeps its
+output alone, so its recorded forward is the unrecorded one: its sweep
+recomputes each band's bottlenecks from the output's channel prefixes.
 Under ``no_grad`` none of these is made.
 """
 
@@ -74,8 +75,9 @@ from .data import check_page, check_size, seeded_rng
 
 BLOCKS = 3  # dense blocks; a transition follows every block but the last
 STEM_KERNEL, STEM_STRIDE = 3, 1  # the stem's odd kernel extent and its stride
-# map rows a stage computes at once; even, so a transition's band holds whole
-# pooling windows. Fewer rows hold less memory but cost time per band
+# map rows a stage computes at once, and a dense block's backward sweep too;
+# even, so a transition's band holds whole pooling windows. Fewer rows hold
+# less memory but cost time per band
 BAND_ROWS = 64
 
 
@@ -206,33 +208,32 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     into one band-sized, flat, zero-bordered bottleneck scratch, where bias
     and ReLU run in place. The 3x3 convolution reads the scratch there as
     three products, one per kernel row, each over one band (``_conv3x3``),
-    so no im2col buffer or full-size scratch or product is built. When
-    recording, the node holds the output buffer and one depth x B x (H*W)
-    stack of copies of the layers' bottleneck activations, which grows
-    linearly with depth where a graph of per-layer concatenations grows
-    quadratically; without recording nothing is kept per layer. The node's
-    one vjp is a reverse sweep that reads the incoming gradient in place and
-    gives the input's and every parameter's gradient. It pulls each layer's
-    output gradient: its slab of the incoming gradient plus one product of
-    the later layers' stacked 1x1 kernel rows for that slab with their
-    stacked bottleneck gradients. It cuts that gradient into one
-    (9*G) x (H*W) matrix of 3x3 windows (``_taps``), so the 3x3 kernel
-    gradient and the bottleneck gradient are one product each; the
-    bottleneck gradient overwrites that layer's kept bottleneck. The input's
-    gradient is pulled the same way, as one product over every layer's
-    bottleneck gradient.
+    so no im2col buffer or full-size scratch or product is built. Recorded
+    or not, the block runs the same code and the node keeps only the output
+    buffer, which it shares with the caller. The node's one vjp is a
+    reverse sweep that gives the input's and every parameter's gradient.
+    It adds every layer's 1x1 input gradient into one writable copy of the
+    incoming gradient, so when the sweep reaches a layer, that copy's slab
+    of the layer's channels is the layer's complete output gradient. Each
+    layer goes band by band: the band's bottleneck is recomputed from the
+    output's channel prefix (the 1x1 is pointwise, so no halo rows), and
+    the band is cut from the padded, masked output gradient into one
+    (9*G) x (band*W) stack of 3x3 windows (``_taps``), so the band's 3x3
+    kernel gradient and bottleneck gradient are one product each, and its
+    1x1 kernel gradient and input gradient one more each; parameter
+    gradients are summed over the bands. The input's gradient is a copy of
+    the first C0 channels of that gradient copy.
     """
     c0, h, w = x.data.shape
     starts = list(accumulate((cb.data.size for *_, cb in layers), initial=c0))
     params = [p for layer in layers for p in layer]
-    cells, ctot, depth = h * w, starts[-1], len(layers)
+    cells, ctot = h * w, starts[-1]
     rows = buf.reshape(ctot, cells)
     b = layers[0][0].data.shape[3]
-    kept = np.empty((depth, b, cells)) if _recording(x, *params) else None
     band = min(BAND_ROWS, h)
     # a band's bottleneck rows r0 - 1 .. r1 from column 1, w values a row
     scratch = np.zeros((b, (band + 2) * w + 2))
-    for i, ((rk, rb, ck, cb), c, end) in enumerate(zip(layers, starts, starts[1:])):
+    for (rk, rb, ck, cb), c, end in zip(layers, starts, starts[1:]):
         grown = buf[c:end]
         for r0, r1 in _bands(h):
             first, last = max(r0 - 1, 0), min(r1 + 1, h)  # the map rows the band's 3x3 reads
@@ -244,45 +245,45 @@ def dense_block(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
             scratch += rb.data[:, None]
             np.maximum(scratch, 0.0, out=scratch)
             scratch[:, :fresh.start] = scratch[:, fresh.stop:] = 0.0
-            if kept is not None:
-                kept[i, :, r0 * w:r1 * w] = scratch[:, 1 + w:1 + (r1 - r0 + 1) * w]
             _conv3x3(scratch, ck.data, grown[:, r0:r1])
         grown += cb.data[:, None, None]
         np.maximum(grown, 0.0, out=grown)
 
     def sweep(g):
         """Input gradient, then each parameter's, in ``params`` order."""
-        g = g.reshape(ctot, cells)  # read-only (``backward`` locks it); nothing writes into it
-
-        def pulled(channels: slice, first: int) -> np.ndarray:
-            """``g[channels]`` plus what layers ``first``.. send those channels through their 1x1s."""
-            if first == depth:
-                return np.array(g[channels])
-            kernels = np.concatenate([rk.data[0, 0, channels] for rk, *_ in layers[first:]], axis=1)
-            total = kernels @ kept[first:].reshape(-1, cells)
-            total += g[channels]
-            return total
-
+        grad = np.array(g.reshape(ctot, cells))  # each layer adds its prefix's gradient here
         dparams = []
-        for i in reversed(range(depth)):
-            (rk, rb, ck, cb), c, end = layers[i], starts[i], starts[i + 1]
-            bottleneck, growth = kept[i], end - c
-            dgrown = pulled(slice(c, end), i + 1)
+        for (rk, rb, ck, cb), c, end in reversed(list(zip(layers, starts, starts[1:]))):
+            growth, reduce = end - c, rk.data[0, 0]
+            dgrown = grad[c:end]  # complete: only layers after this one read these channels
             dgrown *= rows[c:end] > 0.0
-            # window row (p*3 + q)*G + k of cell (a, b), dgrown[k, a + p - 1, b + q - 1],
-            # reached bottleneck pixel (a, b) through kernel tap (2 - p, 2 - q), so
-            # the flipped kernel maps the windows to the bottleneck gradient, and
-            # the bottleneck maps them to the flipped kernel gradient
-            patches = _taps(np.pad(dgrown.reshape(growth, h, w), ((0, 0), (1, 1), (1, 1))), 3, 3, 1)
-            dkernel = (bottleneck @ patches.T).reshape(b, 3, 3, growth).transpose(1, 2, 0, 3)
-            active = bottleneck > 0.0
+            padded = np.pad(dgrown.reshape(growth, h, w), ((0, 0), (1, 1), (1, 1)))
             flipped = ck.data[::-1, ::-1].transpose(2, 0, 1, 3).reshape(b, 9 * growth)
-            dreduced = np.matmul(flipped, patches, out=bottleneck)
-            dreduced *= active
-            dparams[:0] = [(rows[:c] @ dreduced.T).reshape(rk.data.shape),
-                           dreduced.sum(axis=1), dkernel[::-1, ::-1], dgrown.sum(axis=1)]
-            del patches  # before the next layer's windows exist
-        return [pulled(slice(0, c0), 0).reshape(c0, h, w), *dparams]
+            dkernel, dreduce, dbias = 0.0, 0.0, 0.0
+            for r0, r1 in _bands(h):
+                cols = slice(r0 * w, r1 * w)
+                # the 1x1 is pointwise, so the band's bottleneck needs no halo rows
+                bottleneck = reduce.T @ rows[:c, cols]
+                bottleneck += rb.data[:, None]
+                np.maximum(bottleneck, 0.0, out=bottleneck)
+                # window row (p*3 + q)*G + k of cell (a, b), dgrown[k, a + p - 1, b + q - 1],
+                # reached bottleneck pixel (a, b) through kernel tap (2 - p, 2 - q), so
+                # the flipped kernel maps the windows to the bottleneck gradient, and
+                # the bottleneck maps them to the flipped kernel gradient
+                patches = _taps(padded[:, r0:r1 + 2], 3, 3, 1)
+                dkernel += bottleneck @ patches.T
+                active = bottleneck > 0.0
+                dreduced = np.matmul(flipped, patches, out=bottleneck)
+                dreduced *= active
+                del patches, active, bottleneck  # before the band's 1x1 input-gradient product
+                dreduce += rows[:c, cols] @ dreduced.T
+                dbias += dreduced.sum(axis=1)
+                grad[:c, cols] += reduce @ dreduced
+                del dreduced  # before the next band's bottleneck
+            dkernel = dkernel.reshape(b, 3, 3, growth).transpose(1, 2, 0, 3)
+            dparams[:0] = [dreduce.reshape(rk.data.shape), dbias, dkernel[::-1, ::-1],
+                           dgrown.sum(axis=1)]
+        return [np.array(grad[:c0]).reshape(c0, h, w), *dparams]
 
     return _record(buf, (x, *params), sweep)
 

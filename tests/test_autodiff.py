@@ -27,7 +27,7 @@ from kuzureader.autodiff import (
     tanh,
     zero_grads,
 )
-from kuzureader.encoder import dense_block, transition
+from kuzureader.encoder import BAND_ROWS, dense_block, transition
 
 from helpers import weighted
 
@@ -366,25 +366,29 @@ class TestGraph:
         assert grad_check(loss, [operands[live]]) < 1e-6
         assert operands[1 - live].grad is None
 
-    def test_determinism_bit_identical(self):
+    # 2 * BAND_ROWS + 1 rows: the block's forward and sweep run three bands
+    @pytest.mark.parametrize("rows", [6, 2 * BAND_ROWS + 1], ids=["one-band", "three-bands"])
+    def test_determinism_bit_identical(self, rows):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 6, 6))
-        layer = [Tensor(rng.normal(size=shape)) for shape in [(1, 1, 2, 4), (4,), (3, 3, 4, 3), (3,)]]
-        kernel = Tensor(rng.normal(size=(1, 1, 5, 3)))
+        x = rng.normal(size=(2, rows, 6))
+        layer = [Tensor(rng.normal(size=shape), requires_grad=True)
+                 for shape in [(1, 1, 2, 4), (4,), (3, 3, 4, 3), (3,)]]
+        kernel = Tensor(rng.normal(size=(1, 1, 5, 3)), requires_grad=True)
 
         def run():
             t = Tensor(x, requires_grad=True)
-            buf = np.empty((5, 6, 6))
+            zero_grads([*layer, kernel])
+            buf = np.empty((5, rows, 6))
             buf[:2] = x
             grown = dense_block(t, [layer], buf)
             out = sum_all(softmax_flat(transition(grown, kernel, Tensor(np.zeros(3)))))
             backward(out)
-            return out.item(), t.grad.copy()
+            return out.item(), [p.grad.copy() for p in (t, *layer, kernel)]
 
         v1, g1 = run()
         v2, g2 = run()
         assert v1 == v2
-        assert np.array_equal(g1, g2)
+        assert all(np.array_equal(a, b) for a, b in zip(g1, g2, strict=True))
 
 
 class TestGradCheck:

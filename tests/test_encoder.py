@@ -666,17 +666,19 @@ class TestBlockNode:
         assert out._inputs == (x, *params)
         assert len(execution_order(out)) == 1 + len(params) + 1
 
-    def test_backward_runs_the_sweep_once(self, monkeypatch):
+    @pytest.mark.parametrize("h", [3, 2 * BAND + 1], ids=["one-band", "three-bands"])
+    def test_backward_runs_the_sweep_once(self, h, monkeypatch):
+        # one sweep cuts one window stack per layer per band
         layers = block_layers(4, 3, 2, seed=3)
         params = [p for layer in layers for p in layer]
-        x = Tensor(np.random.default_rng(3).normal(size=(4, 3, 4)), requires_grad=True)
+        x = Tensor(np.random.default_rng(3).normal(size=(4, h, 4)), requires_grad=True)
         out = run_block(x, layers)
         sweeps, windows = [], []
         sweep, taps = out._vjp, encoder._taps
         out._vjp = lambda g: sweeps.append(g) or sweep(g)
         monkeypatch.setattr(encoder, "_taps", lambda *args: windows.append(args) or taps(*args))
         backward(sum_all(out))
-        assert len(sweeps) == 1 and len(windows) == len(layers)
+        assert len(sweeps) == 1 and len(windows) == len(layers) * len(encoder._bands(h))
         assert all(t.grad is not None for t in (x, *params))
 
     @pytest.mark.parametrize("input_requires_grad", [True, False])
@@ -694,15 +696,22 @@ class TestBlockNode:
     # grid, one band, a bottleneck-sized array is 128 KiB and the block's
     # output 576 KiB; on 2 * band + 1 rows of 40 there are three bands. (On
     # a band view whose rows hold 2048 values or fewer, numpy's in-place
-    # adds take three 64 KiB buffers, so the band case is 40 wide.) The
-    # output buffer is made before tracing starts, as ``encode`` makes it.
-    # The slack covers one numpy ufunc buffer (8192 float64) and small objects
+    # adds take three 64 KiB buffers, so the band case is 40 wide.) For the
+    # backward peak, at growth 8 from 8 channels a window stack (72 rows a
+    # cell) is wider than any layer's channel prefix (at most 32); from 48
+    # channels at growth 4 and depth 12 the prefix (up to 92 a cell) is
+    # wider than the windows (36), and a stack of the 12 bottlenecks
+    # (1.5 MiB) would not fit. The output buffer is made before tracing
+    # starts, as ``encode`` makes it. The slack covers one numpy ufunc
+    # buffer (8192 float64) and small objects
     MEMORY_CASES = {"one-band": dict(h=32, w=32, initial=48, growth=4, depth=6),
                     "three-bands": dict(h=2 * BAND + 1, w=40, initial=48, growth=4, depth=6)}
+    BACKWARD_CASES = {"windows-wider": dict(h=32, w=32, initial=8, growth=8, depth=4),
+                      "prefix-wider": dict(h=32, w=32, initial=48, growth=4, depth=12),
+                      "three-bands": MEMORY_CASES["three-bands"]}
     SLACK = 64 * 1024
 
-    def _traced_block(self, case, record):
-        c = self.MEMORY_CASES[case]
+    def _traced_block(self, c, record, backward_too=False):
         layers = block_layers(c["initial"], c["growth"], c["depth"], seed=4)
         x = Tensor(np.random.default_rng(4).uniform(size=(c["initial"], c["h"], c["w"])),
                    requires_grad=record)
@@ -715,11 +724,13 @@ class TestBlockNode:
             else:
                 with no_grad():
                     out = dense_block(x, layers, buf)
+            if backward_too:
+                backward(sum_all(out))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         bottleneck = c["h"] * c["w"] * 4 * c["growth"] * 8
-        return out, held - before, peak - before, bottleneck
+        return out, layers, held - before, peak - before, bottleneck
 
     @pytest.mark.parametrize("case", MEMORY_CASES)
     def test_without_recording_peak_is_one_bands_scratch_and_row_product(self, case):
@@ -727,8 +738,8 @@ class TestBlockNode:
         # only that scratch (B rows of (band+2)*w + 2) and one 3x3 kernel-row
         # product (3G rows of band*w + 2); a separate bottleneck, or a scratch
         # or product over all three bands, would not fit
-        out, _, peak, bottleneck = self._traced_block(case, record=False)
         c = self.MEMORY_CASES[case]
+        out, _, _, peak, bottleneck = self._traced_block(c, record=False)
         g, band = c["growth"], min(BAND, c["h"])
         scratch = 4 * g * ((band + 2) * c["w"] + 2) * 8
         row_product = 3 * g * (band * c["w"] + 2) * 8
@@ -736,47 +747,38 @@ class TestBlockNode:
         assert peak <= scratch + row_product + self.SLACK
 
     @pytest.mark.parametrize("case", MEMORY_CASES)
-    def test_recorded_block_holds_buffer_and_one_bottleneck_per_layer(self, case):
-        # the buffer was the caller's; the node adds the stacked bottlenecks
-        out, held, _, bottleneck = self._traced_block(case, record=True)
-        depth = self.MEMORY_CASES[case]["depth"]
-        assert out.requires_grad
-        assert held <= depth * bottleneck + self.SLACK
+    def test_recorded_block_holds_nothing_beyond_its_callers_buffer(self, case):
+        # the buffer was the caller's, and the sweep recomputes every
+        # bottleneck, so a recorded forward keeps no per-layer array
+        out, _, held, _, bottleneck = self._traced_block(self.MEMORY_CASES[case], record=True)
+        assert out.requires_grad and bottleneck > self.SLACK
+        assert held <= self.SLACK
 
-    # (h, w, input channels, growth, depth). At growth 8 from 8 channels the
-    # (9*G) x (h*w) window matrix (72 a cell) is wider than any layer's
-    # channel prefix (at most 32); from 48 channels at growth 4 the prefix
-    # (up to 68 a cell) is wider than the windows (36 a cell).
-    @pytest.mark.parametrize("h,w,initial,growth,depth", [(32, 32, 8, 8, 4), (32, 32, 48, 4, 6)],
-                             ids=["windows-wider", "prefix-wider"])
-    def test_backward_reads_the_gradient_in_place_and_adds_one_patch_matrix(self, h, w, initial,
-                                                                           growth, depth):
-        # each layer's bottleneck gradient overwrites its kept bottleneck and
-        # each slab's gradient is pulled from the incoming one, which is read in
-        # place, not copied. So besides that gradient, the input's gradient and
-        # the parameter gradients, the sweep needs one layer's matrix of 3x3
-        # windows, with the masked gradient slice and its padded copy it is
-        # cut from. Tracing starts before the forward pass so that what the
-        # sweep frees counts against its peak.
-        layers = block_layers(initial, growth, depth, seed=6)
-        params = [p for layer in layers for p in layer]
-        x = Tensor(np.random.default_rng(6).uniform(size=(initial, h, w)), requires_grad=True)
-        tracemalloc.start()
-        try:
-            loss = sum_all(run_block(x, layers))
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            backward(loss)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        gradient = h * w * (initial + depth * growth) * 8
-        input_gradient = h * w * initial * 8
-        patches = h * w * 9 * growth * 8
-        slices = (h * w + (h + 2) * (w + 2)) * growth * 8
-        param_grads = sum(p.data.nbytes for p in params)
-        assert all(t.grad is not None for t in [x, *params])
-        assert peak <= gradient + input_gradient + patches + slices + param_grads + self.SLACK
+    @pytest.mark.parametrize("case", BACKWARD_CASES)
+    def test_backward_peak_is_one_gradient_copy_and_one_bands_transients(self, case):
+        # the sweep adds each layer's 1x1 input gradient into one writable
+        # copy of the incoming gradient. Per band it holds the recomputed
+        # bottleneck with its sign, then its window stack or, once that is
+        # gone, its 1x1 input-gradient product over the layer's channel
+        # prefix; per layer, the padded masked slab the windows are cut from.
+        # The input's gradient is copied out after the last band. Besides
+        # the parameter gradients and a kernel-sized temporary for each,
+        # nothing else is held: a kept stack of bottlenecks, or a window
+        # stack over all bands, would not fit. Tracing starts before the
+        # forward pass, so whatever the forward keeps counts too
+        c = self.BACKWARD_CASES[case]
+        out, layers, _, peak, _ = self._traced_block(c, record=True, backward_too=True)
+        ctot, cells, g = out.shape[0], c["h"] * c["w"], c["growth"]
+        band = min(BAND, c["h"]) * c["w"]
+        gradient = ctot * cells * 8
+        input_gradient = c["initial"] * cells * 8
+        bottleneck = 4 * g * band * (8 + 1)
+        windows, product = 9 * g * band * 8, (ctot - g) * band * 8
+        padded = g * (c["h"] + 2) * (c["w"] + 2) * 8
+        param_grads = sum(p.data.nbytes for layer in layers for p in layer)
+        assert all(p.grad is not None for layer in layers for p in layer)
+        assert peak <= (2 * gradient + max(input_gradient, bottleneck + max(windows, product))
+                        + padded + 2 * param_grads + self.SLACK)
 
 
 class TestTransition:
@@ -970,6 +972,32 @@ class TestEncode:
         assert features.shape == want.shape == (2, 3, config.output_channels)
         assert max_normalised(features, want) <= 1e-12
 
+    def test_a_banded_sweep_matches_one_band(self, monkeypatch):
+        # block 0 of a 264-row page has 132 rows, three bands; with the band
+        # taller than the page every stage runs as one band. Block 0's input
+        # gradient (what reaches the stem) and every parameter gradient agree
+        config = EncoderConfig(growth_rate=4, block_depth=3, initial_channels=8)
+        enc = DenseEncoder(config, seed=22)
+        rng = np.random.default_rng(22)
+        h, w = 264, 16
+        image = rng.uniform(size=(h, w, 1))
+        weights = rng.normal(size=(h // 8, w // 8, config.output_channels))
+        assert len(encoder._bands(h // 2)) == 3
+        runs = []
+        for band_rows in (BAND, 2 * h):  # even, as a transition needs
+            monkeypatch.setattr(encoder, "BAND_ROWS", band_rows)
+            zero_grads(enc.params.values())
+            grid = enc.encode(image)
+            stem_node = next(t for t in execution_order(grid.features)
+                             if any(p is enc.params["stem.kernel"] for p in t._inputs))
+            reached, vjp = [], stem_node._vjp
+            stem_node._vjp = lambda g: reached.append(np.array(g)) or vjp(g)
+            backward(weighted(grid.features, weights))
+            runs.append([*reached, *(p.grad for p in enc.params.values())])
+        assert len(runs[0]) == 1 + len(enc.params)
+        for banded, whole in zip(*runs):
+            assert max_normalised(banded, whole) <= 1e-12
+
     def test_recorded_encode_is_one_node_per_stage(self):
         # the stem, three blocks, two transitions and the layout copy
         enc = DenseEncoder(EncoderConfig(growth_rate=4, block_depth=2), seed=16)
@@ -980,11 +1008,11 @@ class TestEncode:
     def test_recorded_encode_holds_only_what_backward_reads(self):
         # between the passes a recorded encode holds each block's buffer (the
         # first holds the stem's output), each transition's output and the
-        # H x W x C copy, each block's stacked bottlenecks, one byte per
-        # transition pre-pool cell and per stem output cell, and the padded
-        # page: not the stem's convolution map (192 KiB here), a separate
-        # copy of its output, nor a transition's float map. The slack covers
-        # the nodes, their closures and small arrays
+        # H x W x C copy, one byte per transition pre-pool cell and per stem
+        # output cell, and the padded page: not a block's bottlenecks (its
+        # sweep recomputes them), the stem's convolution map (192 KiB here),
+        # a separate copy of its output, nor a transition's float map. The
+        # slack covers the nodes, their closures and small arrays
         slack = 32 * 1024
         config = EncoderConfig(growth_rate=4, block_depth=2, initial_channels=8)
         enc = DenseEncoder(config, seed=18)
@@ -999,12 +1027,11 @@ class TestEncode:
         finally:
             tracemalloc.stop()
         plan = config.channel_plan()
-        bottleneck = 4 * config.growth_rate
         cells = (h // 2) * (w // 2)  # after the stem
         pad = encoder.STEM_KERNEL // 2
         keep = (h + 2 * pad) * (w + 2 * pad) * 8 + plan[0] * cells
         for block in range(BLOCKS):
-            keep += (plan[2 * block + 1] + config.block_depth * bottleneck) * cells * 8
+            keep += plan[2 * block + 1] * cells * 8
             if block < BLOCKS - 1:
                 keep += plan[2 * block + 2] * cells * (1 + 8 // 4)
                 cells //= 4
